@@ -241,9 +241,9 @@ def run_app(
     ``directory`` selects the directory organization (a
     :class:`~repro.config.DirectoryConfig` or a name like
     ``"limited:4"``; default full map).  ``backend`` selects the
-    execution tier (see :mod:`repro.sim.backend`): ``"event"`` and
-    ``"specialized"`` are counter-exact, ``"replay"`` trades documented
-    tolerances for speed.
+    execution tier (see :mod:`repro.sim.backend`): ``"event"`` is the
+    reference machine, ``"replay"`` trades documented tolerances for
+    speed.
     """
     spec = _spec(app, protocol, consistency, scale, n_procs, network,
                  cache, seed, directory, backend)

@@ -134,13 +134,9 @@ def run_cell(
             if best is None or wall < best:
                 best = wall
     else:
-        if backend == "specialized":
-            from repro.sim.specialized import SpecializedSystem as sys_cls
-        else:
-            sys_cls = System
         streams = build_workload(app, cfg, scale=scale)
         for _ in range(max(1, repeat)):
-            system = sys_cls(cfg)
+            system = System(cfg)
             t0 = time.perf_counter()
             stats = system.run(streams)
             wall = time.perf_counter() - t0

@@ -35,6 +35,7 @@ from repro.config import (
 )
 from repro.experiments.formats import render_table
 from repro.experiments.runner import add_sweep_args
+from repro.sim.backend import BACKEND_NAMES
 from repro.sweep import DEFAULT_SEED
 from repro.system import System
 from repro.workloads import ALL_APP_NAMES, build_workload
@@ -596,11 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
                 ),
             )
             p.add_argument(
-                "--backend", choices=("event", "specialized", "replay"),
-                default="event",
+                "--backend", choices=BACKEND_NAMES, default="event",
                 help=(
-                    "execution backend: event (reference), specialized "
-                    "(compiled dispatch, counter-exact) or replay "
+                    "execution backend: event (reference) or replay "
                     "(trace fast tier, documented tolerances; see "
                     "docs/engine.md)"
                 ),

@@ -227,12 +227,12 @@ class ProtocolExtension:
         return {}
 
 
-#: hooks specialized per pipeline: dispatch walks only the extensions
+#: hooks filtered per pipeline: dispatch walks only the extensions
 #: that actually override the hook.  Defaults are pure no-ops (and
 #: decision hooks return their first-non-default-wins identity), so
 #: skipping non-overriders is behaviour-preserving while making the
 #: common "no extension cares" case a walk over an empty tuple.
-_SPECIALIZED_HOOKS = (
+_FILTERED_HOOKS = (
     "on_read_hit",
     "absorbs_read",
     "defers_read",
@@ -266,7 +266,7 @@ class ExtensionPipeline:
     """
 
     __slots__ = ("extensions", "_by_name") + tuple(
-        "_" + hook for hook in _SPECIALIZED_HOOKS
+        "_" + hook for hook in _FILTERED_HOOKS
     )
 
     def __init__(self, extensions: Sequence[ProtocolExtension] = ()) -> None:
@@ -277,7 +277,7 @@ class ExtensionPipeline:
                 "duplicate extension names in pipeline: "
                 f"{[e.name for e in self.extensions]}"
             )
-        for hook in _SPECIALIZED_HOOKS:
+        for hook in _FILTERED_HOOKS:
             default = getattr(ProtocolExtension, hook)
             setattr(
                 self,

@@ -45,6 +45,7 @@ from repro.experiments.runner import (
     execute,
     print_sweep_summary,
 )
+from repro.sim.backend import BACKEND_NAMES
 
 #: any count factors into a W x H mesh; the defaults are the paper's
 #: machine plus the 1/4x and 4x/16x points of the scalability study.
@@ -159,8 +160,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--app", default="mp3d")
     parser.add_argument(
-        "--backend", choices=("event", "specialized", "replay"),
-        default="event",
+        "--backend", choices=BACKEND_NAMES, default="event",
         help="execution tier; replay is valid here because the study "
              "only reports relative numbers (see docs/engine.md)")
     parser.add_argument(

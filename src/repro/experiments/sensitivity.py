@@ -28,6 +28,7 @@ from repro.experiments.runner import (
     print_sweep_summary,
     small_buffer_cache,
 )
+from repro.sim.backend import BACKEND_NAMES
 from repro.workloads import APP_NAMES
 
 PROTOCOLS = ("BASIC", "P", "CW", "M", "P+CW", "P+M")
@@ -133,8 +134,7 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
-        "--backend", choices=("event", "specialized", "replay"),
-        default="event",
+        "--backend", choices=BACKEND_NAMES, default="event",
         help="execution tier; replay is valid here because the study "
              "only reports relative numbers (see docs/engine.md)")
     parser.add_argument(

@@ -71,7 +71,6 @@ class Processor:
         "_flc_sets",
         "_flc_nsets",
         "_bsize",
-        "_advance",
     )
 
     def __init__(
@@ -111,15 +110,10 @@ class Processor:
         #: the write (and its issue time) stalled on a full FLWB.
         self._stall_addr = -1
         self._stall_t0 = 0
-        #: the issue-loop entry point the completion callbacks resume
-        #: into.  The specialized backend rebinds it to a compiled
-        #: closure (see ``repro.sim.specialized``); everything that
-        #: re-enters the loop must go through this indirection.
-        self._advance: Callable[[], None] = self._next
 
     def start(self) -> None:
         """Begin issuing references at time 0."""
-        self._sim.at(self._sim.now, self._advance)
+        self._sim.at(self._sim.now, self._next)
 
     # ------------------------------------------------------------------
 
@@ -283,7 +277,7 @@ class Processor:
             stats.read_stall += dt - hit_cost
         else:
             stats.busy += dt
-        self._advance()
+        self._next()
 
     def _write_retry(self) -> None:
         if not self._cache.can_buffer_write():
@@ -294,7 +288,7 @@ class Processor:
         self.stats.write_stall += self._sim.now - self._stall_t0
         self._cache.buffer_write(self._stall_addr)
         self.stats.busy += self._flc_hit
-        self._sim.after(self._flc_hit, self._advance)
+        self._sim.after(self._flc_hit, self._next)
 
     def _write_done(self) -> None:
         dt = self._sim.now - self._issue_t0
@@ -305,7 +299,7 @@ class Processor:
             stats.write_stall += dt - hit_cost
         else:
             stats.busy += dt
-        self._advance()
+        self._next()
 
     def _acquire_done(self) -> None:
         dt = self._sim.now - self._issue_t0
@@ -316,7 +310,7 @@ class Processor:
             stats.acquire_stall += dt - hit_cost
         else:
             stats.busy += dt
-        self._advance()
+        self._next()
 
     def _release_done(self) -> None:
         dt = self._sim.now - self._issue_t0
@@ -327,10 +321,10 @@ class Processor:
             stats.release_stall += dt - hit_cost
         else:
             stats.busy += dt
-        self._advance()
+        self._next()
 
     def _barrier_done(self) -> None:
         # barrier wait is accounted as acquire stall, as in the paper's
         # busy / read / acquire decomposition under RC
         self.stats.acquire_stall += self._sim.now - self._issue_t0
-        self._advance()
+        self._next()

@@ -3,7 +3,7 @@
 An :class:`ExecutionBackend` turns one run spec (any object with the
 :class:`~repro.sweep.spec.RunSpec` surface: ``to_config()``, ``app``,
 ``scale``, ``seed``, ``workload_kw``) into a
-:class:`~repro.stats.counters.MachineStats`.  Three tiers trade
+:class:`~repro.stats.counters.MachineStats`.  Two tiers trade
 fidelity against speed:
 
 ``event``
@@ -11,13 +11,6 @@ fidelity against speed:
     Every protocol transaction, bus reservation and buffer drain is a
     scheduled event.  This is the tier the golden grids and the paper
     tables are pinned to.
-
-``specialized``
-    The same event machine with per-run compiled dispatch
-    (:class:`repro.sim.specialized.SpecializedSystem`): hook pipelines,
-    handler tables and timing constants are folded into closures when
-    the system is built.  Counter-for-counter identical to ``event``
-    (pinned by the golden parity suite), just faster.
 
 ``replay``
     The trace-record/replay fast tier: the workload's shared-reference
@@ -40,6 +33,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
+from repro.config import ProtocolConfig
 from repro.stats.counters import MachineStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -159,6 +153,15 @@ class ExecutionBackend(ABC):
     #: event engine; False when its results carry documented tolerances.
     exact: bool = True
 
+    @classmethod
+    def validate(cls, spec) -> None:
+        """Raise ``ValueError`` if this tier cannot honour ``spec``.
+
+        Called when a :class:`~repro.sweep.spec.RunSpec` is built, so a
+        tier never returns a silently wrong answer under the spec's
+        cache key.  Every spec is accepted by default.
+        """
+
     @abstractmethod
     def execute(self, spec, warm: WarmContext | None = None) -> MachineStats:
         """Run ``spec`` to completion and return its statistics.
@@ -186,21 +189,6 @@ class EventBackend(ExecutionBackend):
         return System(cfg).run(streams)
 
 
-class SpecializedBackend(ExecutionBackend):
-    """The event machine with per-run compiled dispatch."""
-
-    name = "specialized"
-    exact = True
-
-    def execute(self, spec, warm: WarmContext | None = None) -> MachineStats:
-        from repro.sim.specialized import SpecializedSystem
-
-        cfg = spec.to_config()
-        streams = (warm.streams_for(spec, cfg) if warm is not None
-                   else _workload_streams(spec, cfg))
-        return SpecializedSystem(cfg).run(streams)
-
-
 class ReplayBackend(ExecutionBackend):
     """Trace-record/replay: record the reference stream once, replay it
     through the batched timing model for every protocol/timing variant.
@@ -218,6 +206,23 @@ class ReplayBackend(ExecutionBackend):
         if self._trace_dir is not None:
             return os.fspath(self._trace_dir)
         return os.environ.get(TRACE_DIR_ENV, DEFAULT_TRACE_DIR)
+
+    @classmethod
+    def validate(cls, spec) -> None:
+        """Refuse protocols the replay model does not implement.
+
+        :mod:`repro.sim.replay` models the paper's P, CW and M
+        extensions (the dedicated :class:`ProtocolConfig` flags); any
+        further registered extension lives in ``extra`` and would be
+        silently ignored.
+        """
+        extra = ProtocolConfig.from_name(spec.protocol).extra
+        if extra:
+            raise ValueError(
+                f"the replay backend models only the P, CW and M "
+                f"extensions, not {', '.join(extra)} (protocol "
+                f"{spec.protocol!r}); use the event backend"
+            )
 
     def store(self) -> "TraceStore":
         from repro.trace.refstream import TraceStore
@@ -237,7 +242,6 @@ class ReplayBackend(ExecutionBackend):
 #: backend registry, keyed by the name specs carry.
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     EventBackend.name: EventBackend,
-    SpecializedBackend.name: SpecializedBackend,
     ReplayBackend.name: ReplayBackend,
 }
 

@@ -27,7 +27,10 @@ Fidelity contract (see ``docs/engine.md`` for the full statement):
 
 Replay is therefore valid for relative sweeps (sensitivity, scaling,
 protocol ranking) and invalid for golden/paper tables, which must use
-the event (or specialized) backend.
+the event backend.  The model implements the paper's P, CW and M
+extensions only; a replay spec enabling any other registered extension
+is refused when the spec is built (see
+:meth:`repro.sim.backend.ReplayBackend.validate`).
 """
 
 from __future__ import annotations

@@ -45,10 +45,9 @@ from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Any, Optional
 
 #: relative per-reference execution weight of each backend tier; the
-#: replay tier is batched/vectorized, the specialized tier shaves
-#: dispatch overhead off the event tier.  Rough factors are fine --
+#: replay tier is batched/vectorized.  Rough factors are fine --
 #: scheduling only needs the *ordering* to be sane.
-BACKEND_COST_WEIGHT = {"event": 1.0, "specialized": 0.8, "replay": 0.15}
+BACKEND_COST_WEIGHT = {"event": 1.0, "replay": 0.15}
 
 #: how many times a task is resubmitted after crashing its worker
 #: before the failure is surfaced to the caller.

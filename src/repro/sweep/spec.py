@@ -92,8 +92,8 @@ class RunSpec:
     cache: CacheConfig = field(default_factory=CacheConfig)
     directory: DirectoryConfig = field(default_factory=DirectoryConfig)
     page_placement: str = "round_robin"
-    #: execution backend (see :mod:`repro.sim.backend`): "event",
-    #: "specialized" or "replay".  Part of the content hash.
+    #: execution backend (see :mod:`repro.sim.backend`): "event" or
+    #: "replay".  Part of the content hash.
     backend: str = "event"
     #: extra workload keyword arguments, stored as a sorted tuple of
     #: (name, value) pairs so equal dicts hash equally.
@@ -103,7 +103,7 @@ class RunSpec:
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
         Consistency(self.consistency)  # validate early
-        from repro.sim.backend import BACKEND_NAMES
+        from repro.sim.backend import BACKEND_NAMES, BACKENDS
 
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
@@ -114,6 +114,9 @@ class RunSpec:
         object.__setattr__(
             self, "protocol", ProtocolConfig.from_name(self.protocol).name
         )
+        # a tier that cannot honour the spec refuses it here, before
+        # any result is cached under the spec's key
+        BACKENDS[self.backend].validate(self)
         if isinstance(self.directory, str):
             object.__setattr__(
                 self, "directory", DirectoryConfig.from_name(self.directory)

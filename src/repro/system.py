@@ -189,18 +189,6 @@ class System:
     def _proc_finished(self, node_id: int) -> None:
         self._finished += 1
 
-    def _make_processor(self, i: int, workload: Iterable[Op]) -> Processor:
-        """Build processor ``i``; subclasses may wrap or specialize it."""
-        return Processor(
-            i,
-            self.sim,
-            self.cfg,
-            self.nodes[i].cache,
-            workload,
-            self.stats.procs[i],
-            self._proc_finished,
-        )
-
     def run(
         self,
         workloads: list[Iterable[Op]],
@@ -212,7 +200,16 @@ class System:
                 f"need {self.cfg.n_procs} workload streams, got {len(workloads)}"
             )
         self.processors = [
-            self._make_processor(i, workloads[i]) for i in range(self.cfg.n_procs)
+            Processor(
+                i,
+                self.sim,
+                self.cfg,
+                self.nodes[i].cache,
+                workloads[i],
+                self.stats.procs[i],
+                self._proc_finished,
+            )
+            for i in range(self.cfg.n_procs)
         ]
         for proc in self.processors:
             proc.start()

@@ -48,13 +48,6 @@ class TestRunCell:
         cell = run_cell("hitpath", "BASIC", 1, 0.01, repeat=1)
         assert cell["backend"] == "event"
 
-    def test_specialized_backend_matches_event_counters(self):
-        ev = run_cell("mp3d", "P+CW+M", 4, 0.05, repeat=1)
-        sp = run_cell("mp3d", "P+CW+M", 4, 0.05, backend="specialized",
-                      repeat=1)
-        assert sp["backend"] == "specialized"
-        assert sp["execution_time"] == ev["execution_time"]
-
     def test_replay_backend(self, tmp_path, monkeypatch):
         from repro.sim.backend import TRACE_DIR_ENV
 
@@ -106,9 +99,9 @@ class TestRunMatrix:
         assert "replay" in tiers
 
     def test_backend_override_forces_tier(self):
-        doc = run_matrix((("hitpath", "BASIC", 1, 0.01),), repeat=1,
-                         backend="specialized")
-        assert [c["backend"] for c in doc["cells"]] == ["specialized"]
+        doc = run_matrix((("hitpath", "BASIC", 1, 0.01, "replay"),),
+                         repeat=1, backend="event")
+        assert [c["backend"] for c in doc["cells"]] == ["event"]
 
 
 def _doc(cells):

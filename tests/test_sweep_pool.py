@@ -7,6 +7,7 @@ and the sweep still completes correctly), the cost model, and the
 engine's run digest.
 """
 
+import errno
 import os
 import random
 import signal
@@ -22,11 +23,13 @@ from repro.sweep import (
     estimate_cost,
     shared_pool,
 )
+from repro.sim.backend import TRACE_DIR_ENV, ReplayBackend
 from repro.sweep.pool import (
     BACKEND_COST_WEIGHT,
     PoolClosedError,
     ensure_importable_by_workers,
 )
+from repro.trace.refstream import ReferenceRecorder, TraceStore
 
 #: a small mixed matrix: two protocols, two machine sizes, two seeds.
 MATRIX = [
@@ -35,6 +38,35 @@ MATRIX = [
     for np in (2, 4)
     for seed in (1994, 7)
 ]
+
+
+def _wait_for(predicate, timeout: float = 120.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.01)
+
+
+def _open_fifo_writer(path) -> int:
+    """Open ``path`` (a FIFO) for writing once a reader has it open.
+
+    A non-blocking writer open fails with ENXIO while no process is
+    reading, so success proves a worker is blocked on the FIFO.
+    """
+    fd = None
+
+    def reader_present() -> bool:
+        nonlocal fd
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:
+                raise
+            return False
+        return True
+
+    _wait_for(reader_present)
+    return fd
 
 
 def _cache_bytes(root) -> dict:
@@ -152,25 +184,57 @@ class TestPersistentPool:
         finally:
             pool.close()
 
-    def test_worker_crash_respawns_and_completes(self, tmp_path):
-        """Killing a worker mid-sweep must respawn it and still produce
-        the correct, complete result set."""
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_worker_crash_respawns_and_completes(self, tmp_path,
+                                                 monkeypatch):
+        """Killing a worker mid-task must respawn it and still produce
+        the correct, complete result.
+
+        The task is a replay-tier spec whose trace file is a FIFO, so
+        the worker blocks reading it until the test writes the trace.
+        The kill lands while the task is provably in flight, and the
+        task can only complete on the respawned worker.
+        """
+        spec = RunSpec.for_run("water", n_procs=2, scale=0.2,
+                               backend="replay")
+        expected = ReplayBackend(trace_dir=tmp_path / "ref").execute(spec)
+        trace_bytes = ReferenceRecorder().record(spec).to_bytes()
+        trace_dir = tmp_path / "fifo"
+        trace_dir.mkdir()
+        path = TraceStore(trace_dir).path_for(spec)
+        os.mkfifo(path)
+        monkeypatch.setenv(TRACE_DIR_ENV, str(trace_dir))  # spawn env
+
         pool = PersistentPool(max_workers=1)
         try:
-            # warm the pool so a victim pid exists, then kill it while
-            # it executes the next task.
-            pool.submit(MATRIX[0].to_dict()).result(timeout=120)
-            victims = pool.worker_pids()
-            assert len(victims) == 1
-            fut = pool.submit(MATRIX[1].to_dict())
-            os.kill(victims[0], signal.SIGKILL)
+            fut = pool.submit(spec.to_dict())
+            # a reader on the FIFO proves the worker is mid-task
+            stale_fd = _open_fifo_writer(path)
+            try:
+                # swap a fresh FIFO in under the same name: only the
+                # respawned worker can open it, whatever the timing
+                fresh = tmp_path / "fresh.fifo"
+                os.mkfifo(fresh)
+                os.replace(fresh, path)
+                victims = pool.worker_pids()
+                assert len(victims) == 1
+                os.kill(victims[0], signal.SIGKILL)
+            finally:
+                os.close(stale_fd)
+            fd = _open_fifo_writer(path)    # the respawned worker reads
+            try:
+                assert not fut.done(), "the killed task cannot finish"
+                assert pool.counters()["respawns"] == 1
+                os.set_blocking(fd, True)
+                with os.fdopen(fd, "wb", closefd=False) as fh:
+                    fh.write(trace_bytes)
+            finally:
+                os.close(fd)
             payload = fut.result(timeout=120)
-            assert payload["stats"], "task must complete after respawn"
-            assert pool.counters()["respawns"] >= 1
+            assert pool.counters()["respawns"] == 1
             assert pool.worker_pids() != victims
-            # the respawned worker's results are still correct
-            expected = SweepEngine().run_one(MATRIX[1]).stats.to_dict()
-            assert payload["stats"] == expected
+            # the respawned worker's result is still correct
+            assert payload["stats"] == expected.to_dict()
         finally:
             pool.close()
 
