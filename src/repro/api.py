@@ -48,6 +48,7 @@ from repro.config import (
 from repro.stats.counters import MachineStats
 from repro.sweep import (
     DEFAULT_SEED,
+    HOT_ENTRIES,
     ResultCache,
     RunResult,
     RunSpec,
@@ -55,35 +56,22 @@ from repro.sweep import (
 )
 
 
-def make_engine(
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    pool: str = "persistent",
-    hot_cache_entries: int = 512,
-    write_batch: int = 1,
-) -> SweepEngine:
-    """A sweep engine in the throughput configuration.
+def make_engine(jobs: int = 1, cache_dir: str | None = None) -> SweepEngine:
+    """A sweep engine in the drivers' configuration.
 
-    ``jobs > 1`` fans out across worker processes -- on the process-wide
-    persistent warm pool by default, or a fresh per-batch pool with
-    ``pool="per-run"``.  ``cache_dir`` enables on-disk memoization with
-    an in-memory hot tier of ``hot_cache_entries`` deserialized results
-    in front of it (0 disables the tier) and ``write_batch``-way
-    coalesced disk writes.  Pass the result to :func:`run_app` /
-    :func:`compare_protocols`, and call ``engine.close()`` when done to
-    flush batched cache writes.
+    ``jobs > 1`` fans out across the process-wide persistent warm
+    worker pool.  ``cache_dir`` enables on-disk memoization with an
+    in-memory hot tier of :data:`~repro.sweep.HOT_ENTRIES` deserialized
+    results in front of it.  Pass the result to :func:`run_app` /
+    :func:`compare_protocols`.
     """
     cache = None
     if cache_dir is not None:
-        cache = ResultCache(
-            cache_dir, hot_entries=hot_cache_entries,
-            write_batch=write_batch,
-        )
+        cache = ResultCache(cache_dir, hot_entries=HOT_ENTRIES)
     return SweepEngine(
         executor="process" if jobs > 1 else "serial",
         max_workers=jobs,
         cache=cache,
-        pool=pool,
     )
 
 

@@ -211,9 +211,6 @@ def run_matrix(
 #: number of workers the sweep suite fans out to.
 SWEEP_BENCH_JOBS = 4
 
-#: hot-tier size used when the suite runs with the current defaults.
-SWEEP_BENCH_HOT_ENTRIES = 512
-
 
 def _sweep_specs_cold16() -> list:
     """16 small uncached cells: 8 protocol combos x 2 machine sizes."""
@@ -239,15 +236,14 @@ def _sweep_specs_cachedmix() -> list:
 
 def run_sweep_cell(
     name: str, specs: list, repeat: int = 3, *, jobs: int = 1,
-    pool: str = "persistent", hot_entries: int = 0,
-    write_batch: int = 1, cold: bool = True,
+    cold: bool = True,
 ) -> dict:
     """Time ``SweepEngine.run`` over ``specs``; report best specs/sec.
 
     ``cold=True`` starts every repeat from an empty result cache (the
     timed region simulates every cell); ``cold=False`` prepopulates the
     cache once per repeat outside the timed region, so the timed region
-    measures pure result-serving throughput (disk tier vs hot tier).
+    measures pure result-serving throughput (the drivers' hot tier).
     Each repeat uses a fresh cache directory; the persistent worker
     pool, by design, stays warm across repeats -- that amortization is
     exactly what the suite exists to measure.
@@ -255,25 +251,22 @@ def run_sweep_cell(
     import shutil
     import tempfile
 
-    from repro.sweep import ResultCache, SweepEngine
+    from repro.sweep import HOT_ENTRIES, ResultCache, SweepEngine
 
     best = None
     for _ in range(max(1, repeat)):
         tmp = tempfile.mkdtemp(prefix="repro-bench-sweep-")
         try:
-            cache = ResultCache(
-                tmp, hot_entries=hot_entries, write_batch=write_batch
-            )
             engine = SweepEngine(
                 executor="process" if jobs > 1 else "serial",
-                max_workers=jobs, cache=cache, pool=pool,
+                max_workers=jobs,
+                cache=ResultCache(tmp, hot_entries=HOT_ENTRIES),
             )
             if not cold:
                 engine.run(specs)
             t0 = time.perf_counter()
             engine.run(specs)
             wall = time.perf_counter() - t0
-            engine.close()
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
         if best is None or wall < best:
@@ -292,18 +285,14 @@ def run_sweep_cell(
     }
 
 
-def run_sweep_suite(
-    repeat: int = 3, verbose: bool = False, *,
-    pool: str = "persistent", hot_entries: int = SWEEP_BENCH_HOT_ENTRIES,
-) -> dict:
+def run_sweep_suite(repeat: int = 3, verbose: bool = False) -> dict:
     """Run the sweep-orchestration cells; return a result document.
 
-    ``pool``/``hot_entries`` select the configuration under test; the
-    committed baseline was captured with the legacy configuration
-    (``pool="per-run"``, ``hot_entries=0``), so ``--check`` against it
-    measures the orchestration overhaul itself.
+    The cells run the drivers' configuration (persistent pool, hot
+    tier, write-through cache).  The committed baseline was captured
+    with the legacy per-batch pool and no hot tier, so ``--check``
+    against it measures the orchestration overhaul itself.
     """
-    write_batch = 32 if hot_entries else 1
     rows = (
         ("cold16", _sweep_specs_cold16(), True),
         ("cachedmix", _sweep_specs_cachedmix(), False),
@@ -311,14 +300,12 @@ def run_sweep_suite(
     cells = []
     for name, specs, cold in rows:
         cell = run_sweep_cell(
-            name, specs, repeat, jobs=SWEEP_BENCH_JOBS, pool=pool,
-            hot_entries=hot_entries, write_batch=write_batch, cold=cold,
+            name, specs, repeat, jobs=SWEEP_BENCH_JOBS, cold=cold,
         )
         cells.append(cell)
         if verbose:
             print(
                 f"  {name:<10} {'-':<8} jobs={SWEEP_BENCH_JOBS:<2} "
-                f"pool={pool:<10} hot={hot_entries:<4} "
                 f"specs={cell['events']:>3} wall={cell['wall_s']:.4f}s "
                 f"specs/s={cell['events_per_sec']:>8.1f}",
                 flush=True,
@@ -457,17 +444,6 @@ def add_bench_args(parser) -> None:
         help="'cells' times the simulator core (events/sec); 'sweep' "
              "times the sweep engine itself in specs/sec (default cells)",
     )
-    parser.add_argument(
-        "--pool", choices=("persistent", "per-run"), default="persistent",
-        help="[suite=sweep] process-pool flavor under test "
-             "(default persistent)",
-    )
-    parser.add_argument(
-        "--hot-cache-entries", type=int, default=SWEEP_BENCH_HOT_ENTRIES,
-        metavar="N",
-        help="[suite=sweep] hot-tier size under test; 0 disables "
-             f"(default {SWEEP_BENCH_HOT_ENTRIES})",
-    )
 
 
 def run_bench(args) -> int:
@@ -476,13 +452,7 @@ def run_bench(args) -> int:
     if suite == "sweep":
         print(f"running sweep suite (min of {args.repeat} runs; "
               f"python {platform.python_version()})")
-        result = run_sweep_suite(
-            repeat=args.repeat, verbose=True,
-            pool=getattr(args, "pool", "persistent"),
-            hot_entries=getattr(
-                args, "hot_cache_entries", SWEEP_BENCH_HOT_ENTRIES
-            ),
-        )
+        result = run_sweep_suite(repeat=args.repeat, verbose=True)
         unit = "specs"
     else:
         matrix = FULL_MATRIX if args.full else QUICK_MATRIX

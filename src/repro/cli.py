@@ -306,8 +306,6 @@ def cmd_serve(args) -> int:
         max_cache_entries=args.max_cache_entries,
         jobs=args.jobs,
         verbose=args.verbose,
-        pool=args.pool,
-        hot_cache_entries=args.hot_cache_entries,
     )
     print(
         f"repro sweep service on {service.url} "
@@ -664,17 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes per sweep (1 = serial, the default)",
-    )
-    p_srv.add_argument(
-        "--pool", choices=("persistent", "per-run"), default="persistent",
-        help="process-pool flavor for --jobs > 1: one warm pool reused "
-             "across jobs, or a fresh pool per sweep "
-             "(default: %(default)s)",
-    )
-    p_srv.add_argument(
-        "--hot-cache-entries", type=int, default=512, metavar="N",
-        help="in-memory hot tier in front of the result cache; 0 "
-             "disables it (default: %(default)s)",
     )
     p_srv.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -33,7 +33,7 @@ from repro.config import (
 )
 from repro.sweep import (
     DEFAULT_SEED,
-    POOL_MODES,
+    HOT_ENTRIES,
     ProgressEvent,
     ResultCache,
     RunResult,
@@ -42,12 +42,7 @@ from repro.sweep import (
     default_cache_dir,
 )
 
-#: hot-tier size the CLI surfaces default to (the bare ResultCache
-#: defaults to 0 so library users opt in explicitly).
-DEFAULT_HOT_ENTRIES = 512
-
 __all__ = [
-    "DEFAULT_HOT_ENTRIES",
     "DEFAULT_SEED",
     "RunResult",
     "RunSpec",
@@ -150,18 +145,6 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "--progress", action="store_true",
         help="report per-cell completion on stderr",
     )
-    group.add_argument(
-        "--pool", choices=POOL_MODES, default="persistent",
-        help="process-pool flavor for --jobs > 1: 'persistent' reuses "
-             "one warm worker pool across sweeps, 'per-run' builds a "
-             "fresh pool per batch (default: %(default)s)",
-    )
-    group.add_argument(
-        "--hot-cache-entries", type=int, default=DEFAULT_HOT_ENTRIES,
-        metavar="N",
-        help="in-memory hot tier in front of the result cache; 0 "
-             "disables it (default: %(default)s)",
-    )
 
 
 def _progress_printer(event: ProgressEvent) -> None:
@@ -178,17 +161,13 @@ def engine_from_args(args: argparse.Namespace) -> SweepEngine:
     cache = None
     if not args.no_cache:
         cache = ResultCache(
-            args.cache_dir or default_cache_dir(),
-            hot_entries=getattr(
-                args, "hot_cache_entries", DEFAULT_HOT_ENTRIES
-            ),
+            args.cache_dir or default_cache_dir(), hot_entries=HOT_ENTRIES
         )
     return SweepEngine(
         executor="process" if args.jobs > 1 else "serial",
         max_workers=args.jobs,
         cache=cache,
         on_result=_progress_printer if args.progress else None,
-        pool=getattr(args, "pool", "persistent"),
     )
 
 

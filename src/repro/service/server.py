@@ -39,7 +39,7 @@ from repro.service.schema import (
     error_payload,
     parse_sweep_request,
 )
-from repro.sweep import ResultCache, SweepEngine
+from repro.sweep import HOT_ENTRIES, ResultCache, SweepEngine
 
 #: refuse request bodies larger than this (64 MiB ~ a maxed-out batch).
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -216,9 +216,8 @@ class ReproService:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-        # flush buffered cache writes and stop the persistent worker
-        # pool -- the service owns the process, so its shutdown is the
-        # pool's shutdown.
+        # stop the persistent worker pool -- the service owns the
+        # process, so its shutdown is the pool's shutdown.
         self.engine.close(shutdown_pool=True)
 
     def __enter__(self) -> "ReproService":
@@ -274,16 +273,12 @@ def create_service(
     max_cache_entries: int | None = None,
     jobs: int = 1,
     verbose: bool = False,
-    pool: str = "persistent",
-    hot_cache_entries: int = 512,
-    write_batch: int = 32,
 ) -> ReproService:
     """Build a service with its own engine + (optionally bounded) cache.
 
-    The service defaults to the throughput configuration: persistent
-    warm worker pool, a 512-entry hot tier over the result cache and
-    32-way batched cache writes (flushed at the end of every sweep, so
-    batching never defers durability across jobs).
+    The service runs the drivers' configuration: the persistent warm
+    worker pool and a :data:`~repro.sweep.HOT_ENTRIES`-entry hot tier
+    over a write-through result cache.
     """
     cache = None
     if cache_dir is not None:
@@ -291,13 +286,11 @@ def create_service(
             cache_dir,
             max_bytes=max_cache_bytes,
             max_entries=max_cache_entries,
-            hot_entries=hot_cache_entries,
-            write_batch=write_batch,
+            hot_entries=HOT_ENTRIES,
         )
     engine = SweepEngine(
         executor="process" if jobs > 1 else "serial",
         max_workers=jobs,
         cache=cache,
-        pool=pool,
     )
     return ReproService(engine, host=host, port=port, verbose=verbose)

@@ -22,12 +22,12 @@ See ``docs/sweeps.md`` for the cache layout and invalidation rules.
 from repro.sweep.cache import (
     CACHE_SCHEMA_VERSION,
     DEFAULT_CACHE_DIR,
+    HOT_ENTRIES,
     ResultCache,
     default_cache_dir,
 )
 from repro.sweep.engine import (
     EXECUTORS,
-    POOL_MODES,
     ProgressEvent,
     SweepEngine,
     execute_spec,
@@ -54,7 +54,7 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_SEED",
     "EXECUTORS",
-    "POOL_MODES",
+    "HOT_ENTRIES",
     "PersistentPool",
     "ProgressEvent",
     "ResultCache",

@@ -46,21 +46,17 @@ Hot tier
 front of the JSON files: a repeated ``get`` skips the file read, the
 JSON parse and the stats rehydration entirely (hot hits still count as
 :attr:`hits`, and additionally as ``hot.hits`` in :meth:`stats`).
-``write_batch > 1`` buffers ``put`` payloads in memory and writes them
-in batches -- repeated puts of the same key before a flush coalesce to
-one file write.  Buffered entries are readable immediately (served
-from memory) and durable after :meth:`flush`, which the sweep engine
-calls at the end of every ``run()`` and which also runs at interpreter
-exit.  Both knobs default *off*: a bare ``ResultCache`` keeps the
-historical read-through/write-through behavior, including detection of
+Every driver (the experiment CLIs, ``repro compare``/``serve``, the
+library helpers and the bench sweep suite) sizes it to
+:data:`HOT_ENTRIES`; a bare ``ResultCache`` keeps it off, so it sees
 files corrupted behind its back.  Callers that return cached results
 must treat the stats payload as read-only -- hot hits share one
-deserialized object.
+deserialized object.  Writes are always write-through: an entry is on
+disk when ``put`` returns.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import tempfile
@@ -80,6 +76,9 @@ CACHE_SCHEMA_VERSION = 1
 #: ``--cache-dir`` CLI flag.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: hot-tier size every driver builds its cache with.
+HOT_ENTRIES = 512
+
 
 def default_cache_dir() -> Path:
     """The cache root the CLI uses when none is given."""
@@ -95,7 +94,6 @@ class ResultCache:
         max_bytes: int | None = None,
         max_entries: int | None = None,
         hot_entries: int = 0,
-        write_batch: int = 1,
     ) -> None:
         self.root = Path(root)
         try:
@@ -107,7 +105,6 @@ class ResultCache:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.hot_entries = max(0, hot_entries)
-        self.write_batch = max(1, write_batch)
         # one engine (and the HTTP service on top of it) may drive the
         # cache from many threads; counters and the LRU index are
         # guarded by a reentrant lock, file writes are atomic anyway.
@@ -119,19 +116,11 @@ class ResultCache:
         #: hot-tier counters (always present; 0 when the tier is off).
         self.hot_hits = 0
         self.hot_misses = 0
-        self.coalesced_writes = 0
-        self.flushes = 0
         #: hot tier: key -> (RunResult, serialized size in bytes when
         #: known, else 0), LRU order.  None when hot_entries == 0.
         self._hot: OrderedDict[str, tuple[RunResult, int]] | None = (
             OrderedDict() if self.hot_entries else None
         )
-        #: write-behind buffer: key -> envelope payload awaiting flush.
-        self._pending: dict[str, dict] = {}
-        if self.write_batch > 1:
-            # buffered entries must reach disk even if the owner never
-            # calls flush(); harmless double-flush otherwise.
-            atexit.register(self.flush)
         #: LRU index (key -> file size), oldest first; only maintained
         #: when a bound is configured so the unbounded cache stays
         #: index-free and zero-overhead.
@@ -171,9 +160,7 @@ class ResultCache:
                     self._touch(key)
                     return replace(result, spec=spec, from_cache=True)
                 self.hot_misses += 1
-            payload = self._pending.get(key)
-            if payload is None:
-                payload = self._load(key)
+            payload = self._load(key)
             if payload is None:
                 return None
             try:
@@ -195,14 +182,10 @@ class ResultCache:
 
         This is the ``GET /v1/runs/<hash>`` read path: no spec needed,
         the stored payload (spec wire form included) is returned as-is.
-        Counts hits/misses and refreshes recency like :meth:`get`;
-        entries still buffered for a batched write are served from
-        memory.
+        Counts hits/misses and refreshes recency like :meth:`get`.
         """
         with self._lock:
-            payload = self._pending.get(key)
-            if payload is None:
-                payload = self._load(key)
+            payload = self._load(key)
             if payload is None:
                 return None
             self.hits += 1
@@ -234,13 +217,7 @@ class ResultCache:
     # -- write ----------------------------------------------------------
 
     def put(self, result: RunResult) -> None:
-        """Store a completed result.
-
-        Write-through by default (atomic file write, then LRU
-        eviction); with ``write_batch > 1`` the payload is buffered and
-        written on the next :meth:`flush` or when the buffer fills,
-        coalescing repeated puts of one key into one file write.
-        """
+        """Store a completed result: atomic file write, then LRU eviction."""
         key = result.spec.key()
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
@@ -260,33 +237,7 @@ class ResultCache:
                     wall_time=result.wall_time,
                     from_cache=True,
                 ), 0)
-            if self.write_batch > 1:
-                if key in self._pending:
-                    self.coalesced_writes += 1
-                self._pending[key] = payload
-                if len(self._pending) >= self.write_batch:
-                    self._flush_locked()
-                return
         self._write(key, payload)
-
-    def flush(self) -> int:
-        """Write every buffered entry to disk; returns the count.
-
-        A no-op for a write-through cache.  The sweep engine calls this
-        at the end of every ``run()``, so batched writes only ever defer
-        durability *within* a batch, never across API calls.
-        """
-        with self._lock:
-            return self._flush_locked()
-
-    def _flush_locked(self) -> int:
-        if not self._pending:
-            return 0
-        pending, self._pending = self._pending, {}
-        self.flushes += 1
-        for key, payload in pending.items():
-            self._write(key, payload)
-        return len(pending)
 
     def _write(self, key: str, payload: dict) -> None:
         """Atomic file write + LRU index/hot-size bookkeeping."""
@@ -392,7 +343,6 @@ class ResultCache:
                 self._index.pop(key, None)
             if self._hot is not None:
                 self._hot.pop(key, None)
-            self._pending.pop(key, None)
         try:
             os.unlink(self.path_for_key(key))
         except OSError:
@@ -412,7 +362,6 @@ class ResultCache:
                 self._index.clear()
             if self._hot is not None:
                 self._hot.clear()
-            self._pending.clear()
             return n
 
     def total_bytes(self) -> int:
@@ -448,12 +397,6 @@ class ResultCache:
                               if self._hot is not None else 0),
                     "hits": self.hot_hits,
                     "misses": self.hot_misses,
-                },
-                "writes": {
-                    "batch": self.write_batch,
-                    "pending": len(self._pending),
-                    "coalesced": self.coalesced_writes,
-                    "flushes": self.flushes,
                 },
             }
 

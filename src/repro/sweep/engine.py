@@ -6,11 +6,9 @@ pluggable executor and returns results **in spec order** regardless of
 completion order:
 
 * ``serial``  -- in-process loop (the default; zero overhead),
-* ``process`` -- fan the uncached cells out across worker processes,
-  either on the **persistent** warm pool (:mod:`repro.sweep.pool`,
-  the default: spawned once, reused across ``run()`` calls and
-  service jobs, crash-respawned) or on a **per-run**
-  ``ProcessPoolExecutor`` that lives for one batch.
+* ``process`` -- fan the uncached cells out across the persistent
+  warm worker pool (:mod:`repro.sweep.pool`: spawned once, reused
+  across ``run()`` calls and service jobs, crash-respawned).
 
 Uncached cells are dispatched most-expensive-first through a
 cost-ordered queue (:func:`repro.sweep.pool.estimate_cost`), so
@@ -22,8 +20,8 @@ Worker processes never see the cache: they receive spec dicts, return
 ``MachineStats.to_dict()`` payloads, and the parent writes the cache
 and fires the progress hook.  Routing *both* the live and the cached
 path through the same versioned dict round-trip guarantees that a
-process-pool sweep (either pool mode), a serial sweep and a cache
-replay produce bitwise-identical statistics.
+process-pool sweep, a serial sweep and a cache replay produce
+bitwise-identical statistics.
 
 One engine may be shared by many threads (the HTTP service submits
 every client sweep through a single engine).  ``run`` is thread-safe,
@@ -39,32 +37,18 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import as_completed
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.sim.backend import WarmContext, get_backend
 from repro.stats.counters import MachineStats
-from repro.sweep.cache import ResultCache
-from repro.sweep.pool import (
-    PersistentPool,
-    ensure_importable_by_workers,
-    estimate_cost,
-    shared_pool,
-)
+from repro.sweep.cache import HOT_ENTRIES, ResultCache
+from repro.sweep.pool import PersistentPool, estimate_cost, shared_pool
 from repro.sweep.spec import RunResult, RunSpec
 
 #: executor names accepted by :class:`SweepEngine`.
 EXECUTORS = ("serial", "process")
-
-#: process-pool flavors accepted by :class:`SweepEngine`.
-POOL_MODES = ("persistent", "per-run")
 
 
 @dataclass(frozen=True)
@@ -95,28 +79,6 @@ def execute_spec(spec: RunSpec, warm: WarmContext | None = None) -> MachineStats
     return get_backend(spec.backend).execute(spec, warm=warm)
 
 
-#: per-process warm state of a per-run pool worker (each spawned
-#: worker interpreter gets its own copy of this module).
-_chunk_warm: WarmContext | None = None
-
-
-def _run_chunk(spec_dicts: list[dict]) -> list[dict]:
-    """Worker entry: simulate a chunk, return versioned stat payloads."""
-    global _chunk_warm
-    if _chunk_warm is None:
-        _chunk_warm = WarmContext()
-    out = []
-    for d in spec_dicts:
-        spec = RunSpec.from_dict(d)
-        t0 = time.perf_counter()
-        stats = execute_spec(spec, _chunk_warm)
-        out.append({
-            "stats": stats.to_dict(),
-            "wall_time": time.perf_counter() - t0,
-        })
-    return out
-
-
 class _InFlight:
     """One spec hash currently executing; waiters block on the event."""
 
@@ -136,26 +98,15 @@ class SweepEngine:
         max_workers: int | None = None,
         cache: ResultCache | None = None,
         on_result: ProgressHook | None = None,
-        chunk_size: int | None = None,
-        pool: str = "persistent",
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {EXECUTORS}"
             )
-        if pool not in POOL_MODES:
-            raise ValueError(
-                f"unknown pool mode {pool!r}; choose from {POOL_MODES}"
-            )
         self.executor = executor
         self.max_workers = max_workers or os.cpu_count() or 1
         self.cache = cache
         self.on_result = on_result
-        self.chunk_size = chunk_size
-        #: process-pool flavor: "persistent" reuses the process-wide
-        #: warm pool across runs, "per-run" builds a fresh
-        #: ProcessPoolExecutor per batch (the historical behavior).
-        self.pool = pool
         #: cells handed to run() over the engine's lifetime.
         self.cells = 0
         #: cells that had to be simulated (cache misses / cache off).
@@ -185,15 +136,13 @@ class SweepEngine:
         return self._pool
 
     def close(self, shutdown_pool: bool = False) -> None:
-        """Flush pending cache writes; optionally stop the worker pool.
+        """Optionally stop the worker pool.
 
         The persistent pool is shared process-wide, so it is left
         running by default (an ``atexit`` hook stops it at interpreter
         exit); pass ``shutdown_pool=True`` to stop it now -- the
         service does on shutdown.
         """
-        if self.cache is not None:
-            self.cache.flush()
         if shutdown_pool and self._pool is not None:
             self._pool.close()
 
@@ -261,8 +210,6 @@ class SweepEngine:
                     if not entry.event.is_set():
                         self._inflight.pop(key, None)
                         entry.event.set()
-            if self.cache is not None:
-                self.cache.flush()
         for i, entry in waiting:
             results[i] = self._await_shared(batch[i], entry)
             self._report(i, total, batch[i], 0.0, "dedup", on_result,
@@ -283,7 +230,6 @@ class SweepEngine:
             ),
             "executor": ("serial" if self.executor == "serial"
                          or len(pending) <= 1 else "process"),
-            "pool": self.pool if self.executor == "process" else None,
         }
         return results  # type: ignore[return-value]  # every slot filled
 
@@ -347,19 +293,12 @@ class SweepEngine:
         return sorted(pending, key=lambda i: (-estimate_cost(batch[i]), i))
 
     def _run_pooled(self, batch, pending, results, hook) -> None:
-        order = self._cost_order(batch, pending)
-        if self.pool == "persistent":
-            self._run_persistent(batch, order, results, hook)
-        else:
-            self._run_per_run(batch, order, results, hook)
-
-    def _run_persistent(self, batch, order, results, hook) -> None:
         """Dynamic scheduling on the long-lived shared worker pool."""
         pool = self._get_pool()
         pool.resize(self.max_workers)
         futures = {
             pool.submit(batch[i].to_dict(), cost=estimate_cost(batch[i])): i
-            for i in order
+            for i in self._cost_order(batch, pending)
         }
         for fut in as_completed(futures):
             payload = fut.result()  # worker errors surface here
@@ -369,45 +308,6 @@ class SweepEngine:
                 batch, i, len(batch), stats, payload["wall_time"],
                 results, hook,
             )
-
-    def _run_per_run(self, batch, order, results, hook) -> None:
-        """One fresh ProcessPoolExecutor for this batch (cost-ordered)."""
-        workers = min(self.max_workers, len(order))
-        chunks = self._chunked(order)
-        ensure_importable_by_workers()
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _run_chunk, [batch[i].to_dict() for i in chunk]
-                ): chunk
-                for chunk in chunks
-            }
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    chunk = futures[fut]
-                    for i, payload in zip(chunk, fut.result()):
-                        stats = MachineStats.from_dict(payload["stats"])
-                        self._complete(
-                            batch, i, len(batch), stats,
-                            payload["wall_time"], results, hook,
-                        )
-
-    def _chunked(self, order: Sequence[int]) -> list[list[int]]:
-        """Group the cost-ordered miss list into submission tasks.
-
-        One task per spec by default, so the executor's FIFO queue
-        becomes the dynamic scheduler (idle workers pull the next
-        most-expensive cell); an explicit ``chunk_size`` groups
-        consecutive cells to amortize submission overhead.
-        """
-        size = self.chunk_size or 1
-        return [
-            list(order[i:i + size]) for i in range(0, len(order), size)
-        ]
 
     def _complete(self, batch, i, total, stats, wall_time, results,
                   hook) -> None:
@@ -477,14 +377,13 @@ def sweep(
     jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
     on_result: ProgressHook | None = None,
-    **engine_kw: Any,
 ) -> list[RunResult]:
     """One-call sweep: build an engine, run the batch, return results."""
     engine = SweepEngine(
         executor="process" if jobs > 1 else "serial",
         max_workers=jobs,
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
+        cache=(ResultCache(cache_dir, hot_entries=HOT_ENTRIES)
+               if cache_dir is not None else None),
         on_result=on_result,
-        **engine_kw,
     )
     return engine.run(specs)

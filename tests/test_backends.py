@@ -3,7 +3,8 @@
 Covers :mod:`repro.sim.backend` (registry, resolution, trace-dir
 precedence, spec-time refusal), the v3 spec schema that carries the
 backend name through the wire form and the content hash, and the CLI
-``--backend`` choices.
+``--backend`` choices, plus the orchestration flags the CLIs no longer
+take.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.config import Consistency
-from repro.experiments import scaling, sensitivity
+from repro.experiments import figure2, scaling, sensitivity
 from repro.sim.backend import (
     BACKEND_NAMES,
     BACKENDS,
@@ -146,6 +147,22 @@ class TestCliChoices:
         assert "invalid choice" in err
         choices = err.split("choose from", 1)[1]
         assert "event" in choices and "replay" in choices
+
+    @pytest.mark.parametrize("flag", [
+        ["--pool", "persistent"], ["--hot-cache-entries", "0"],
+    ], ids=["pool", "hot-cache-entries"])
+    @pytest.mark.parametrize("argv", [
+        ["compare", "mp3d"], ["serve"], ["bench", "--suite", "sweep"], None,
+    ], ids=["compare", "serve", "bench", "figure2"])
+    def test_removed_orchestration_flags_rejected(self, argv, flag, capsys):
+        """One pool and one hot-tier size: no CLI selects another."""
+        with pytest.raises(SystemExit) as exc:
+            if argv is None:
+                figure2.main(flag)
+            else:
+                cli_main([*argv, *flag])
+        assert exc.value.code == 2          # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReplayRefusal:

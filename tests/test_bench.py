@@ -204,8 +204,7 @@ class TestSweepSuite:
         specs = [RunSpec.for_run("water", protocol=p, n_procs=2, scale=0.2)
                  for p in ("BASIC", "P")]
         cold = run_sweep_cell("cold", specs, repeat=1, cold=True)
-        warm = run_sweep_cell("warm", specs, repeat=1, cold=False,
-                              hot_entries=8)
+        warm = run_sweep_cell("warm", specs, repeat=1, cold=False)
         assert warm["wall_s"] < cold["wall_s"]
 
     def test_speedups_reports_matched_ratio(self):
@@ -225,16 +224,7 @@ class TestCli:
         assert args.out is None and args.check is None
         assert args.backend is None
         assert args.suite == "cells"
-        assert args.pool == "persistent"
-
-    def test_sweep_suite_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--suite", "sweep", "--pool", "per-run",
-             "--hot-cache-entries", "0"]
-        )
-        assert args.suite == "sweep"
-        assert args.pool == "per-run"
-        assert args.hot_cache_entries == 0
+        assert not hasattr(args, "pool")
 
     def test_bench_parser_options(self):
         args = build_parser().parse_args(

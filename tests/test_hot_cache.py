@@ -1,4 +1,4 @@
-"""Tests for the result cache's hot tier and batched writes."""
+"""Tests for the result cache's hot tier and write-through puts."""
 
 import pytest
 
@@ -82,50 +82,7 @@ class TestHotTier:
 
 
 class TestBatchedWrites:
-    def test_writes_deferred_until_flush(self, tmp_path):
-        cache = ResultCache(tmp_path, write_batch=8)
-        cache.put(result_for_seed(1))
-        assert len(list(tmp_path.glob("*/*.json"))) == 0
-        assert cache.flush() == 1
-        assert len(list(tmp_path.glob("*/*.json"))) == 1
-        assert cache.flush() == 0
-
-    def test_buffer_full_triggers_flush(self, tmp_path):
-        cache = ResultCache(tmp_path, write_batch=2)
-        cache.put(result_for_seed(1))
-        cache.put(result_for_seed(2))
-        assert len(list(tmp_path.glob("*/*.json"))) == 2
-        assert cache.stats()["writes"]["pending"] == 0
-
-    def test_repeat_puts_coalesce(self, tmp_path):
-        cache = ResultCache(tmp_path, write_batch=8)
-        cache.put(result_for_seed(1))
-        cache.put(result_for_seed(1))
-        assert cache.coalesced_writes == 1
-        assert cache.flush() == 1
-
-    def test_pending_entries_are_readable(self, tmp_path):
-        cache = ResultCache(tmp_path, write_batch=8)
-        cache.put(result_for_seed(1))
-        spec = result_for_seed(1).spec
-        got = cache.get(spec)
-        assert got is not None and got.stats == _STATS
-        envelope = cache.get_by_key(spec.key())
-        assert envelope is not None
-        assert envelope["spec_key"] == spec.key()
-
-    def test_flushed_bytes_identical_to_write_through(self, tmp_path):
-        batched_root = tmp_path / "batched"
-        direct_root = tmp_path / "direct"
-        batched = ResultCache(batched_root, write_batch=8)
-        direct = ResultCache(direct_root)
-        batched.put(result_for_seed(1))
-        direct.put(result_for_seed(1))
-        batched.flush()
-        spec = result_for_seed(1).spec
-        a = batched.path_for(spec).read_bytes()
-        b = direct.path_for(spec).read_bytes()
-        assert a == b
+    """There is one write policy: every ``put`` is write-through."""
 
     def test_write_through_is_the_default(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -134,15 +91,15 @@ class TestBatchedWrites:
 
 
 class TestEngineIntegration:
-    def test_run_flushes_batched_writes(self, tmp_path):
+    def test_rerun_is_served_from_the_hot_tier(self, tmp_path):
         from repro.sweep import SweepEngine
 
-        cache = ResultCache(tmp_path, hot_entries=8, write_batch=64)
+        cache = ResultCache(tmp_path, hot_entries=8)
         engine = SweepEngine(cache=cache)
         specs = [RunSpec.for_run("water", protocol=p, scale=0.2, n_procs=2)
                  for p in ("BASIC", "P")]
         engine.run(specs)
-        # run() flushed despite the 64-way batch
+        # every completed cell is on disk as soon as run() returns
         assert len(list(tmp_path.glob("*/*.json"))) == 2
         engine.run(specs)
         digest = engine.last_run_stats()
@@ -156,4 +113,60 @@ class TestEngineIntegration:
         with create_service(cache_dir=str(tmp_path), jobs=1) as service:
             payload = service.cache_stats_payload()
             assert payload["cache"]["hot"]["max_entries"] == 512
-            assert payload["cache"]["writes"]["batch"] == 32
+
+
+def _engine_from_cli(root):
+    import argparse
+
+    from repro.experiments.runner import add_sweep_args, engine_from_args
+
+    parser = argparse.ArgumentParser()
+    add_sweep_args(parser)
+    engine_from_args(parser.parse_args(["--cache-dir", str(root)]))
+
+
+def _make_engine(root):
+    from repro.api import make_engine
+
+    make_engine(cache_dir=str(root))
+
+
+def _create_service(root):
+    from repro.service import create_service
+
+    with create_service(cache_dir=str(root)):
+        pass
+
+
+def _sweep(root):
+    from repro.sweep import sweep
+
+    sweep([], cache_dir=root)
+
+
+class TestDriverPolicy:
+    """Every driver builds its cache the same way: the shared hot-tier
+    size over write-through puts."""
+
+    @pytest.mark.parametrize("build", [
+        _engine_from_cli, _make_engine, _create_service, _sweep,
+    ], ids=["engine_from_args", "make_engine", "create_service", "sweep"])
+    def test_hot_tier_over_write_through(self, build, tmp_path, monkeypatch):
+        from repro.sweep import HOT_ENTRIES
+
+        built = []
+        init = ResultCache.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(ResultCache, "__init__", recording_init)
+        build(tmp_path)
+        [cache] = built
+        assert cache.root == tmp_path
+        assert cache.hot_entries == HOT_ENTRIES == 512
+        result = result_for_seed(1)
+        cache.put(result)
+        assert cache.path_for(result.spec).is_file()
+        assert not hasattr(cache, "flush")

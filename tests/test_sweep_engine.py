@@ -51,12 +51,6 @@ class TestProcessExecutor:
         for s, p in zip(serial, pooled):
             assert s.stats == p.stats
 
-    def test_chunking_covers_every_spec(self):
-        engine = SweepEngine(executor="process", max_workers=2, chunk_size=3)
-        results = engine.run(MATRIX)
-        assert len(results) == len(MATRIX)
-        assert all(r is not None for r in results)
-
 
 class TestMemoization:
     def test_second_run_served_from_cache(self, tmp_path):

@@ -1,10 +1,10 @@
 """Tests for the persistent worker pool and cost-aware scheduling.
 
-Covers the ordering-invariance guarantee (serial, persistent-pool and
-per-run-pool sweeps of one shuffled batch produce bitwise-identical
-cache bytes), crash recovery (a worker killed mid-sweep is respawned
-and the sweep still completes correctly), the cost model, and the
-engine's run digest.
+Covers the ordering-invariance guarantee (serial and persistent-pool
+sweeps of one shuffled batch produce bitwise-identical cache bytes),
+crash recovery (a worker killed mid-sweep is respawned and the sweep
+still completes correctly), the cost model, and the engine's run
+digest.
 """
 
 import errno
@@ -116,39 +116,32 @@ class TestCostModel:
 
 class TestOrderingInvariance:
     def test_all_executors_write_identical_cache_bytes(self, tmp_path):
-        """Serial, persistent and per-run sweeps of one shuffled batch
-        must leave bitwise-identical caches behind."""
+        """Serial and persistent-pool sweeps of one shuffled batch must
+        leave bitwise-identical caches behind."""
         batch = MATRIX[:]
         random.Random(42).shuffle(batch)
         baselines = {}
         for name, engine_kw in (
             ("serial", dict(executor="serial")),
-            ("persistent", dict(executor="process", max_workers=2,
-                                pool="persistent")),
-            ("per-run", dict(executor="process", max_workers=2,
-                             pool="per-run")),
+            ("persistent", dict(executor="process", max_workers=2)),
         ):
             root = tmp_path / name
             engine = SweepEngine(cache=ResultCache(root), **engine_kw)
             results = engine.run(batch)
-            engine.close()
             assert [r.spec for r in results] == batch
             baselines[name] = _cache_bytes(root)
         assert baselines["serial"] == baselines["persistent"]
-        assert baselines["serial"] == baselines["per-run"]
 
     def test_persistent_results_match_serial_stats(self):
         serial = SweepEngine().run(MATRIX)
-        pooled = SweepEngine(executor="process", max_workers=2,
-                             pool="persistent").run(MATRIX)
+        pooled = SweepEngine(executor="process", max_workers=2).run(MATRIX)
         for s, p in zip(serial, pooled):
             assert s.stats == p.stats
 
 
 class TestPersistentPool:
     def test_workers_survive_across_runs(self):
-        engine = SweepEngine(executor="process", max_workers=2,
-                             pool="persistent")
+        engine = SweepEngine(executor="process", max_workers=2)
         engine.run(MATRIX[:4])
         pool = engine._get_pool()
         pids_first = set(pool.worker_pids())
@@ -272,7 +265,8 @@ class TestPersistentPool:
         assert b.max_workers >= 3
 
     def test_unknown_pool_mode_rejected(self):
-        with pytest.raises(ValueError):
+        # there is one pool; the engine no longer takes a pool mode
+        with pytest.raises(TypeError):
             SweepEngine(pool="forkbomb")
 
 
