@@ -195,7 +195,6 @@ def _spec(
     cache: CacheConfig | None,
     seed: int,
     directory: DirectoryConfig | str | None = None,
-    backend: str = "event",
 ) -> RunSpec:
     return RunSpec.for_run(
         app,
@@ -207,7 +206,6 @@ def _spec(
         scale=scale,
         seed=seed,
         directory=directory,
-        backend=backend,
     )
 
 
@@ -221,20 +219,16 @@ def run_app(
     cache: CacheConfig | None = None,
     seed: int = DEFAULT_SEED,
     directory: DirectoryConfig | str | None = None,
-    backend: str = "event",
     engine: SweepEngine | None = None,
 ) -> RunSummary:
     """Simulate one application on one machine; returns a digest.
 
     ``directory`` selects the directory organization (a
     :class:`~repro.config.DirectoryConfig` or a name like
-    ``"limited:4"``; default full map).  ``backend`` selects the
-    execution tier (see :mod:`repro.sim.backend`): ``"event"`` is the
-    reference machine, ``"replay"`` trades documented tolerances for
-    speed.
+    ``"limited:4"``; default full map).
     """
     spec = _spec(app, protocol, consistency, scale, n_procs, network,
-                 cache, seed, directory, backend)
+                 cache, seed, directory)
     engine = engine or SweepEngine()
     return RunSummary.from_result(engine.run_one(spec))
 
@@ -298,7 +292,6 @@ def compare_protocols(
     cache: CacheConfig | None = None,
     seed: int = DEFAULT_SEED,
     directory: DirectoryConfig | str | None = None,
-    backend: str = "event",
     baseline: str = "BASIC",
     engine: SweepEngine | None = None,
 ) -> Ranking:
@@ -314,7 +307,7 @@ def compare_protocols(
         protocols = (baseline, *protocols)
     specs = [
         _spec(app, p, consistency, scale, n_procs, network, cache, seed,
-              directory, backend)
+              directory)
         for p in protocols
     ]
     engine = engine or SweepEngine()

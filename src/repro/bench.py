@@ -24,16 +24,15 @@ Schema (``SCHEMA_VERSION = 2``)::
       "totals": {"events": ..., "wall_s": ..., "events_per_sec": ...}
     }
 
-v2 adds the ``backend`` execution tier (see :mod:`repro.sim.backend`)
-to every cell and to the cell identity used by ``--check``, so a
-replay-tier cell is never compared against an event-tier baseline.
+v2 adds ``backend`` to every cell and to the cell identity used by
+``--check``.  Simulator cells carry ``"event"``; the sweep suite's
+cells carry ``"sweep"``, so the two kinds are never compared.
 
 ``events`` and ``execution_time`` are deterministic (pinned by the
 golden parity suite); only ``wall_s`` / ``events_per_sec`` vary with
-the machine.  On the event tiers ``events`` counts fired simulator
-events; on the replay tier it counts replayed references (that tier's
-unit of work).  Wall time per cell is the minimum over ``repeat``
-runs, which is the standard way to suppress scheduler noise.
+the machine.  ``events`` counts fired simulator events.  Wall time per
+cell is the minimum over ``repeat`` runs, which is the standard way to
+suppress scheduler noise.
 """
 
 from __future__ import annotations
@@ -46,16 +45,14 @@ import time
 from pathlib import Path
 
 from repro.config import SystemConfig
-from repro.sim.backend import BACKEND_NAMES
 from repro.system import System
 from repro.workloads import build_workload
 
 SCHEMA_VERSION = 2
 
-#: (app, protocol, n_procs, scale[, backend]) cells of the quick (CI
-#: smoke) matrix: the hot-path microbenchmark the fast path targets,
-#: plus paper cells covering every extension and the busiest
-#: combination.  A missing fifth element means the event tier.
+#: (app, protocol, n_procs, scale) cells of the quick (CI smoke)
+#: matrix: the hot-path microbenchmark the fast path targets, plus
+#: paper cells covering every extension and the busiest combination.
 QUICK_MATRIX: tuple[tuple, ...] = (
     ("hitpath", "BASIC", 1, 1.0),
     ("mp3d", "BASIC", 16, 0.3),
@@ -68,9 +65,6 @@ QUICK_MATRIX: tuple[tuple, ...] = (
     # invalidation fan-out) so throughput regressions that only bite
     # past the paper's 16 processors are caught too.
     ("mp3d", "P+CW", 64, 0.1),
-    # the replay fast tier on the busiest paper cell, timed against
-    # the identical event-tier cell above.
-    ("mp3d", "P+CW+M", 16, 0.3, "replay"),
 )
 
 #: the five paper applications under all eight protocol combinations
@@ -100,56 +94,32 @@ def git_revision(repo: Path | None = None) -> str:
 
 
 def run_cell(
-    app: str, protocol: str, n_procs: int, scale: float,
-    backend: str = "event", repeat: int = 3,
+    app: str, protocol: str, n_procs: int, scale: float, *,
+    repeat: int = 3,
 ) -> dict:
     """Run one matrix cell ``repeat`` times; report the best wall time.
 
-    The replay tier records its reference trace (or loads a previously
-    recorded one) *outside* the timed region, so ``wall_s`` measures
-    replay throughput, not one-time recording cost.
+    The workload is built once, outside the timed region.
     """
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; "
-            f"expected one of {', '.join(BACKEND_NAMES)}"
-        )
     cfg = SystemConfig(n_procs=n_procs).with_protocol(protocol)
     best = None
     events = execution_time = 0
-    if backend == "replay":
-        from repro.sim.backend import get_backend
-        from repro.sim.replay import replay_trace
-        from repro.sweep import RunSpec
-
-        spec = RunSpec.for_run(app, protocol=protocol, n_procs=n_procs,
-                               scale=scale, backend="replay")
-        trace = get_backend("replay").store().get_or_record(spec)
-        for _ in range(max(1, repeat)):
-            t0 = time.perf_counter()
-            stats = replay_trace(cfg, trace)
-            wall = time.perf_counter() - t0
-            events = trace.total_ops()
-            execution_time = stats.execution_time
-            if best is None or wall < best:
-                best = wall
-    else:
-        streams = build_workload(app, cfg, scale=scale)
-        for _ in range(max(1, repeat)):
-            system = System(cfg)
-            t0 = time.perf_counter()
-            stats = system.run(streams)
-            wall = time.perf_counter() - t0
-            events = system.sim.events_fired
-            execution_time = stats.execution_time
-            if best is None or wall < best:
-                best = wall
+    streams = build_workload(app, cfg, scale=scale)
+    for _ in range(max(1, repeat)):
+        system = System(cfg)
+        t0 = time.perf_counter()
+        stats = system.run(streams)
+        wall = time.perf_counter() - t0
+        events = system.sim.events_fired
+        execution_time = stats.execution_time
+        if best is None or wall < best:
+            best = wall
     return {
         "app": app,
         "protocol": protocol,
         "n_procs": n_procs,
         "scale": scale,
-        "backend": backend,
+        "backend": "event",
         "events": events,
         "wall_s": round(best, 6),
         "events_per_sec": round(events / best, 1),
@@ -159,25 +129,15 @@ def run_cell(
 
 def run_matrix(
     matrix=QUICK_MATRIX, repeat: int = 3, verbose: bool = False,
-    backend: str | None = None,
 ) -> dict:
-    """Run every cell of ``matrix``; return the result document.
-
-    ``backend`` forces every cell onto one execution tier; ``None``
-    (the default) honors each row's own tier (fifth tuple element,
-    event when absent).
-    """
+    """Run every cell of ``matrix``; return the result document."""
     cells = []
-    for row in matrix:
-        app, protocol, n_procs, scale = row[:4]
-        tier = backend or (row[4] if len(row) > 4 else "event")
-        cell = run_cell(app, protocol, n_procs, scale, backend=tier,
-                        repeat=repeat)
+    for app, protocol, n_procs, scale in matrix:
+        cell = run_cell(app, protocol, n_procs, scale, repeat=repeat)
         cells.append(cell)
         if verbose:
             print(
                 f"  {app:<10} {protocol:<8} np={n_procs:<3} "
-                f"{tier:<11} "
                 f"events={cell['events']:>9} wall={cell['wall_s']:.4f}s "
                 f"ev/s={cell['events_per_sec']:>11.0f}",
                 flush=True,
@@ -204,9 +164,8 @@ def run_matrix(
 # Cells that measure the *sweep engine* (pool spawn/reuse, scheduling,
 # result-cache tiers) in specs/sec rather than the simulator core in
 # events/sec.  They share the cell schema -- ``events`` counts specs,
-# the unit of work -- under the synthetic tier name ``"sweep"`` so the
-# identity used by ``--check`` can never collide with a simulator cell
-# (``"sweep"`` is not a RunSpec backend).
+# the unit of work -- under ``backend: "sweep"`` so the identity used
+# by ``--check`` can never collide with a simulator cell.
 
 #: number of workers the sweep suite fans out to.
 SWEEP_BENCH_JOBS = 4
@@ -348,9 +307,9 @@ def speedups(current: dict, baseline: dict) -> list:
 def cell_key(cell: dict) -> tuple:
     """Identity of a cell, for matching across result documents.
 
-    Includes the execution tier (``"event"`` when absent, which is what
-    every v1 document meant), so replay-tier throughput is never
-    compared against an event-tier baseline.
+    Includes ``backend`` (``"event"`` when absent, which is what every
+    v1 document meant), so sweep-suite cells never match simulator
+    cells.
     """
     return (cell["app"], cell["protocol"], cell["n_procs"], cell["scale"],
             cell.get("backend", "event"))
@@ -435,11 +394,6 @@ def add_bench_args(parser) -> None:
         help="allowed slowdown factor per cell for --check (default 2)",
     )
     parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="force every cell onto one execution tier "
-             "(default: each matrix row's own tier)",
-    )
-    parser.add_argument(
         "--suite", choices=("cells", "sweep"), default="cells",
         help="'cells' times the simulator core (events/sec); 'sweep' "
              "times the sweep engine itself in specs/sec (default cells)",
@@ -460,8 +414,7 @@ def run_bench(args) -> int:
         print(f"running {name} matrix ({len(matrix)} cells, "
               f"min of {args.repeat} runs; "
               f"python {platform.python_version()})")
-        result = run_matrix(matrix, repeat=args.repeat, verbose=True,
-                            backend=getattr(args, "backend", None))
+        result = run_matrix(matrix, repeat=args.repeat, verbose=True)
         unit = "events"
     totals = result["totals"]
     print(f"TOTAL {unit}={totals['events']} wall={totals['wall_s']:.4f}s "

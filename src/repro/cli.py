@@ -35,7 +35,6 @@ from repro.config import (
 )
 from repro.experiments.formats import render_table
 from repro.experiments.runner import add_sweep_args
-from repro.sim.backend import BACKEND_NAMES
 from repro.sweep import DEFAULT_SEED
 from repro.system import System
 from repro.workloads import ALL_APP_NAMES, build_workload
@@ -108,12 +107,7 @@ def _summary_rows(summary):
 def cmd_run(args) -> int:
     """Simulate one configuration and print the summary."""
     cfg = _make_config(args)
-    backend = getattr(args, "backend", "event")
     if args.trace_file:
-        if backend != "event":
-            print("--trace-file drives the event engine directly; "
-                  "drop --backend", file=sys.stderr)
-            return 2
         from repro.trace import load_streams
 
         streams = load_streams(args.trace_file)
@@ -131,7 +125,6 @@ def cmd_run(args) -> int:
             n_procs=args.procs,
             scale=args.scale,
             directory=_directory_arg(args),
-            backend=backend,
         )
         engine = SweepEngine()
 
@@ -196,7 +189,6 @@ def cmd_compare(args) -> int:
             scale=args.scale,
             seed=args.seed,
             directory=_directory_arg(args),
-            backend=getattr(args, "backend", "event"),
         )
         for proto in combos
     ]
@@ -284,17 +276,9 @@ def cmd_trace(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the sweep service until interrupted."""
-    import os
-
     from repro.service import create_service
     from repro.sweep import default_cache_dir
 
-    if args.trace_dir:
-        # worker processes inherit the environment across spawn, so
-        # this one override configures every replay-backend cell
-        from repro.sim.backend import TRACE_DIR_ENV
-
-        os.environ[TRACE_DIR_ENV] = args.trace_dir
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir or str(default_cache_dir())
@@ -338,7 +322,6 @@ def cmd_submit(args) -> int:
             scale=args.scale,
             seed=args.seed,
             directory=_directory_arg(args),
-            backend=getattr(args, "backend", "event"),
         )
         for proto in combos
     ]
@@ -594,14 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Dir_i-B) or coarse[:k] (default: %(default)s)"
                 ),
             )
-            p.add_argument(
-                "--backend", choices=BACKEND_NAMES, default="event",
-                help=(
-                    "execution backend: event (reference) or replay "
-                    "(trace fast tier, documented tolerances; see "
-                    "docs/engine.md)"
-                ),
-            )
 
     p_run = sub.add_parser("run", help="simulate one configuration")
     common(p_run)
@@ -683,13 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--verbose", action="store_true",
         help="log every HTTP request to stderr",
-    )
-    p_srv.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help=(
-            "where replay-backend cells keep recorded reference "
-            "traces (default: $REPRO_TRACE_DIR or .repro/traces)"
-        ),
     )
     p_srv.set_defaults(fn=cmd_serve)
 

@@ -45,7 +45,6 @@ from repro.experiments.runner import (
     execute,
     print_sweep_summary,
 )
-from repro.sim.backend import BACKEND_NAMES
 
 #: any count factors into a W x H mesh; the defaults are the paper's
 #: machine plus the 1/4x and 4x/16x points of the scalability study.
@@ -60,17 +59,11 @@ def run(app: str = "mp3d", scale: float = 1.0,
         directories: tuple[str, ...] = DIRECTORIES,
         protocols: tuple[str, ...] = PROTOCOLS,
         engine: SweepEngine | None = None,
-        seed: int = DEFAULT_SEED,
-        backend: str = "event") -> dict:
-    """{org: {n_procs: {proto: (exec_time, rel_to_basic, net_bytes)}}}.
-
-    ``backend`` may be any execution tier: the study reports relative
-    numbers, so the replay tier is a valid (much faster) choice for
-    the 64/256-processor points.
-    """
+        seed: int = DEFAULT_SEED) -> dict:
+    """{org: {n_procs: {proto: (exec_time, rel_to_basic, net_bytes)}}}."""
     specs = [
         RunSpec.for_run(app, protocol=proto, n_procs=n, scale=scale,
-                        seed=seed, directory=org, backend=backend)
+                        seed=seed, directory=org)
         for org in directories
         for n in sizes
         for proto in protocols
@@ -160,10 +153,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--app", default="mp3d")
     parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="event",
-        help="execution tier; replay is valid here because the study "
-             "only reports relative numbers (see docs/engine.md)")
-    parser.add_argument(
         "--sizes", default=",".join(str(n) for n in MACHINE_SIZES),
         help="comma-separated processor counts (default: %(default)s)",
     )
@@ -179,7 +168,7 @@ def main(argv: list[str] | None = None) -> None:
     engine = engine_from_args(args)
     print(render(run(app=args.app, scale=args.scale, sizes=sizes,
                      directories=directories, engine=engine,
-                     seed=args.seed, backend=args.backend),
+                     seed=args.seed),
                  app=args.app))
     print()
     print(render_storage(sizes, directories))

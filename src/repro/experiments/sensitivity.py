@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     print_sweep_summary,
     small_buffer_cache,
 )
-from repro.sim.backend import BACKEND_NAMES
 from repro.workloads import APP_NAMES
 
 PROTOCOLS = ("BASIC", "P", "CW", "M", "P+CW", "P+M")
@@ -36,22 +35,15 @@ PROTOCOLS = ("BASIC", "P", "CW", "M", "P+CW", "P+M")
 
 def run_buffers(scale: float = 1.0, apps: tuple[str, ...] = APP_NAMES,
                 engine: SweepEngine | None = None,
-                seed: int = DEFAULT_SEED,
-                backend: str = "event") -> dict:
-    """{app: {proto: slowdown with 4-entry buffers}}.
-
-    ``backend`` may be any execution tier: sensitivity studies compare
-    cells against each other, so the replay tier's documented
-    tolerances cancel out of the ratios (unlike the paper tables,
-    which stay pinned to the event-exact tiers).
-    """
+                seed: int = DEFAULT_SEED) -> dict:
+    """{app: {proto: slowdown with 4-entry buffers}}."""
     specs = []
     for app in apps:
         for proto in PROTOCOLS:
             specs.append(RunSpec.for_run(app, protocol=proto, scale=scale,
-                                         seed=seed, backend=backend))
+                                         seed=seed))
             specs.append(RunSpec.for_run(app, protocol=proto, scale=scale,
-                                         seed=seed, backend=backend,
+                                         seed=seed,
                                          cache=small_buffer_cache()))
     results = iter(execute(specs, engine))
     out: dict = {}
@@ -70,12 +62,10 @@ def run_limited_slc(
     slc_bytes: int = 16 * 1024,
     engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
-    backend: str = "event",
 ) -> dict:
     """{app: {proto: (relative exec vs BASIC, replacement miss %)}}."""
     specs = [
         RunSpec.for_run(app, protocol=proto, scale=scale, seed=seed,
-                        backend=backend,
                         cache=limited_slc_cache(slc_bytes))
         for app in apps
         for proto in PROTOCOLS
@@ -134,10 +124,6 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="event",
-        help="execution tier; replay is valid here because the study "
-             "only reports relative numbers (see docs/engine.md)")
-    parser.add_argument(
         "--study", choices=("buffers", "slc", "both"), default="both"
     )
     add_sweep_args(parser)
@@ -145,14 +131,12 @@ def main(argv: list[str] | None = None) -> None:
     engine = engine_from_args(args)
     if args.study in ("buffers", "both"):
         print(render_buffers(run_buffers(scale=args.scale, engine=engine,
-                                         seed=args.seed,
-                                         backend=args.backend)))
+                                         seed=args.seed)))
         print()
     if args.study in ("slc", "both"):
         print(render_limited_slc(run_limited_slc(scale=args.scale,
                                                  engine=engine,
-                                                 seed=args.seed,
-                                                 backend=args.backend)))
+                                                 seed=args.seed)))
     print_sweep_summary(engine)
 
 

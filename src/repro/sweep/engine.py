@@ -34,14 +34,16 @@ Duplicates inside one batch collapse the same way.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import as_completed
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.sim.backend import WarmContext, get_backend
 from repro.stats.counters import MachineStats
 from repro.sweep.cache import HOT_ENTRIES, ResultCache
 from repro.sweep.pool import PersistentPool, estimate_cost, shared_pool
@@ -68,15 +70,90 @@ class ProgressEvent:
 ProgressHook = Callable[[ProgressEvent], None]
 
 
+def workload_key(spec: RunSpec) -> str:
+    """Content hash of the workload identity a spec describes.
+
+    Two specs that differ only in protocol, consistency, directory or
+    network timing share the same reference streams, so the key covers
+    exactly the fields the workload generators consume.
+    """
+    ident = {
+        "app": spec.app,
+        "n_procs": spec.n_procs,
+        "scale": spec.scale,
+        "seed": spec.seed,
+        "workload_kw": {k: v for k, v in spec.workload_kw},
+        "block_size": spec.cache.block_size,
+        "page_size": spec.cache.page_size,
+    }
+    payload = json.dumps(ident, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _build_streams(spec: RunSpec, cfg):
+    from repro.workloads import build_workload
+
+    return build_workload(
+        spec.app, cfg, scale=spec.scale, seed=spec.seed,
+        **dict(spec.workload_kw),
+    )
+
+
+class WarmContext:
+    """Per-process memo of built workload streams.
+
+    A long-lived worker (the persistent sweep pool, the HTTP service's
+    serial engine) executes many specs that share a workload: the same
+    :func:`workload_key` under different protocols, directories or
+    timings.  Building the reference streams is deterministic in that
+    identity, and the simulator only *iterates* the frozen ``Op``
+    lists, so one built workload can safely drive any number of runs.
+    The memo is LRU-bounded, since 256-proc stream lists are large.
+    """
+
+    def __init__(self, max_workloads: int = 8) -> None:
+        self.max_workloads = max_workloads
+        self._workloads: OrderedDict[str, Any] = OrderedDict()
+        self.workload_hits = 0
+        self.workload_misses = 0
+
+    def streams_for(self, spec: RunSpec, cfg):
+        """The spec's workload streams, built at most once per identity."""
+        key = workload_key(spec)
+        streams = self._workloads.get(key)
+        if streams is not None:
+            self.workload_hits += 1
+            self._workloads.move_to_end(key)
+            return streams
+        self.workload_misses += 1
+        streams = _build_streams(spec, cfg)
+        self._workloads[key] = streams
+        while len(self._workloads) > self.max_workloads:
+            self._workloads.popitem(last=False)
+        return streams
+
+    def counters(self) -> dict:
+        """JSON-able hit/miss digest (folded into pool statistics)."""
+        return {
+            "workload_hits": self.workload_hits,
+            "workload_misses": self.workload_misses,
+        }
+
+
 def execute_spec(spec: RunSpec, warm: WarmContext | None = None) -> MachineStats:
     """Simulate one cell in-process (no cache, no pooling).
 
-    Dispatches to the execution backend the spec names (see
-    :mod:`repro.sim.backend`); ``"event"`` reproduces the historical
-    behavior exactly.  ``warm`` optionally memoizes build products
-    (workload streams, replay traces) across calls.
+    Builds the spec's machine and workload and runs the event-driven
+    :class:`~repro.system.System` to completion.  ``warm`` optionally
+    memoizes the built workload streams across calls; the result is
+    identical with or without it.
     """
-    return get_backend(spec.backend).execute(spec, warm=warm)
+    from repro.system import System
+
+    cfg = spec.to_config()
+    streams = (warm.streams_for(spec, cfg) if warm is not None
+               else _build_streams(spec, cfg))
+    return System(cfg).run(streams)
 
 
 class _InFlight:

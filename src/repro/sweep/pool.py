@@ -11,10 +11,9 @@ for sweep *throughput*:
   (hundreds of milliseconds each) is paid once per process lifetime
   instead of once per sweep.
 * **Warm state.**  Each worker keeps a
-  :class:`~repro.sim.backend.WarmContext`: built workload streams and
-  open replay trace handles are memoized by workload identity, so
-  repeated cells (the same app/scale/seed under different protocols)
-  skip the rebuild entirely.
+  :class:`~repro.sweep.engine.WarmContext`: built workload streams are
+  memoized by workload identity, so repeated cells (the same
+  app/scale/seed under different protocols) skip the rebuild entirely.
 * **Cost-aware dynamic scheduling.**  Tasks are dispatched to idle
   workers one at a time, most expensive first (see
   :func:`estimate_cost`), so a 256-proc straggler starts immediately
@@ -44,11 +43,6 @@ from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Any, Optional
 
-#: relative per-reference execution weight of each backend tier; the
-#: replay tier is batched/vectorized.  Rough factors are fine --
-#: scheduling only needs the *ordering* to be sane.
-BACKEND_COST_WEIGHT = {"event": 1.0, "replay": 0.15}
-
 #: how many times a task is resubmitted after crashing its worker
 #: before the failure is surfaced to the caller.
 MAX_TASK_RETRIES = 2
@@ -57,17 +51,15 @@ MAX_TASK_RETRIES = 2
 def estimate_cost(spec: Any) -> float:
     """Estimated relative wall cost of one spec.
 
-    ``n_procs x scale x backend weight``: processor count multiplies
-    both the machine size and (through weak scaling) the reference
-    count, ``scale`` is proportional to per-processor workload length,
-    and the backend weight folds in each tier's per-reference speed.
-    This is a scheduling heuristic, not a prediction -- it only has to
-    start stragglers first.
+    ``n_procs x scale``: processor count multiplies both the machine
+    size and (through weak scaling) the reference count, and ``scale``
+    is proportional to per-processor workload length.  This is a
+    scheduling heuristic, not a prediction -- it only has to start
+    stragglers first.
     """
     n_procs = getattr(spec, "n_procs", 1) or 1
     scale = getattr(spec, "scale", 1.0) or 1.0
-    weight = BACKEND_COST_WEIGHT.get(getattr(spec, "backend", "event"), 1.0)
-    return float(n_procs) * float(scale) * weight
+    return float(n_procs) * float(scale)
 
 
 _importable_ensured = False
@@ -108,11 +100,11 @@ def _worker_main(conn: Connection) -> None:
 
     Each message is ``{"id": int, "spec": <RunSpec dict>}``; the reply
     carries the versioned stats payload (or an error string) plus the
-    worker's warm-state counters.  State that is expensive to build and
-    deterministic in the spec (workloads, replay traces) is memoized in
-    a per-process :class:`~repro.sim.backend.WarmContext`.
+    worker's warm-state counters.  Workload streams, expensive to build
+    and deterministic in the spec, are memoized in a per-process
+    :class:`~repro.sweep.engine.WarmContext`.
     """
-    from repro.sim.backend import WarmContext, get_backend
+    from repro.sweep.engine import WarmContext, execute_spec
     from repro.sweep.spec import RunSpec
 
     warm = WarmContext()
@@ -127,7 +119,7 @@ def _worker_main(conn: Connection) -> None:
         try:
             spec = RunSpec.from_dict(msg["spec"])
             t0 = time.perf_counter()
-            stats = get_backend(spec.backend).execute(spec, warm=warm)
+            stats = execute_spec(spec, warm)
             reply["stats"] = stats.to_dict()
             reply["wall_time"] = time.perf_counter() - t0
         except BaseException as exc:  # noqa: BLE001 - report, don't die
@@ -431,10 +423,7 @@ class PersistentPool:
     def counters(self) -> dict:
         """JSON-able digest (folded into engine/service counters)."""
         with self._lock:
-            warm_totals = {
-                "workload_hits": 0, "workload_misses": 0,
-                "trace_hits": 0, "trace_misses": 0,
-            }
+            warm_totals = {"workload_hits": 0, "workload_misses": 0}
             for digest in self._warm.values():
                 for key in warm_totals:
                     warm_totals[key] += digest.get(key, 0)

@@ -49,9 +49,9 @@ from repro.stats.counters import MachineStats
 #: relies on) changes; every cached result keyed under an older version
 #: becomes unreachable, which is exactly the invalidation we want.
 #: v2: ``directory`` organization field and ``network.mesh_dims``.
-#: v3: ``backend`` execution-tier field (part of the content hash, so
-#: replay-tier results never collide with event-tier results).
-SPEC_SCHEMA_VERSION = 3
+#: v3: ``backend`` execution-tier field.
+#: v4: the ``backend`` field is gone again (one execution tier).
+SPEC_SCHEMA_VERSION = 4
 
 #: the paper's seed; kept in one place so the API, the service layer
 #: and every experiment driver agree.
@@ -92,9 +92,6 @@ class RunSpec:
     cache: CacheConfig = field(default_factory=CacheConfig)
     directory: DirectoryConfig = field(default_factory=DirectoryConfig)
     page_placement: str = "round_robin"
-    #: execution backend (see :mod:`repro.sim.backend`): "event" or
-    #: "replay".  Part of the content hash.
-    backend: str = "event"
     #: extra workload keyword arguments, stored as a sorted tuple of
     #: (name, value) pairs so equal dicts hash equally.
     workload_kw: tuple[tuple[str, Any], ...] = ()
@@ -103,20 +100,10 @@ class RunSpec:
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
         Consistency(self.consistency)  # validate early
-        from repro.sim.backend import BACKEND_NAMES, BACKENDS
-
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; "
-                f"expected one of {', '.join(BACKEND_NAMES)}"
-            )
         # canonicalize the protocol name ("CW+P" -> "P+CW")
         object.__setattr__(
             self, "protocol", ProtocolConfig.from_name(self.protocol).name
         )
-        # a tier that cannot honour the spec refuses it here, before
-        # any result is cached under the spec's key
-        BACKENDS[self.backend].validate(self)
         if isinstance(self.directory, str):
             object.__setattr__(
                 self, "directory", DirectoryConfig.from_name(self.directory)
@@ -143,10 +130,16 @@ class RunSpec:
         seed: int = DEFAULT_SEED,
         directory: DirectoryConfig | str | None = None,
         page_placement: str = "round_robin",
-        backend: str = "event",
         **workload_kw: Any,
     ) -> "RunSpec":
         """Mirror of the historical ``run_once`` signature."""
+        if "backend" in workload_kw:
+            # the removed execution-tier field must not slip into the
+            # workload keywords (and from there into the cache key)
+            raise TypeError(
+                "for_run() got an unexpected keyword argument 'backend' "
+                "(there is one execution tier)"
+            )
         return cls(
             app=app,
             protocol=protocol,
@@ -158,7 +151,6 @@ class RunSpec:
             cache=cache or CacheConfig(),
             directory=directory if directory is not None else DirectoryConfig(),
             page_placement=page_placement,
-            backend=backend,
             workload_kw=workload_kw,
         )
 
@@ -188,7 +180,6 @@ class RunSpec:
             "cache": asdict(self.cache),
             "directory": asdict(self.directory),
             "page_placement": self.page_placement,
-            "backend": self.backend,
             "workload_kw": {k: v for k, v in self.workload_kw},
         }
 
@@ -206,7 +197,6 @@ class RunSpec:
             cache=CacheConfig(**d["cache"]),
             directory=DirectoryConfig(**d.get("directory", {})),
             page_placement=d["page_placement"],
-            backend=d.get("backend", "event"),
             workload_kw=d.get("workload_kw", {}),
         )
 
@@ -294,8 +284,6 @@ class RunSpec:
             extras.append(self.directory.name)
         if self.page_placement != "round_robin":
             extras.append(self.page_placement)
-        if self.backend != "event":
-            extras.append(self.backend)
         tail = f" [{','.join(extras)}]" if extras else ""
         return f"{self.app}/{self.protocol}/{self.consistency}{tail}"
 

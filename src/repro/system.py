@@ -172,16 +172,6 @@ class System:
             heappush(heap, (t_in, sim._seq, fn, (msg, t_in)))
             sim._seq += 1
 
-    def _dispatch(self, msg: Message, t: int) -> None:
-        """Deliver ``msg`` to the right controller (generic slow path,
-        kept for tests and external callers; the transport above
-        resolves the handler at send time)."""
-        node = self.nodes[msg.dst]
-        if msg.mtype in HOME_BOUND:
-            node.home.deliver(msg, t)
-        else:
-            node.cache.deliver(msg, t)
-
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------

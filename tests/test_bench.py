@@ -48,19 +48,10 @@ class TestRunCell:
         cell = run_cell("hitpath", "BASIC", 1, 0.01, repeat=1)
         assert cell["backend"] == "event"
 
-    def test_replay_backend(self, tmp_path, monkeypatch):
-        from repro.sim.backend import TRACE_DIR_ENV
-
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        cell = run_cell("mp3d", "BASIC", 4, 0.05, backend="replay",
-                        repeat=1)
-        assert cell["backend"] == "replay"
-        assert cell["events"] > 0          # replayed references
-        assert cell["execution_time"] > 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            run_cell("hitpath", "BASIC", 1, 0.01, backend="nope")
+    def test_takes_no_backend(self):
+        # one execution tier: a cell cannot select another
+        with pytest.raises(TypeError):
+            run_cell("hitpath", "BASIC", 1, 0.01, backend="event")
 
 
 class TestRunMatrix:
@@ -94,13 +85,9 @@ class TestRunMatrix:
         apps = {row[0] for row in QUICK_MATRIX}
         assert "hitpath" in apps  # the cell the fast path targets
 
-    def test_quick_matrix_has_a_replay_cell(self):
-        tiers = {row[4] if len(row) > 4 else "event" for row in QUICK_MATRIX}
-        assert "replay" in tiers
-
-    def test_backend_override_forces_tier(self):
-        doc = run_matrix((("hitpath", "BASIC", 1, 0.01, "replay"),),
-                         repeat=1, backend="event")
+    def test_every_cell_runs_on_the_event_tier(self):
+        assert all(len(row) == 4 for row in QUICK_MATRIX)
+        doc = run_matrix(TINY_MATRIX[:1], repeat=1)
         assert [c["backend"] for c in doc["cells"]] == ["event"]
 
 
@@ -148,10 +135,10 @@ class TestCompare:
         assert compare(cur, base) == []
 
     def test_backend_is_part_of_cell_identity(self):
-        # a slow replay cell must not be checked against the event
+        # a cell of another kind must not be checked against the event
         # baseline of the same (app, protocol, n_procs, scale)
         base = _doc([_cell(evps=1000)])
-        cur = _doc([_cell(evps=1, backend="replay")])
+        cur = _doc([_cell(evps=1, backend="sweep")])
         assert compare(cur, base) == []
 
     def test_v1_cells_without_backend_mean_event(self):
@@ -167,9 +154,9 @@ class TestUnmatched:
 
     def test_one_sided_cells_listed(self):
         base = _doc([_cell(), _cell(app="water")])
-        cur = _doc([_cell(), _cell(backend="replay")])
+        cur = _doc([_cell(), _cell(backend="sweep")])
         only_cur, only_base = unmatched(cur, base)
-        assert only_cur == [cell_key(_cell(backend="replay"))]
+        assert only_cur == [cell_key(_cell(backend="sweep"))]
         assert only_base == [cell_key(_cell(app="water"))]
 
 
@@ -190,9 +177,6 @@ class TestSweepSuite:
         assert cell["execution_time"] == 0
 
     def test_sweep_identity_never_collides_with_simulator_cells(self):
-        from repro.sim.backend import BACKEND_NAMES
-
-        assert "sweep" not in BACKEND_NAMES
         sim = _cell(backend="event")
         swp = dict(sim, backend="sweep")
         assert cell_key(sim) != cell_key(swp)
@@ -222,7 +206,7 @@ class TestCli:
         assert args.repeat == 3
         assert args.threshold == 2.0
         assert args.out is None and args.check is None
-        assert args.backend is None
+        assert not hasattr(args, "backend")
         assert args.suite == "cells"
         assert not hasattr(args, "pool")
 

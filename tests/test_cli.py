@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import figure2, scaling, sensitivity
 
 
 class TestParser:
@@ -108,6 +109,31 @@ class TestCommands:
         rc = main(["experiments", "table1"])
         assert rc == 0
         assert "Table 1" in capsys.readouterr().out
+
+
+class TestCliChoices:
+    """No CLI takes an option that selects a removed configuration."""
+
+    @pytest.mark.parametrize("flag", [
+        ["--pool", "persistent"], ["--hot-cache-entries", "0"],
+        ["--backend", "event"], ["--trace-dir", "traces"],
+    ], ids=["pool", "hot-cache-entries", "backend", "trace-dir"])
+    @pytest.mark.parametrize("argv", [
+        ["compare"], ["serve"], ["bench", "--suite", "sweep"], figure2,
+        ["run"], ["submit"], ["bench"], scaling, sensitivity,
+    ], ids=["compare", "serve", "bench", "figure2", "run", "submit",
+            "bench-cells", "scaling", "sensitivity"])
+    def test_removed_orchestration_flags_rejected(self, argv, flag, capsys):
+        """One pool, one hot-tier size and one execution tier: no CLI
+        selects another."""
+        with pytest.raises(SystemExit) as exc:
+            if isinstance(argv, list):
+                main([*argv, *flag])
+            else:
+                argv.main(flag)
+        assert exc.value.code == 2          # argparse usage error
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 class TestVerify:

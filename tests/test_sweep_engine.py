@@ -7,9 +7,11 @@ from repro.sweep import (
     ResultCache,
     RunSpec,
     SweepEngine,
+    execute_spec,
     run_spec,
     sweep,
 )
+from repro.sweep.engine import WarmContext, workload_key
 
 #: a small matrix that exercises two protocols and two seeds
 MATRIX = [
@@ -80,6 +82,36 @@ class TestMemoization:
         results = engine.run(MATRIX)
         assert engine.misses == 0
         assert all(r.from_cache for r in results)
+
+
+class TestWarmContext:
+    """One built workload drives every protocol variant of a cell."""
+
+    @staticmethod
+    def _spec(**kw):
+        kw.setdefault("app", "mp3d")
+        kw.setdefault("n_procs", 4)
+        kw.setdefault("scale", 0.05)
+        return RunSpec.for_run(kw.pop("app"), **kw)
+
+    def test_protocol_does_not_change_the_workload_key(self):
+        basic = self._spec(protocol="BASIC")
+        full = self._spec(protocol="P+CW+M", directory="limited:4")
+        assert workload_key(basic) == workload_key(full)
+        warm = WarmContext()
+        streams = warm.streams_for(basic, basic.to_config())
+        assert warm.streams_for(full, full.to_config()) is streams
+        assert warm.counters() == {"workload_hits": 1,
+                                   "workload_misses": 1}
+        # memoized streams change nothing in the result
+        assert execute_spec(full, warm) == execute_spec(full)
+
+    def test_workload_identity_changes_the_key(self):
+        base = workload_key(self._spec())
+        assert workload_key(self._spec(seed=7)) != base
+        assert workload_key(self._spec(scale=0.1)) != base
+        assert workload_key(self._spec(app="water")) != base
+        assert workload_key(self._spec(n_procs=8)) != base
 
 
 class TestProgress:

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import pool_hold
 from repro.sweep import (
     PersistentPool,
     ResultCache,
@@ -23,13 +24,10 @@ from repro.sweep import (
     estimate_cost,
     shared_pool,
 )
-from repro.sim.backend import TRACE_DIR_ENV, ReplayBackend
-from repro.sweep.pool import (
-    BACKEND_COST_WEIGHT,
-    PoolClosedError,
-    ensure_importable_by_workers,
-)
-from repro.trace.refstream import ReferenceRecorder, TraceStore
+from repro.sweep import pool as pool_mod
+from repro.sweep.pool import PoolClosedError, ensure_importable_by_workers
+from repro.system import System
+from repro.workloads import build_workload
 
 #: a small mixed matrix: two protocols, two machine sizes, two seeds.
 MATRIX = [
@@ -99,12 +97,20 @@ class TestCostModel:
         assert estimate_cost(big) > estimate_cost(small)
         assert estimate_cost(long) > estimate_cost(small)
 
-    def test_replay_tier_cheaper_than_event(self):
-        event = RunSpec.for_run("water", n_procs=4, scale=0.2)
-        replay = RunSpec.for_run("water", n_procs=4, scale=0.2,
-                                 backend="replay")
-        assert estimate_cost(replay) < estimate_cost(event)
-        assert BACKEND_COST_WEIGHT["replay"] < BACKEND_COST_WEIGHT["event"]
+    def test_cost_is_procs_times_scale(self):
+        specs = [
+            RunSpec.for_run("water", protocol=proto, n_procs=np, scale=s)
+            for proto in ("BASIC", "P+CW")
+            for np in (2, 4, 16)
+            for s in (0.1, 0.5, 1.0)
+        ]
+        for spec in specs:
+            assert estimate_cost(spec) == spec.n_procs * spec.scale
+        # the protocol never changes a cell's rank
+        ranked = sorted(specs, key=estimate_cost)
+        assert [estimate_cost(s) for s in ranked] == sorted(
+            s.n_procs * s.scale for s in specs
+        )
 
     def test_engine_dispatch_order_is_cost_descending(self):
         engine = SweepEngine()
@@ -183,25 +189,34 @@ class TestPersistentPool:
         """Killing a worker mid-task must respawn it and still produce
         the correct, complete result.
 
-        The task is a replay-tier spec whose trace file is a FIFO, so
-        the worker blocks reading it until the test writes the trace.
-        The kill lands while the task is provably in flight, and the
-        task can only complete on the respawned worker.
+        Workers start through :func:`pool_hold.held_worker_main`, which
+        blocks on a test-owned FIFO before serving.  The task is
+        assigned to the held worker when it is spawned, so the kill
+        lands while the task is provably in flight, and the task can
+        only complete on the respawned worker once the test releases it.
         """
-        spec = RunSpec.for_run("water", n_procs=2, scale=0.2,
-                               backend="replay")
-        expected = ReplayBackend(trace_dir=tmp_path / "ref").execute(spec)
-        trace_bytes = ReferenceRecorder().record(spec).to_bytes()
-        trace_dir = tmp_path / "fifo"
-        trace_dir.mkdir()
-        path = TraceStore(trace_dir).path_for(spec)
+        spec = RunSpec.for_run("water", n_procs=2, scale=0.2)
+        cfg = spec.to_config()
+        expected = System(cfg).run(build_workload(
+            spec.app, cfg, scale=spec.scale, seed=spec.seed,
+        ))
+        path = tmp_path / "hold.fifo"
         os.mkfifo(path)
-        monkeypatch.setenv(TRACE_DIR_ENV, str(trace_dir))  # spawn env
+        # the spawned worker imports the helper and finds the FIFO
+        # through the environment it inherits
+        helper_dir = os.path.dirname(os.path.abspath(pool_hold.__file__))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (helper_dir, os.environ.get("PYTHONPATH")) if p
+        ))
+        monkeypatch.setenv(pool_hold.HOLD_FIFO_ENV, str(path))
+        monkeypatch.setattr(pool_mod, "_worker_main",
+                            pool_hold.held_worker_main)
 
         pool = PersistentPool(max_workers=1)
         try:
             fut = pool.submit(spec.to_dict())
-            # a reader on the FIFO proves the worker is mid-task
+            # a reader on the FIFO proves the worker has started, and
+            # the pool assigned it the task when it spawned it
             stale_fd = _open_fifo_writer(path)
             try:
                 # swap a fresh FIFO in under the same name: only the
@@ -214,19 +229,16 @@ class TestPersistentPool:
                 os.kill(victims[0], signal.SIGKILL)
             finally:
                 os.close(stale_fd)
-            fd = _open_fifo_writer(path)    # the respawned worker reads
+            fd = _open_fifo_writer(path)    # the respawned worker waits
             try:
                 assert not fut.done(), "the killed task cannot finish"
                 assert pool.counters()["respawns"] == 1
-                os.set_blocking(fd, True)
-                with os.fdopen(fd, "wb", closefd=False) as fh:
-                    fh.write(trace_bytes)
             finally:
-                os.close(fd)
+                os.close(fd)                # release the respawned worker
             payload = fut.result(timeout=120)
             assert pool.counters()["respawns"] == 1
             assert pool.worker_pids() != victims
-            # the respawned worker's result is still correct
+            # the respawned worker's result equals a direct System run
             assert payload["stats"] == expected.to_dict()
         finally:
             pool.close()

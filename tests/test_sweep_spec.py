@@ -16,6 +16,18 @@ class TestCanonicalization:
     def test_protocol_name_is_canonicalized(self):
         assert RunSpec.for_run("mp3d", protocol="CW+P").protocol == "P+CW"
         assert RunSpec.for_run("mp3d", protocol="BASIC").protocol == "BASIC"
+        # registry extensions beyond the paper's three are accepted too
+        assert RunSpec.for_run("lu", protocol="PF").protocol == "PF"
+
+    @pytest.mark.parametrize("backend", ["event", "replay"])
+    def test_removed_backend_field_rejected(self, backend):
+        # one execution tier: the field is gone, and for_run must not
+        # fold it into the workload keywords either
+        with pytest.raises(TypeError, match="backend"):
+            RunSpec.for_run("mp3d", backend=backend)
+        with pytest.raises(TypeError):
+            RunSpec("mp3d", backend=backend)
+        assert "backend" not in RunSpec.for_run("mp3d").to_dict()
 
     def test_consistency_enum_becomes_value(self):
         spec = RunSpec.for_run("mp3d", consistency=Consistency.SC)
@@ -131,11 +143,29 @@ class TestRoundTrip:
         assert json.loads(RunSpec.for_run("water").to_json())["v"] \
             == SPEC_SCHEMA_VERSION
 
+    def test_schema_version(self):
+        assert SPEC_SCHEMA_VERSION == 4
+        assert RunSpec.for_run("water").to_wire()["v"] == 4
+
     def test_unknown_version_rejected(self):
         wire = RunSpec.for_run("water").to_wire()
         wire["v"] = SPEC_SCHEMA_VERSION + 1
         with pytest.raises(SpecSchemaError, match="unknown spec schema"):
             RunSpec.from_wire(wire)
+
+    @pytest.mark.parametrize("version,backend", [
+        (3, "event"), (3, "replay"), (2, None),
+    ])
+    def test_stale_payload_rejected(self, version, backend):
+        # v3 payloads carried an execution-tier field; none is aliased
+        wire = RunSpec.for_run("water").to_wire()
+        wire["v"] = version
+        if backend is not None:
+            wire["backend"] = backend
+        with pytest.raises(SpecSchemaError, match="schema version"):
+            RunSpec.from_wire(wire)
+        with pytest.raises(SpecSchemaError, match="schema version"):
+            RunSpec.from_json(json.dumps(wire))
 
     def test_missing_version_rejected(self):
         # a bare to_dict() payload (no stamp) must not deserialize
