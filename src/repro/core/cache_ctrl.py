@@ -83,10 +83,6 @@ class SyncMarker:
     on_done: DoneFn | None = None  # barrier wake / SC release ack
 
 
-#: historical name, kept for importers.
-_SyncMarker = SyncMarker
-
-
 class CacheController:
     """One node's FLC + SLC + write buffers + protocol requester FSM."""
 
@@ -265,10 +261,6 @@ class CacheController:
         done = self.read_at(addr, self.sim.now, on_done)
         if done >= 0:
             self.sim.at(done, on_done)
-
-    def _flwb_forwards(self, addr: int) -> bool:
-        """True if a buffered write to the same word can satisfy a read."""
-        return self.flwb.contains_write_to(addr)
 
     def can_buffer_write(self) -> bool:
         """True when the FLWB can accept a write without stalling."""

@@ -16,13 +16,16 @@ The processor consumes a reference stream of operations:
 Execution time decomposes into busy / read-stall / write-stall /
 acquire-stall / release-stall exactly as in Figures 2 and 3.
 
-``_next`` is a *tight issue loop*: consecutive ``think`` ops and local
-cache hits (FLC hits, FLWB store-to-load forwards, buffered writes,
-RC releases) are consumed in pure Python without scheduling their
-completion events.  The loop tracks its own local clock ``t`` and only
-returns to the event heap when an op misses, synchronizes, or when the
-next completion boundary is not provably event-free.  The crossing
-rule that keeps this bit-identical to the one-event-per-op model:
+Each processor runs one *issue loop*, a generator created with the
+processor and suspended between ops: the event heap entries and the
+cache's ``on_done`` continuations all hold its bound ``__next__``, so
+resuming it costs one frame switch.  Consecutive ``think`` ops and
+local cache hits (FLC hits, FLWB store-to-load forwards, buffered
+writes, RC releases) are consumed in pure Python without scheduling
+their completion events.  The loop tracks its own local clock ``t``
+and only suspends when an op misses, synchronizes, or when the next
+completion boundary is not provably event-free.  The crossing rule
+that keeps this bit-identical to the one-event-per-op model:
 
     advancing inline from ``t`` to ``t2`` is allowed only if the event
     heap is empty or its earliest entry fires *strictly after* ``t2``,
@@ -31,8 +34,8 @@ rule that keeps this bit-identical to the one-event-per-op model:
 Under that rule no event could have observed or interleaved with the
 skipped window, every issue-time side effect (FCFS reservations,
 message sends, buffer pushes) happens in the original order, and each
-elided completion event is re-counted via ``Simulator.credit_events``
--- so all counters, all timings and ``events_fired`` match the
+elided completion event is added to ``Simulator._events_fired`` -- so
+all counters, all timings and ``events_fired`` match the
 pre-fast-path simulator exactly (pinned by the golden parity tests).
 """
 
@@ -55,22 +58,14 @@ class Processor:
     __slots__ = (
         "node_id",
         "_sim",
-        "_cfg",
         "_cache",
-        "_gen",
         "stats",
         "_on_finish",
-        "_sc",
         "finished",
         "_flc_hit",
-        "_n_procs",
-        "_issue_t0",
+        "_resume",
         "_stall_addr",
         "_stall_t0",
-        "_flwb",
-        "_flc_sets",
-        "_flc_nsets",
-        "_bsize",
     )
 
     def __init__(
@@ -85,70 +80,63 @@ class Processor:
     ) -> None:
         self.node_id = node_id
         self._sim = sim
-        self._cfg = cfg
         self._cache = cache
-        self._gen: Iterator[Op] = iter(workload)
         self.stats = stats
         self._on_finish = on_finish
-        self._sc = cfg.consistency is Consistency.SC
         self.finished = False
         self._flc_hit = cfg.timing.flc_hit
-        self._n_procs = cfg.n_procs
-        # issue-loop aliases into the cache's FLC/FLWB internals: the
-        # FLC-hit probe and the FLWB-room check are replicated here so
-        # the two overwhelmingly common outcomes (read hits, buffered
-        # writes) cost no call at all
-        self._flwb = cache.flwb
-        self._flc_sets = cache.flc._sets
-        self._flc_nsets = cache.flc._n_sets
-        self._bsize = cache._bsize
-        #: issue time of the one outstanding blocking op.  The
-        #: processor blocks on at most one reference at a time, so the
-        #: completion callbacks can be allocation-free bound methods
-        #: reading this attribute instead of per-reference closures.
-        self._issue_t0 = 0
         #: the write (and its issue time) stalled on a full FLWB.
         self._stall_addr = -1
         self._stall_t0 = 0
+        #: resumes the issue loop.  The processor blocks on at most one
+        #: reference at a time, so this one bound method serves as the
+        #: heap entry and as every ``on_done`` continuation.
+        self._resume = self._issue_loop(workload, cfg).__next__
 
     def start(self) -> None:
         """Begin issuing references at time 0."""
-        self._sim.at(self._sim.now, self._next)
+        self._sim.at(self._sim.now, self._resume)
 
     # ------------------------------------------------------------------
 
-    def _next(self) -> None:
+    def _issue_loop(
+        self, workload: Iterable[Op], cfg: SystemConfig
+    ) -> Iterator[None]:
         sim = self._sim
         heap = sim._heap
-        horizon = sim._until
-        gen = self._gen
         stats = self.stats
         cache = self._cache
-        flwb = self._flwb
-        flc_sets = self._flc_sets
-        flc_nsets = self._flc_nsets
-        bsize = self._bsize
+        # aliases into the cache's FLC/FLWB internals: the FLC-hit
+        # probe and the FLWB-room check are replicated here so the two
+        # overwhelmingly common outcomes (read hits, buffered writes)
+        # cost no call at all
+        flwb = cache.flwb
+        flc_sets = cache.flc._sets
+        flc_nsets = cache.flc._n_sets
+        bsize = cache._bsize
         flc_hit = self._flc_hit
-        sc = self._sc
+        sc = cfg.consistency is Consistency.SC
+        n_procs = cfg.n_procs
+        resume = self._resume
         t = sim.now
+        horizon = sim._until
         credits = 0
         # per-op counters are accumulated in locals and flushed to the
-        # stats object once per loop exit (every return path below)
+        # stats object before every suspension
         busy = 0
         nreads = 0
         nwrites = 0
-        while True:
-            try:
-                op = next(gen)
-            except StopIteration:
-                break
-            kind = op[0]
+        # None while ops complete on their own; a suspended blocking op
+        # names the stats field its wait is charged to ("" when
+        # ``_write_retry`` charges it)
+        wait = None
+        for kind, arg in workload:
             if kind == "think":
-                busy += op[1]
-                t2 = t + op[1]
+                busy += arg
+                t2 = t + arg
             elif kind == "read":
                 nreads += 1
-                block = op[1] // bsize
+                block = arg // bsize
                 if flc_sets.get(block % flc_nsets) == block:
                     # FLC hit, probed without leaving the loop (the
                     # first check ``read_at`` would make, so skipping
@@ -156,101 +144,94 @@ class Processor:
                     busy += flc_hit
                     t2 = t + flc_hit
                 else:
-                    t2 = cache.read_at(op[1], t, self._read_done)
+                    t2 = cache.read_at(arg, t, resume)
                     if t2 < 0:
                         # miss: the controller owns the continuation
-                        self._issue_t0 = t
-                        stats.busy += busy
-                        stats.shared_reads += nreads
-                        stats.shared_writes += nwrites
-                        if credits:
-                            sim._events_fired += credits
-                        return
-                    # store-to-load forward (dt == flc_hit) or an
-                    # inline SLC hit (dt > flc_hit): same split as
-                    # ``_read_done``
-                    dt = t2 - t
-                    if dt > flc_hit:
-                        busy += flc_hit
-                        stats.read_stall += dt - flc_hit
+                        wait = "read_stall"
                     else:
-                        busy += dt
+                        # store-to-load forward (dt == flc_hit) or an
+                        # inline SLC hit (dt > flc_hit): the same split
+                        # as a resumed read
+                        dt = t2 - t
+                        if dt > flc_hit:
+                            busy += flc_hit
+                            stats.read_stall += dt - flc_hit
+                        else:
+                            busy += dt
             elif kind == "write":
                 nwrites += 1
                 if sc:
-                    self._issue_t0 = t
-                    stats.busy += busy
-                    stats.shared_reads += nreads
-                    stats.shared_writes += nwrites
-                    cache.write_blocking_at(op[1], self._write_done, t)
-                    if credits:
-                        sim._events_fired += credits
-                    return
-                if flwb._writes < flwb.capacity:
-                    cache.buffer_write_at(op[1], t)
+                    cache.write_blocking_at(arg, resume, t)
+                    wait = "write_stall"
+                elif flwb._writes < flwb.capacity:
+                    cache.buffer_write_at(arg, t)
                     busy += flc_hit
                     t2 = t + flc_hit
                 else:
-                    self._stall_addr = op[1]
+                    self._stall_addr = arg
                     self._stall_t0 = t
-                    stats.busy += busy
-                    stats.shared_reads += nreads
-                    stats.shared_writes += nwrites
                     cache.when_write_space(self._write_retry)
-                    if credits:
-                        sim._events_fired += credits
-                    return
+                    wait = ""
             elif kind == "acquire":
                 stats.acquires += 1
-                self._issue_t0 = t
-                stats.busy += busy
-                stats.shared_reads += nreads
-                stats.shared_writes += nwrites
-                cache.acquire_at(op[1], self._acquire_done, t)
-                if credits:
-                    sim._events_fired += credits
-                return
+                cache.acquire_at(arg, resume, t)
+                wait = "acquire_stall"
             elif kind == "release":
                 stats.releases += 1
                 if sc:
-                    self._issue_t0 = t
-                    stats.busy += busy
-                    stats.shared_reads += nreads
-                    stats.shared_writes += nwrites
-                    cache.release_at(op[1], t, self._release_done)
-                    if credits:
-                        sim._events_fired += credits
-                    return
-                # RCpc: the release is inserted and the processor
-                # continues after the FLC write-through
-                cache.release_at(op[1], t)
-                busy += flc_hit
-                t2 = t + flc_hit
+                    cache.release_at(arg, t, resume)
+                    wait = "release_stall"
+                else:
+                    # RCpc: the release is inserted and the processor
+                    # continues after the FLC write-through
+                    cache.release_at(arg, t)
+                    busy += flc_hit
+                    t2 = t + flc_hit
             elif kind == "barrier":
                 stats.barriers += 1
-                self._issue_t0 = t
-                stats.busy += busy
-                stats.shared_reads += nreads
-                stats.shared_writes += nwrites
-                cache.barrier_at(op[1], self._n_procs, self._barrier_done, t)
-                if credits:
-                    sim._events_fired += credits
-                return
+                cache.barrier_at(arg, n_procs, resume, t)
+                # barrier wait is accounted as acquire stall, as in the
+                # paper's busy / read / acquire decomposition under RC
+                wait = "barrier"
             else:
-                raise SimulationError(f"unknown workload op {op!r}")
-            if (heap and heap[0][0] <= t2) or t2 > horizon:
+                raise SimulationError(f"unknown workload op {(kind, arg)!r}")
+            if wait is None:
+                if not ((heap and heap[0][0] <= t2) or t2 > horizon):
+                    t = t2
+                    credits += 1
+                    continue
                 # a queued event (or the run horizon) falls inside the
                 # window: fall back to a real completion event at t2
-                stats.busy += busy
-                stats.shared_reads += nreads
-                stats.shared_writes += nwrites
-                if credits:
-                    sim._events_fired += credits
-                heappush(heap, (t2, sim._seq, self._next, ()))
+                heappush(heap, (t2, sim._seq, resume, ()))
                 sim._seq += 1
-                return
-            t = t2
-            credits += 1
+            stats.busy += busy
+            if nreads:
+                stats.shared_reads += nreads
+                nreads = 0
+            if nwrites:
+                stats.shared_writes += nwrites
+                nwrites = 0
+            if credits:
+                sim._events_fired += credits
+                credits = 0
+            busy = 0
+            yield
+            if wait is not None:
+                # resumed by the op's ``on_done``: the wait ran from
+                # issue time ``t``
+                if wait:
+                    dt = sim.now - t
+                    if wait == "barrier":
+                        stats.acquire_stall += dt
+                    elif dt > flc_hit:
+                        busy = flc_hit
+                        stall = getattr(stats, wait) + dt - flc_hit
+                        setattr(stats, wait, stall)
+                    else:
+                        busy = dt
+                wait = None
+            t = sim.now
+            horizon = sim._until
         # stream exhausted at boundary ``t``; the crossing rule
         # guarantees nothing fires before ``t``, so finishing inline
         # is indistinguishable from the elided completion event.
@@ -262,22 +243,8 @@ class Processor:
         if credits:
             sim._events_fired += credits
         self._on_finish(self.node_id)
-
-    # -- completion callbacks ------------------------------------------
-    #
-    # Bound methods, shared across references: the blocking processor
-    # has one outstanding op, whose issue time sits in ``_issue_t0``.
-
-    def _read_done(self) -> None:
-        dt = self._sim.now - self._issue_t0
-        hit_cost = self._flc_hit
-        stats = self.stats
-        if dt > hit_cost:
-            stats.busy += hit_cost
-            stats.read_stall += dt - hit_cost
-        else:
-            stats.busy += dt
-        self._next()
+        # suspend for good, so the resume that ends the stream returns
+        yield
 
     def _write_retry(self) -> None:
         if not self._cache.can_buffer_write():
@@ -288,43 +255,4 @@ class Processor:
         self.stats.write_stall += self._sim.now - self._stall_t0
         self._cache.buffer_write(self._stall_addr)
         self.stats.busy += self._flc_hit
-        self._sim.after(self._flc_hit, self._next)
-
-    def _write_done(self) -> None:
-        dt = self._sim.now - self._issue_t0
-        hit_cost = self._flc_hit
-        stats = self.stats
-        if dt > hit_cost:
-            stats.busy += hit_cost
-            stats.write_stall += dt - hit_cost
-        else:
-            stats.busy += dt
-        self._next()
-
-    def _acquire_done(self) -> None:
-        dt = self._sim.now - self._issue_t0
-        hit_cost = self._flc_hit
-        stats = self.stats
-        if dt > hit_cost:
-            stats.busy += hit_cost
-            stats.acquire_stall += dt - hit_cost
-        else:
-            stats.busy += dt
-        self._next()
-
-    def _release_done(self) -> None:
-        dt = self._sim.now - self._issue_t0
-        hit_cost = self._flc_hit
-        stats = self.stats
-        if dt > hit_cost:
-            stats.busy += hit_cost
-            stats.release_stall += dt - hit_cost
-        else:
-            stats.busy += dt
-        self._next()
-
-    def _barrier_done(self) -> None:
-        # barrier wait is accounted as acquire stall, as in the paper's
-        # busy / read / acquire decomposition under RC
-        self.stats.acquire_stall += self._sim.now - self._issue_t0
-        self._next()
+        self._sim.after(self._flc_hit, self._resume)

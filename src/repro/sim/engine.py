@@ -16,7 +16,7 @@ their completion events.  It relies on two intra-package invariants of
 this class: ``_heap`` is never rebound (holders of a reference always
 see the live queue), and ``_until`` always carries the active
 ``run(until=...)`` horizon (:data:`NO_HORIZON` outside such a window).
-Elided events are re-counted through :meth:`credit_events` so
+Elided events are added straight to ``_events_fired`` so
 ``events_fired`` stays bit-identical to the fully event-driven model.
 """
 
@@ -79,16 +79,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still in the queue."""
         return len(self._heap)
-
-    def credit_events(self, n: int) -> None:
-        """Account ``n`` events whose scheduling was elided.
-
-        The processor fast path consumes op completions inline instead
-        of scheduling one heap event per boundary; crediting them here
-        keeps :attr:`events_fired` equal to the fully event-driven
-        count, which the golden parity tests pin exactly.
-        """
-        self._events_fired += n
 
     def step(self) -> bool:
         """Fire the next event.  Returns False if the queue is empty."""
