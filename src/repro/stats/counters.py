@@ -8,11 +8,13 @@ traffic in bytes normalized to BASIC (Figure 4).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
-#: version of the ``MachineStats.to_dict`` payload.  Bump whenever a
-#: counter is added, removed or changes meaning: deserialization
-#: refuses older payloads, which invalidates stale cache entries.
+#: version of the ``MachineStats.to_dict`` and ``to_columns`` payloads.
+#: Bump whenever a counter is added, removed or changes meaning:
+#: deserialization refuses older payloads, which invalidates stale
+#: cache entries.
 STATS_SCHEMA_VERSION = 1
 
 
@@ -103,6 +105,41 @@ class NetworkStats:
         self.by_type[mtype_name] = self.by_type.get(mtype_name, 0) + 1
 
 
+def _fields_of(cls) -> tuple[tuple[str, ...], attrgetter]:
+    """A stats class's field names (declaration order, which is also
+    its positional ``__init__`` order) and one getter of all of them."""
+    names = tuple(f.name for f in fields(cls))
+    return names, attrgetter(*names)
+
+
+_PROC_FIELDS, _proc_values = _fields_of(ProcessorStats)
+_CACHE_FIELDS, _cache_values = _fields_of(CacheStats)
+_NET_FIELDS, _net_values = _fields_of(NetworkStats)
+
+
+def _columns(names: tuple[str, ...], getter: attrgetter, rows: list) -> dict:
+    """One list per field across ``rows``."""
+    if not rows:
+        return {name: [] for name in names}
+    return dict(zip(names, map(list, zip(*map(getter, rows)))))
+
+
+def _rows(cls, names: tuple[str, ...], columns) -> list:
+    """Inverse of :func:`_columns`; ``ValueError`` unless ``columns``
+    holds exactly the fields of ``cls``, all of one length."""
+    if not isinstance(columns, dict):
+        raise ValueError(
+            f"{cls.__name__} columns must be an object, "
+            f"got {type(columns).__name__}"
+        )
+    if columns.keys() != set(names):
+        raise ValueError(
+            f"{cls.__name__} columns {sorted(columns)} != {sorted(names)}"
+        )
+    return [cls(*row)
+            for row in zip(*[columns[name] for name in names], strict=True)]
+
+
 @dataclass(slots=True)
 class MachineStats:
     """All statistics for one simulation run."""
@@ -174,19 +211,36 @@ class MachineStats:
 
     # -- serialization (sweep cache, worker processes) -----------------
 
+    def _network_dict(self) -> dict:
+        d = dict(zip(_NET_FIELDS, _net_values(self.network)))
+        d["by_type"] = dict(d["by_type"])
+        return d
+
     def to_dict(self) -> dict:
         """Versioned JSON-able payload; inverse of :meth:`from_dict`.
 
         Every counter is a plain int/float/str, so the round trip is
-        lossless -- the durable artifact format of the sweep cache.
+        lossless.  One dict per node: the shape of the worker-pool
+        replies, the service API and ``GET /v1/runs/<hash>``.
         """
         return {
             "version": STATS_SCHEMA_VERSION,
             "execution_time": self.execution_time,
-            "procs": [asdict(p) for p in self.procs],
-            "caches": [asdict(c) for c in self.caches],
-            "network": asdict(self.network),
+            "procs": [dict(zip(_PROC_FIELDS, _proc_values(p)))
+                      for p in self.procs],
+            "caches": [dict(zip(_CACHE_FIELDS, _cache_values(c)))
+                       for c in self.caches],
+            "network": self._network_dict(),
         }
+
+    @staticmethod
+    def _check_version(d) -> None:
+        version = d.get("version") if isinstance(d, dict) else None
+        if version != STATS_SCHEMA_VERSION:
+            raise ValueError(
+                f"MachineStats payload version {version!r} != "
+                f"{STATS_SCHEMA_VERSION}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "MachineStats":
@@ -195,16 +249,45 @@ class MachineStats:
         Raises :class:`ValueError` on a version mismatch or a payload
         whose fields do not match the current counter schema.
         """
-        version = d.get("version")
-        if version != STATS_SCHEMA_VERSION:
-            raise ValueError(
-                f"MachineStats payload version {version!r} != "
-                f"{STATS_SCHEMA_VERSION}"
-            )
+        cls._check_version(d)
         try:
             return cls(
                 procs=[ProcessorStats(**p) for p in d["procs"]],
                 caches=[CacheStats(**c) for c in d["caches"]],
+                network=NetworkStats(**d["network"]),
+                execution_time=d["execution_time"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed MachineStats payload: {exc}") from exc
+
+    def to_columns(self) -> dict:
+        """Columnar payload: one list per counter across the nodes.
+
+        The result cache's on-disk form: the same counters as
+        :meth:`to_dict`, but each counter name is written once instead
+        of once per node.  Inverse of :meth:`from_columns`.
+        """
+        return {
+            "version": STATS_SCHEMA_VERSION,
+            "execution_time": self.execution_time,
+            "procs": _columns(_PROC_FIELDS, _proc_values, self.procs),
+            "caches": _columns(_CACHE_FIELDS, _cache_values, self.caches),
+            "network": self._network_dict(),
+        }
+
+    @classmethod
+    def from_columns(cls, d: dict) -> "MachineStats":
+        """Rebuild statistics from :meth:`to_columns` output.
+
+        Raises :class:`ValueError` on a version mismatch, a missing or
+        extra column, columns of unequal length, or any other payload
+        that does not match the current counter schema.
+        """
+        cls._check_version(d)
+        try:
+            return cls(
+                procs=_rows(ProcessorStats, _PROC_FIELDS, d["procs"]),
+                caches=_rows(CacheStats, _CACHE_FIELDS, d["caches"]),
                 network=NetworkStats(**d["network"]),
                 execution_time=d["execution_time"],
             )

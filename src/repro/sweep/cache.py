@@ -9,18 +9,26 @@ spec JSON plus the spec schema version.  Each file holds::
 
     {"schema": CACHE_SCHEMA_VERSION,
      "spec_key": "<key>",          # self-check against renamed files
-     "spec": {"v": 1, ...},        # RunSpec.to_wire(), versioned
-     "stats": {...},               # MachineStats.to_dict() (versioned)
+     "spec": {"v": ..., ...},      # RunSpec.to_wire(), versioned
+     "stats": {...},               # MachineStats.to_columns() (versioned)
      "wall_time": 1.234}           # simulation seconds when first run
+
+``stats`` is columnar: one list per counter across the nodes
+(``{"procs": {"busy": [...], ...}, "caches": {...}, ...}``), so each
+counter name is stored once rather than once per node.  That is the
+only on-disk stats format; :meth:`ResultCache.get_by_key` expands it
+back to the per-node ``MachineStats.to_dict()`` shape.
 
 Invalidation rules (each counted in :attr:`ResultCache.invalidated`
 and then treated as a miss):
 
 * unreadable / non-JSON file,
-* ``schema`` != :data:`CACHE_SCHEMA_VERSION`,
+* ``schema`` != :data:`CACHE_SCHEMA_VERSION` (entries written before
+  the columnar schema 2 are invalidated this way),
 * ``spec_key`` mismatch (file renamed or copied between keys),
-* stats payload rejected by ``MachineStats.from_dict`` (its own
-  version stamp or counter schema changed).
+* stats payload rejected by ``MachineStats.from_columns`` (its own
+  version stamp changed, or a column is missing, extra or of the
+  wrong length).
 
 A spec-schema bump changes every key, so older entries are simply
 never looked up again; they can be garbage-collected with ``clear``.
@@ -69,8 +77,10 @@ from repro.stats.counters import MachineStats
 from repro.sweep.spec import RunResult, RunSpec
 
 #: version of the cache-file envelope (the fields *around* the stats
-#: payload); the stats payload carries its own version.
-CACHE_SCHEMA_VERSION = 1
+#: payload, and the layout of the stats payload); the stats counters
+#: carry their own version.
+#: v2: ``stats`` is columnar (``MachineStats.to_columns``).
+CACHE_SCHEMA_VERSION = 2
 
 #: default cache location; overridable with $REPRO_CACHE_DIR or the
 #: ``--cache-dir`` CLI flag.
@@ -160,11 +170,12 @@ class ResultCache:
                     self._touch(key)
                     return replace(result, spec=spec, from_cache=True)
                 self.hot_misses += 1
-            payload = self._load(key)
-            if payload is None:
+            loaded = self._load(key)
+            if loaded is None:
                 return None
+            payload, size = loaded
             try:
-                stats = MachineStats.from_dict(payload["stats"])
+                stats = MachineStats.from_columns(payload["stats"])
                 wall_time = float(payload.get("wall_time", 0.0))
             except (KeyError, TypeError, ValueError):
                 self._invalidate(key)
@@ -174,34 +185,48 @@ class ResultCache:
             result = RunResult(
                 spec=spec, stats=stats, wall_time=wall_time, from_cache=True
             )
-            self._hot_store(key, result, self._disk_size(key))
+            self._hot_store(key, result, size)
         return result
 
     def get_by_key(self, key: str) -> dict | None:
-        """The raw cache envelope for a bare content hash, or None.
+        """The cache envelope for a bare content hash, or None.
 
         This is the ``GET /v1/runs/<hash>`` read path: no spec needed,
-        the stored payload (spec wire form included) is returned as-is.
-        Counts hits/misses and refreshes recency like :meth:`get`.
+        the stored payload (spec wire form included) is returned with
+        its columnar ``stats`` expanded to the per-node
+        ``MachineStats.to_dict()`` shape.  Counts hits/misses and
+        refreshes recency like :meth:`get`; an entry whose stats do
+        not decode is invalidated and reads as a miss.
         """
         with self._lock:
-            payload = self._load(key)
-            if payload is None:
+            loaded = self._load(key)
+            if loaded is None:
+                return None
+            payload, _ = loaded
+            try:
+                payload["stats"] = \
+                    MachineStats.from_columns(payload["stats"]).to_dict()
+            except (KeyError, TypeError, ValueError):
+                self._invalidate(key)
                 return None
             self.hits += 1
             self._touch(key)
         return payload
 
-    def _load(self, key: str) -> dict | None:
-        """Read + envelope-check one entry (miss/invalidate accounting)."""
+    def _load(self, key: str) -> tuple[dict, int] | None:
+        """Read + envelope-check one entry (miss/invalidate accounting).
+
+        Returns the parsed envelope and the entry's size in bytes.
+        """
         path = self.path_for_key(key)
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            payload = json.loads(raw)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # also bytes that are not UTF-8
             self._invalidate(key)
             return None
         try:
@@ -212,7 +237,7 @@ class ResultCache:
         except (KeyError, TypeError, ValueError):
             self._invalidate(key)
             return None
-        return payload
+        return payload, len(raw)
 
     # -- write ----------------------------------------------------------
 
@@ -223,17 +248,17 @@ class ResultCache:
             "schema": CACHE_SCHEMA_VERSION,
             "spec_key": key,
             "spec": result.spec.to_wire(),
-            "stats": result.stats.to_dict(),
+            "stats": result.stats.to_columns(),
             "wall_time": result.wall_time,
         }
         with self._lock:
             if self._hot is not None:
-                # store the dict round-trip of the stats, not the live
-                # object: hot hits then match a disk read bit for bit
-                # and never alias stats the caller may still hold.
+                # store the columns' round-trip of the stats, not the
+                # live object: hot hits then match a disk read bit for
+                # bit and never alias stats the caller may still hold.
                 self._hot_store(key, RunResult(
                     spec=result.spec,
-                    stats=MachineStats.from_dict(payload["stats"]),
+                    stats=MachineStats.from_columns(payload["stats"]),
                     wall_time=result.wall_time,
                     from_cache=True,
                 ), 0)
@@ -243,12 +268,15 @@ class ResultCache:
         """Atomic file write + LRU index/hot-size bookkeeping."""
         path = self.path_for_key(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # one C-encoder call and one write: ``json.dump`` to a file
+        # always runs the pure-Python encoder, chunk by chunk
+        data = json.dumps(payload, sort_keys=True).encode()
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -257,7 +285,7 @@ class ResultCache:
                 pass
             raise
         with self._lock:
-            size = path.stat().st_size
+            size = len(data)
             if self._hot is not None and key in self._hot:
                 self._hot[key] = (self._hot[key][0], size)
             if self._index is not None:
@@ -277,15 +305,6 @@ class ResultCache:
         self._hot[key] = (result, size)
         while len(self._hot) > self.hot_entries:
             self._hot.popitem(last=False)
-
-    def _disk_size(self, key: str) -> int:
-        """Size of the entry's file, 0 if unknown (caller holds lock)."""
-        if self._index is not None:
-            return self._index.get(key, 0)
-        try:
-            return self.path_for_key(key).stat().st_size
-        except OSError:
-            return 0
 
     # -- bounds ---------------------------------------------------------
 

@@ -29,9 +29,10 @@ mis-deserializing into a subtly different machine.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.config import (
@@ -66,8 +67,17 @@ class SpecSchemaError(ValueError):
     """
 
 
+#: field names of the config dataclasses a spec nests, in declaration
+#: order.  Every field holds a scalar, an enum or a tuple of ints, so a
+#: shallow field dict serializes exactly like ``dataclasses.asdict``
+#: without its recursive deep copy.
+_NETWORK_FIELDS = tuple(f.name for f in dataclasses.fields(NetworkConfig))
+_CACHE_FIELDS = tuple(f.name for f in dataclasses.fields(CacheConfig))
+_DIRECTORY_FIELDS = tuple(f.name for f in dataclasses.fields(DirectoryConfig))
+
+
 def _network_to_dict(net: NetworkConfig) -> dict:
-    d = asdict(net)
+    d = {name: getattr(net, name) for name in _NETWORK_FIELDS}
     d["kind"] = net.kind.value
     return d
 
@@ -100,6 +110,9 @@ class RunSpec:
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
         Consistency(self.consistency)  # validate early
+        # 1 and 1.0 compare and hash equal, so they must share one key
+        # (and one cache entry) too
+        object.__setattr__(self, "scale", float(self.scale))
         # canonicalize the protocol name ("CW+P" -> "P+CW")
         object.__setattr__(
             self, "protocol", ProtocolConfig.from_name(self.protocol).name
@@ -177,8 +190,10 @@ class RunSpec:
             "scale": self.scale,
             "seed": self.seed,
             "network": _network_to_dict(self.network),
-            "cache": asdict(self.cache),
-            "directory": asdict(self.directory),
+            "cache": {name: getattr(self.cache, name)
+                      for name in _CACHE_FIELDS},
+            "directory": {name: getattr(self.directory, name)
+                          for name in _DIRECTORY_FIELDS},
             "page_placement": self.page_placement,
             "workload_kw": {k: v for k, v in self.workload_kw},
         }
