@@ -72,9 +72,13 @@ class _PendingWrite:
     deferred: list[Message] = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class SyncMarker:
-    """A release or barrier waiting for prior writes to perform."""
+    """A release or barrier waiting for prior writes to perform.
+
+    Compared by identity: two sync points with equal fields are still
+    two markers, each held by the writes it waits for.
+    """
 
     kind: str                      # 'release' | 'barrier'
     target: int                    # lock block or barrier id
@@ -157,18 +161,23 @@ class CacheController:
         self._release_acks: dict[int, deque[DoneFn]] = {}
         self._draining = False
 
-        self._handlers = {
-            MsgType.RD_RPL: self._on_rd_rpl,
-            MsgType.RDX_RPL: self._on_write_reply,
-            MsgType.OWN_ACK: self._on_write_reply,
-            MsgType.INV: self._on_inv,
-            MsgType.FETCH: self._on_fetch,
-            MsgType.FETCH_INV: self._on_fetch,
-            MsgType.WB_ACK: self._on_wb_ack,
-            MsgType.LOCK_GRANT: self._on_lock_grant,
-            MsgType.LOCK_REL_ACK: self._on_lock_rel_ack,
-            MsgType.BAR_WAKE: self._on_bar_wake,
-        }
+        #: cache-bound message type -> ``handler(msg, t)``: the base
+        #: protocol's types plus those the extensions claim.
+        self._handlers = self.extensions.cache_handlers(
+            self,
+            {
+                MsgType.RD_RPL: self._on_rd_rpl,
+                MsgType.RDX_RPL: self._on_write_reply,
+                MsgType.OWN_ACK: self._on_write_reply,
+                MsgType.INV: self._on_inv,
+                MsgType.FETCH: self._on_fetch,
+                MsgType.FETCH_INV: self._on_fetch,
+                MsgType.WB_ACK: self._on_wb_ack,
+                MsgType.LOCK_GRANT: self._on_lock_grant,
+                MsgType.LOCK_REL_ACK: self._on_lock_rel_ack,
+                MsgType.BAR_WAKE: self._on_bar_wake,
+            },
+        )
 
     # ------------------------------------------------------------------
     # processor-facing API
@@ -675,21 +684,47 @@ class CacheController:
         return self._placement.home_of_page(page, toucher=self.node_id)
 
     def send_home(
-        self, mtype: MsgType, block: int, t: int | None = None, **kw
+        self,
+        mtype: MsgType,
+        block: int,
+        t: int | None = None,
+        *,
+        prefetch: bool = False,
+        words: int = 0,
     ) -> None:
         """Send a request for ``block`` to its home node at ``t`` (now)."""
         dst = self._home_cache.get(block)
         if dst is None:
             dst = self._home_of(block)
             self._home_cache[block] = dst
+        # positional Message fields: a ``**kw`` pass-through costs a
+        # dict build and unpack per send
         self._send(
-            Message(mtype, self.node_id, dst, block, **kw),
+            Message(mtype, self.node_id, dst, block, -1, prefetch, words),
             self.sim.now if t is None else t,
         )
 
-    def reply(self, mtype: MsgType, dst: int, block: int, t: int, **kw) -> None:
+    def reply(
+        self,
+        mtype: MsgType,
+        dst: int,
+        block: int,
+        t: int,
+        *,
+        words: int = 0,
+        grant: str = "S",
+        was_modified: bool = False,
+        drop: bool = False,
+        give_up: bool = False,
+    ) -> None:
         """Send a reply/ack message to ``dst`` at time ``t``."""
-        self._send(Message(mtype, self.node_id, dst, block, **kw), t)
+        self._send(
+            Message(
+                mtype, self.node_id, dst, block, -1, False, words, grant,
+                was_modified, drop, give_up,
+            ),
+            t,
+        )
 
     def _send_barrier_arrive(self, bar_id: int, expected: int) -> None:
         dst = bar_id % self.cfg.n_procs
@@ -731,16 +766,17 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def deliver(self, msg: Message, t: int) -> None:
-        """Handle a cache-bound message arriving at time ``t``."""
+        """Handle a cache-bound message arriving at time ``t``.
+
+        The transport indexes :attr:`_handlers` once per type instead;
+        a type nobody claimed lands here and is an error.
+        """
         handler = self._handlers.get(msg.mtype)
-        if handler is not None:
-            handler(msg, t)
-            return
-        if self.extensions.on_home_reply(self, msg, t):
-            return
-        raise SimulationError(
-            f"cache {self.node_id}: unexpected {msg.mtype}"
-        )
+        if handler is None:
+            raise SimulationError(
+                f"cache {self.node_id}: unexpected {msg.mtype}"
+            )
+        handler(msg, t)
 
     def _on_rd_rpl(self, msg: Message, t: int) -> None:
         block = msg.block

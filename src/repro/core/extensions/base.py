@@ -34,8 +34,8 @@ Cache side (first argument is the
 ``on_evict(ctrl, victim)``   a line is being victimized
 ``on_invalidate(...)``       an INV arrived; return dirty words to piggyback
 ``on_release(ctrl, marker)`` a release/barrier is arming (RCpc sync point)
-``on_home_reply(...)``       handle a home-originated message type of yours
 ``cache_outstanding(ctrl)``  in-flight extension requests (quiescence checks)
+``cache_handlers(ctrl)``     claim cache-bound message types: type -> handler
 ===========================  ====================================================
 
 Home side (first argument is the
@@ -43,14 +43,13 @@ Home side (first argument is the
 
 ==================================  =============================================
 ``attach_home(home)``               create per-home state
-``home_request_types()``            extra request MsgTypes you own (queueable)
-``on_home_request(...)``            consume one of your request messages
 ``grants_exclusive_read(...)``      serve this read miss with an exclusive copy?
 ``on_ownership_requested(...)``     an OWN_REQ/RDX_REQ reached a CLEAN block
 ``on_ownership_granted(...)``       ownership was just granted to a requester
 ``on_exclusive_read_transfer(...)`` an exclusive read grant completed (XFER_ACK)
-``on_home_ack(...)``                consume an ack for one of your transactions
 ``absorb_ack_payload(...)``         charge memory for piggybacked payload
+``home_request_handlers(home)``     claim request types: type -> handler
+``home_ack_handlers(home)``         claim transaction kinds: kind -> ack handler
 ==================================  =============================================
 
 ``stats_hooks()`` reports extension-private *counters* (summable ints)
@@ -59,6 +58,15 @@ for CLI/report surfaces.
 Dispatch is deterministic: extensions run in registry order (see
 :mod:`repro.core.extensions.registry`), and decision hooks
 (``on_write``, ``absorbs_read``, ...) are first-non-default-wins.
+A hook that fewer than two extensions override is bound straight to
+that extension's method (or to the no-op default) when the pipeline
+is built, so calling it costs no dispatch loop.
+
+Message dispatch is a table per controller, filled once at build: the
+three ``*_handlers`` hooks add an extension's message types and
+transaction kinds to the base protocol's own.  The transport then
+indexes straight to the final handler; a type or kind claimed twice
+is a ``ValueError`` when the machine is built.
 """
 
 from __future__ import annotations
@@ -71,6 +79,11 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids cycles
     from repro.core.home import HomeController, Xact
     from repro.core.messages import Message, MsgType
     from repro.mem.slc import CacheLine
+
+    #: message-table entries (see the ``*_handlers`` hooks)
+    CacheHandler = Callable[[Message, int], None]
+    RequestHandler = Callable[[Message, DirectoryEntry, int], None]
+    AckHandler = Callable[[Message, Xact, DirectoryEntry, int], None]
 
 
 class ProtocolExtension:
@@ -155,29 +168,37 @@ class ProtocolExtension:
         """A release/barrier is arming: register (and count, via
         ``marker.outstanding``) everything it must wait for."""
 
-    def on_home_reply(
-        self, ctrl: "CacheController", msg: "Message", t: int
-    ) -> bool:
-        """Handle a cache-bound message type owned by this extension;
-        return True when consumed."""
-        return False
-
     def cache_outstanding(self, ctrl: "CacheController") -> int:
         """In-flight extension requests (for quiescence checks)."""
         return 0
 
+    def cache_handlers(
+        self, ctrl: "CacheController"
+    ) -> "dict[MsgType, CacheHandler]":
+        """Cache-bound message types this extension owns, each mapped
+        to its ``handler(msg, t)``.  Called once, after
+        :meth:`attach_cache`."""
+        return {}
+
     # -- home (directory) side ------------------------------------------
 
-    def home_request_types(self) -> "frozenset[MsgType]":
-        """Extra home-bound request types this extension owns.  They
-        share the base queue-on-busy serialization discipline."""
-        return frozenset()
+    def home_request_handlers(
+        self, home: "HomeController"
+    ) -> "dict[MsgType, RequestHandler]":
+        """Home-bound request types this extension owns, each mapped
+        to the ``handler(msg, entry, t)`` that consumes it against a
+        stable block.  They share the base queue-on-busy serialization
+        discipline.  Called once, after :meth:`attach_home`."""
+        return {}
 
-    def on_home_request(
-        self, home: "HomeController", msg: "Message", entry: "DirectoryEntry", t: int
-    ) -> bool:
-        """Consume a stable-state request of an owned type."""
-        return False
+    def home_ack_handlers(
+        self, home: "HomeController"
+    ) -> "dict[str, tuple[MsgType, AckHandler]]":
+        """Transaction kinds this extension opens (``Xact.kind``),
+        each mapped to the ack type that answers it and the
+        ``handler(msg, xact, entry, t)`` that consumes that ack.
+        Called once, after :meth:`attach_home`."""
+        return {}
 
     def grants_exclusive_read(
         self, home: "HomeController", entry: "DirectoryEntry", msg: "Message"
@@ -201,17 +222,6 @@ class ProtocolExtension:
         """An exclusive read grant completed (XFER_ACK from the old
         owner); ``msg.was_modified`` tells whether the owner wrote."""
 
-    def on_home_ack(
-        self,
-        home: "HomeController",
-        msg: "Message",
-        xact: "Xact",
-        entry: "DirectoryEntry",
-        t: int,
-    ) -> bool:
-        """Consume an ack that completes an extension transaction."""
-        return False
-
     def absorb_ack_payload(
         self, home: "HomeController", msg: "Message", t: int
     ) -> int:
@@ -230,8 +240,9 @@ class ProtocolExtension:
 #: hooks filtered per pipeline: dispatch walks only the extensions
 #: that actually override the hook.  Defaults are pure no-ops (and
 #: decision hooks return their first-non-default-wins identity), so
-#: skipping non-overriders is behaviour-preserving while making the
-#: common "no extension cares" case a walk over an empty tuple.
+#: skipping non-overriders is behaviour-preserving.  A hook with at
+#: most one overrider is bound straight to that method (or to the
+#: default) instead of a dispatch loop.
 _FILTERED_HOOKS = (
     "on_read_hit",
     "absorbs_read",
@@ -244,16 +255,18 @@ _FILTERED_HOOKS = (
     "on_evict",
     "on_invalidate",
     "on_release",
-    "on_home_reply",
     "cache_outstanding",
-    "on_home_request",
     "grants_exclusive_read",
     "on_ownership_requested",
     "on_ownership_granted",
     "on_exclusive_read_transfer",
-    "on_home_ack",
     "absorb_ack_payload",
 )
+
+
+#: the extension whose default hooks a pipeline binds when no
+#: extension overrides them.
+_NO_OP = ProtocolExtension()
 
 
 class ExtensionPipeline:
@@ -265,10 +278,6 @@ class ExtensionPipeline:
     dispatch is deterministic and identical on every node.
     """
 
-    __slots__ = ("extensions", "_by_name") + tuple(
-        "_" + hook for hook in _FILTERED_HOOKS
-    )
-
     def __init__(self, extensions: Sequence[ProtocolExtension] = ()) -> None:
         self.extensions: tuple[ProtocolExtension, ...] = tuple(extensions)
         self._by_name = {ext.name: ext for ext in self.extensions}
@@ -279,15 +288,17 @@ class ExtensionPipeline:
             )
         for hook in _FILTERED_HOOKS:
             default = getattr(ProtocolExtension, hook)
-            setattr(
-                self,
-                "_" + hook,
-                tuple(
-                    ext
-                    for ext in self.extensions
-                    if getattr(type(ext), hook, default) is not default
-                ),
+            overriders = tuple(
+                ext
+                for ext in self.extensions
+                if getattr(type(ext), hook, default) is not default
             )
+            setattr(self, "_" + hook, overriders)
+            if len(overriders) < 2:
+                # the instance attribute shadows the dispatch loop
+                setattr(
+                    self, hook, getattr(overriders[0] if overriders else _NO_OP, hook)
+                )
 
     def __iter__(self) -> Iterator[ProtocolExtension]:
         return iter(self.extensions)
@@ -311,6 +322,34 @@ class ExtensionPipeline:
     def attach_home(self, home: "HomeController") -> None:
         for ext in self.extensions:
             ext.attach_home(home)
+
+    # -- message tables -------------------------------------------------
+
+    def cache_handlers(self, ctrl, table: dict) -> dict:
+        """``table`` (the base handlers) plus every extension's
+        cache-bound message types."""
+        return self._claim(table, "cache_handlers", ctrl)
+
+    def home_request_handlers(self, home, table: dict) -> dict:
+        """``table`` (the base handlers) plus every extension's
+        home-bound request types."""
+        return self._claim(table, "home_request_handlers", home)
+
+    def home_ack_handlers(self, home, table: dict) -> dict:
+        """``table`` (the base handlers) plus every extension's
+        transaction kinds."""
+        return self._claim(table, "home_ack_handlers", home)
+
+    def _claim(self, table: dict, hook: str, owner) -> dict:
+        for ext in self.extensions:
+            for key, handler in getattr(ext, hook)(owner).items():
+                if key in table:
+                    raise ValueError(
+                        f"extension {ext.name!r} claims {key!r} in {hook}, "
+                        "which is already claimed"
+                    )
+                table[key] = handler
+        return table
 
     # -- cache-side dispatch --------------------------------------------
 
@@ -367,28 +406,10 @@ class ExtensionPipeline:
         for ext in self._on_release:
             ext.on_release(ctrl, marker)
 
-    def on_home_reply(self, ctrl, msg, t) -> bool:
-        for ext in self._on_home_reply:
-            if ext.on_home_reply(ctrl, msg, t):
-                return True
-        return False
-
     def cache_outstanding(self, ctrl) -> int:
         return sum(ext.cache_outstanding(ctrl) for ext in self._cache_outstanding)
 
     # -- home-side dispatch ---------------------------------------------
-
-    def home_request_types(self) -> frozenset:
-        types: frozenset = frozenset()
-        for ext in self.extensions:
-            types |= ext.home_request_types()
-        return types
-
-    def on_home_request(self, home, msg, entry, t) -> bool:
-        for ext in self._on_home_request:
-            if ext.on_home_request(home, msg, entry, t):
-                return True
-        return False
 
     def grants_exclusive_read(self, home, entry, msg) -> bool:
         for ext in self._grants_exclusive_read:
@@ -407,12 +428,6 @@ class ExtensionPipeline:
     def on_exclusive_read_transfer(self, home, entry, msg) -> None:
         for ext in self._on_exclusive_read_transfer:
             ext.on_exclusive_read_transfer(home, entry, msg)
-
-    def on_home_ack(self, home, msg, xact, entry, t) -> bool:
-        for ext in self._on_home_ack:
-            if ext.on_home_ack(home, msg, xact, entry, t):
-                return True
-        return False
 
     def absorb_ack_payload(self, home, msg, t) -> int:
         for ext in self._absorb_ack_payload:

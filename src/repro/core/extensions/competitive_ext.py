@@ -62,6 +62,7 @@ class CompetitiveExtension(ProtocolExtension):
         self.policy = CompetitivePolicy(self._params)
         self.wcache: WriteCache | None = None
         self._ctrl: "CacheController | None" = None
+        self._home: "HomeController | None" = None
         #: write-cache flushes in flight: block -> FIFO of SLWB ids
         self._pending_flushes: dict[int, deque[int]] = {}
         #: flush entries waiting for a free SLWB slot
@@ -78,9 +79,18 @@ class CompetitiveExtension(ProtocolExtension):
         if self._params.use_write_cache:
             self.wcache = WriteCache(ctrl.cfg.cache.write_cache_blocks)
 
+    def cache_handlers(self, ctrl: "CacheController") -> dict:
+        return {
+            MsgType.UPD_PROP: self._on_update,
+            MsgType.MIG_QUERY: self._on_mig_query,
+            MsgType.WC_ACK: self._on_wc_ack,
+        }
+
     def _flush_in_flight(self, block: int) -> bool:
         if block in self._pending_flushes:
             return True
+        if not self._flush_queue:
+            return False
         return any(entry.block == block for entry, _m in self._flush_queue)
 
     # -- reads ----------------------------------------------------------
@@ -189,19 +199,8 @@ class CompetitiveExtension(ProtocolExtension):
 
     # -- home-originated messages ---------------------------------------
 
-    def on_home_reply(self, ctrl, msg: Message, t: int) -> bool:
-        if msg.mtype is MsgType.UPD_PROP:
-            self._on_update(ctrl, msg, t)
-            return True
-        if msg.mtype is MsgType.MIG_QUERY:
-            self._on_mig_query(ctrl, msg, t)
-            return True
-        if msg.mtype is MsgType.WC_ACK:
-            self._on_wc_ack(ctrl, msg, t)
-            return True
-        return False
-
-    def _on_update(self, ctrl: "CacheController", msg: Message, t: int) -> None:
+    def _on_update(self, msg: Message, t: int) -> None:
+        ctrl = self._ctrl
         block = msg.block
         ctrl.stats.updates_received += 1
         t1 = ctrl.slc_finish(t)
@@ -219,7 +218,8 @@ class CompetitiveExtension(ProtocolExtension):
                 ctrl.stats.updates_dropped += 1
         ctrl.reply(MsgType.UPD_ACK, msg.src, block, t1, drop=drop)
 
-    def _on_mig_query(self, ctrl: "CacheController", msg: Message, t: int) -> None:
+    def _on_mig_query(self, msg: Message, t: int) -> None:
+        ctrl = self._ctrl
         block = msg.block
         t1 = ctrl.slc_finish(t)
         line = ctrl.slc.lookup(block)
@@ -248,7 +248,8 @@ class CompetitiveExtension(ProtocolExtension):
             MsgType.MIG_RPL, msg.src, block, t1, give_up=give_up, words=words
         )
 
-    def _on_wc_ack(self, ctrl: "CacheController", msg: Message, t: int) -> None:
+    def _on_wc_ack(self, msg: Message, t: int) -> None:
+        ctrl = self._ctrl
         block = msg.block
         fifo = self._pending_flushes.get(block)
         if not fifo:
@@ -274,14 +275,21 @@ class CompetitiveExtension(ProtocolExtension):
     # home side
     # ==================================================================
 
-    def home_request_types(self) -> frozenset:
-        return frozenset({MsgType.WC_FLUSH})
+    def attach_home(self, home: "HomeController") -> None:
+        self._home = home
 
-    def on_home_request(
-        self, home: "HomeController", msg: Message, entry: "DirectoryEntry", t: int
-    ) -> bool:
-        if msg.mtype is not MsgType.WC_FLUSH:
-            return False
+    def home_request_handlers(self, home: "HomeController") -> dict:
+        return {MsgType.WC_FLUSH: self._on_flush}
+
+    def home_ack_handlers(self, home: "HomeController") -> dict:
+        return {
+            "upd": (MsgType.UPD_ACK, self._on_upd_ack),
+            "migq": (MsgType.MIG_RPL, self._on_mig_rpl),
+            "fetch_flush": (MsgType.XFER_ACK, self._finish_fetch_flush),
+        }
+
+    def _on_flush(self, msg: Message, entry: "DirectoryEntry", t: int) -> None:
+        home = self._home
         src = msg.src
         block = msg.block
         if entry.state is MemoryState.MODIFIED:
@@ -291,7 +299,7 @@ class CompetitiveExtension(ProtocolExtension):
                     MsgType.WC_ACK, src, block,
                     home.mem_access(t, block), exclusive=True,
                 )
-                return True
+                return
             # another node holds it dirty: demote it first, then replay
             t2 = home.mem_access(t, block)
             home.open_xact(
@@ -299,7 +307,7 @@ class CompetitiveExtension(ProtocolExtension):
             )
             # requester=-1: demote and ack home, no data forwarding
             home.reply(MsgType.FETCH, entry.owner, block, t2, requester=-1)
-            return True
+            return
         t2 = home.mem_access(t, block)
         others = entry.sharers - {src}
         wants_migq = migratory.wants_interrogation(self._protocol, entry, msg)
@@ -313,10 +321,10 @@ class CompetitiveExtension(ProtocolExtension):
             )
             for node in sorted(others):
                 home.reply(MsgType.MIG_QUERY, node, block, t2)
-            return True
+            return
         if not others:
             self._finish_flush_sole(home, msg, entry, t2)
-            return True
+            return
         home.open_xact(
             block,
             Xact(kind="upd", orig=msg, acks_left=len(others),
@@ -324,32 +332,27 @@ class CompetitiveExtension(ProtocolExtension):
         )
         for node in sorted(others):
             home.reply(MsgType.UPD_PROP, node, block, t2, words=msg.words)
-        return True
 
-    def on_home_ack(
-        self, home: "HomeController", msg: Message, xact: Xact,
-        entry: "DirectoryEntry", t: int,
-    ) -> bool:
-        if msg.mtype is MsgType.UPD_ACK and xact.kind == "upd":
-            xact.acks_left -= 1
-            if msg.drop:
-                xact.droppers.add(msg.src)
-            if xact.acks_left == 0:
-                self._finish_update(home, msg.block, xact, entry, t)
-            return True
-        if msg.mtype is MsgType.MIG_RPL and xact.kind == "migq":
-            if msg.words:
-                t = home.mem_access(t, msg.block)  # piggybacked words
-            xact.acks_left -= 1
-            if msg.give_up:
-                xact.give_ups.add(msg.src)
-            if xact.acks_left == 0:
-                self._finish_interrogation(home, msg.block, xact, entry, t)
-            return True
-        if msg.mtype is MsgType.XFER_ACK and xact.kind == "fetch_flush":
-            self._finish_fetch_flush(home, msg, xact, entry, t)
-            return True
-        return False
+    def _on_upd_ack(
+        self, msg: Message, xact: Xact, entry: "DirectoryEntry", t: int
+    ) -> None:
+        xact.acks_left -= 1
+        if msg.drop:
+            xact.droppers.add(msg.src)
+        if xact.acks_left == 0:
+            self._finish_update(self._home, msg.block, xact, entry, t)
+
+    def _on_mig_rpl(
+        self, msg: Message, xact: Xact, entry: "DirectoryEntry", t: int
+    ) -> None:
+        home = self._home
+        if msg.words:
+            t = home.mem_access(t, msg.block)  # piggybacked words
+        xact.acks_left -= 1
+        if msg.give_up:
+            xact.give_ups.add(msg.src)
+        if xact.acks_left == 0:
+            self._finish_interrogation(home, msg.block, xact, entry, t)
 
     def absorb_ack_payload(
         self, home: "HomeController", msg: Message, t: int
@@ -362,9 +365,9 @@ class CompetitiveExtension(ProtocolExtension):
     # -- transaction completion -----------------------------------------
 
     def _finish_fetch_flush(
-        self, home: "HomeController", msg: Message, xact: Xact,
-        entry: "DirectoryEntry", t: int,
+        self, msg: Message, xact: Xact, entry: "DirectoryEntry", t: int
     ) -> None:
+        home = self._home
         if msg.was_modified:
             t = home.mem_access(t, msg.block)  # absorb the writeback
         entry.state = MemoryState.CLEAN

@@ -47,16 +47,6 @@ _Xact = Xact
 class HomeController:
     """Directory, lock and barrier controller for one node's memory."""
 
-    _REQUESTS = frozenset(
-        {
-            MsgType.RD_REQ,
-            MsgType.RDX_REQ,
-            MsgType.OWN_REQ,
-            MsgType.WB,
-            MsgType.REPL,
-        }
-    )
-
     def __init__(
         self,
         node_id: int,
@@ -96,10 +86,29 @@ class HomeController:
         #: pipeline (BASIC cells) makes every hook a no-op, and the
         #: falsy-tuple test below is far cheaper than the dispatch loop.
         self._exts = self.extensions.extensions
-        self._ext_requests = self.extensions.home_request_types()
-        #: base + extension request kinds, merged so ``deliver`` pays a
-        #: single membership test per message.
-        self._request_types = frozenset(self._REQUESTS | self._ext_requests)
+        #: request type -> ``handler(msg, entry, t)`` against a stable
+        #: block: the base protocol's plus those the extensions claim.
+        self._request_handlers = self.extensions.home_request_handlers(
+            self,
+            {
+                MsgType.RD_REQ: self._handle_read,
+                MsgType.RDX_REQ: self._handle_write,
+                MsgType.OWN_REQ: self._handle_write,
+                MsgType.WB: self._handle_writeback,
+                MsgType.REPL: self._handle_replacement,
+            },
+        )
+        #: transaction kind -> (the ack type that answers it,
+        #: ``handler(msg, xact, entry, t)``).
+        self._ack_handlers = self.extensions.home_ack_handlers(
+            self,
+            {
+                "fetch_read": (MsgType.XFER_ACK, self._finish_fetch),
+                "fetchinv_read": (MsgType.XFER_ACK, self._finish_fetch),
+                "fetchinv_write": (MsgType.XFER_ACK, self._finish_fetch),
+                "inv": (MsgType.INV_ACK, self._on_inv_ack),
+            },
+        )
         self._xacts: dict[int, Xact] = {}
         self._pending: dict[int, deque[Message]] = {}
         self.memory_accesses = 0
@@ -127,9 +136,27 @@ class HomeController:
         res.reservations += 1
         return end
 
-    def reply(self, mtype: MsgType, dst: int, block: int, t: int, **kw) -> None:
+    def reply(
+        self,
+        mtype: MsgType,
+        dst: int,
+        block: int,
+        t: int,
+        *,
+        requester: int = -1,
+        prefetch: bool = False,
+        words: int = 0,
+        grant: str = "S",
+        exclusive: bool = False,
+    ) -> None:
         """Send a protocol message to cache ``dst`` at time ``t``."""
-        self._send(Message(mtype, self.node_id, dst, block, **kw), t)
+        self._send(
+            Message(
+                mtype, self.node_id, dst, block, requester, prefetch, words,
+                grant, False, False, False, exclusive,
+            ),
+            t,
+        )
 
     def busy(self, block: int) -> bool:
         """True if the block is in a transient state."""
@@ -147,26 +174,17 @@ class HomeController:
 
     def deliver(self, msg: Message, t: int) -> None:
         """Handle a home-bound message arriving at time ``t``."""
-        if msg.mtype in self._request_types:
-            self._deliver_request(msg, t)
-        elif msg.mtype is MsgType.LOCK_REQ:
-            self._handle_lock_req(msg, t)
-        elif msg.mtype is MsgType.LOCK_REL:
-            self._handle_lock_rel(msg, t)
-        elif msg.mtype is MsgType.BAR_ARRIVE:
-            self._handle_barrier(msg, t)
-        else:
-            # anything else must be an ack completing a transaction
-            self._handle_ack(msg, t)
+        self.handler_for(msg.mtype)(msg, t)
 
     def handler_for(self, mtype: MsgType) -> Callable[[Message, int], None]:
         """The direct handler for a home-bound message type.
 
-        The transport resolves the handler once at send time, skipping
-        the per-delivery type dispatch of :meth:`deliver` (which stays
-        as the generic entry point for tests and replayed messages).
+        The transport resolves the handler once per type when the
+        machine is built; :meth:`deliver` is the generic entry point.
+        Anything but a request, lock or barrier message must be an ack
+        completing a transaction.
         """
-        if mtype in self._request_types:
+        if mtype in self._request_handlers:
             return self._deliver_request
         if mtype is MsgType.LOCK_REQ:
             return self._handle_lock_req
@@ -190,20 +208,12 @@ class HomeController:
         if entry is None:
             entry = DirectoryEntry(sharers=self._make_sharers())
             self._dir_entries[msg.block] = entry
-        if msg.mtype is MsgType.RD_REQ:
-            self._handle_read(msg, entry, t)
-        elif msg.mtype in (MsgType.RDX_REQ, MsgType.OWN_REQ):
-            self._handle_write(msg, entry, t)
-        elif msg.mtype is MsgType.WB:
-            self._handle_writeback(msg, entry, t)
-        elif msg.mtype is MsgType.REPL:
-            entry.sharers.discard(msg.src)
-        elif not (
-            self._exts and self.extensions.on_home_request(self, msg, entry, t)
-        ):
+        handler = self._request_handlers.get(msg.mtype)
+        if handler is None:
             raise SimulationError(
                 f"home {self.node_id}: unhandled request {msg.mtype}"
             )
+        handler(msg, entry, t)
 
     def _handle_read(self, msg: Message, entry: DirectoryEntry, t: int) -> None:
         req = msg.src
@@ -312,6 +322,11 @@ class HomeController:
         # update memory harmlessly.
         self.reply(MsgType.WB_ACK, msg.src, msg.block, t2)
 
+    def _handle_replacement(
+        self, msg: Message, entry: DirectoryEntry, t: int
+    ) -> None:
+        entry.sharers.discard(msg.src)
+
     # -- synchronization ---------------------------------------------------
 
     def _handle_lock_req(self, msg: Message, t: int) -> None:
@@ -335,31 +350,28 @@ class HomeController:
 
     # -- transaction completion -------------------------------------------
 
-    _FETCH_KINDS = ("fetch_read", "fetchinv_read", "fetchinv_write")
-
     def _handle_ack(self, msg: Message, t: int) -> None:
         xact = self._xacts.get(msg.block)
         if xact is None:
             raise SimulationError(
                 f"home {self.node_id}: stray {msg.mtype} for block {msg.block}"
             )
-        entry = self.directory.entry(msg.block)
-        if msg.mtype is MsgType.XFER_ACK and xact.kind in self._FETCH_KINDS:
-            self._finish_fetch(msg, xact, entry, t)
-            return
-        if msg.mtype is MsgType.INV_ACK:
-            if self._exts:
-                t = self.extensions.absorb_ack_payload(self, msg, t)
-            xact.acks_left -= 1
-            if xact.acks_left == 0:
-                self._finish_invalidation(msg.block, xact, entry, t)
-            return
-        if self._exts and self.extensions.on_home_ack(self, msg, xact, entry, t):
-            return
-        raise SimulationError(
-            f"home {self.node_id}: unexpected {msg.mtype} for "
-            f"{xact.kind} transaction on block {msg.block}"
-        )
+        ack = self._ack_handlers.get(xact.kind)
+        if ack is None or msg.mtype is not ack[0]:
+            raise SimulationError(
+                f"home {self.node_id}: unexpected {msg.mtype} for "
+                f"{xact.kind} transaction on block {msg.block}"
+            )
+        ack[1](msg, xact, self.directory.entry(msg.block), t)
+
+    def _on_inv_ack(
+        self, msg: Message, xact: Xact, entry: DirectoryEntry, t: int
+    ) -> None:
+        if self._exts:
+            t = self.extensions.absorb_ack_payload(self, msg, t)
+        xact.acks_left -= 1
+        if xact.acks_left == 0:
+            self._finish_invalidation(msg.block, xact, entry, t)
 
     def _finish_fetch(
         self, msg: Message, xact: Xact, entry: DirectoryEntry, t: int

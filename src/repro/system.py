@@ -70,10 +70,13 @@ class System:
         # one handler table per node, indexed by message type: every
         # type is either home- or cache-bound, so the transport indexes
         # straight to the final handler with no membership test or
-        # ``deliver`` frame per message.  Cache-bound kinds the handler
-        # table does not know (extension-owned) fall back to the
-        # dispatching ``CacheController.deliver``.
+        # ``deliver`` frame per message.  The cache's table already
+        # holds the extensions' types; a type nobody claimed falls to
+        # ``CacheController.deliver``, which rejects it.
         n_types = len(SIZE_BY_TYPE)
+        #: remote messages per type, indexed by ``int(mtype)``; named
+        #: into ``stats.network.by_type`` at the end of :meth:`run`.
+        self._msg_counts = [0] * n_types
         self._deliver_fns = []
         for n in self.nodes:
             cache = n.cache
@@ -94,10 +97,11 @@ class System:
         The hottest code in the simulator: the message size comes from
         a per-type table (variable-size kinds fall back to the
         property) and is threaded through the chain, the source-bus
-        reservation and the uniform network's accounting/arrival
-        arithmetic are inlined (the generic path stays for other
-        topologies), the delivery handler is resolved here once, and
-        the delivery event is pushed straight onto the heap.
+        reservation, the traffic accounting (per-type counts go to an
+        int-indexed list) and the uniform network's arrival arithmetic
+        are inlined (other topologies compute arrival through the
+        network), the delivery handler comes from a per-type table,
+        and the delivery event is pushed straight onto the heap.
         """
         src, dst, mtype = msg.src, msg.dst, msg.mtype
         size = SIZE_BY_TYPE[mtype]
@@ -115,22 +119,19 @@ class System:
         res._free_at = t_out
         res.busy_cycles += occ
         res.reservations += 1
-        lat = self._flat_latency
-        if lat is None:
-            self.network.record(
-                MSG_NAMES[mtype], src, dst, size, size > HEADER_BYTES
-            )
-            arrive = self.network.arrival_time(src, dst, size, t_out)
-        elif src != dst:
+        if src != dst:
+            # traffic accounting (the networks' ``record``, inlined)
             ns = self.stats.network
             ns.messages += 1
             ns.bytes += size
             if size > HEADER_BYTES:
                 ns.data_messages += 1
-            by_type = ns.by_type
-            name = MSG_NAMES[mtype]
-            by_type[name] = by_type.get(name, 0) + 1
-            arrive = t_out + lat
+            self._msg_counts[mtype] += 1
+            lat = self._flat_latency
+            if lat is None:
+                arrive = self.network.arrival_time(src, dst, size, t_out)
+            else:
+                arrive = t_out + lat
         else:
             arrive = t_out
         fn = self._deliver_fns[dst][mtype]
@@ -223,7 +224,13 @@ class System:
         self.stats.execution_time = max(
             p.finish_time for p in self.stats.procs
         )
-        self.stats.network.peak_link_utilization = (
+        net = self.stats.network
+        net.by_type = {
+            MSG_NAMES[mtype]: n
+            for mtype, n in enumerate(self._msg_counts)
+            if n
+        }
+        net.peak_link_utilization = (
             self.network.max_link_utilization(self.stats.execution_time)
         )
         return self.stats

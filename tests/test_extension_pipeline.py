@@ -64,7 +64,23 @@ def test_duplicate_instances_rejected_by_pipeline():
 def test_basic_builds_empty_pipeline():
     pipe = build_pipeline(ProtocolConfig())
     assert pipe.extensions == ()
-    assert pipe.home_request_types() == frozenset()
+    assert pipe.home_request_handlers(None, {}) == {}
+
+
+def test_hooks_with_fewer_than_two_overriders_are_bound_at_build():
+    pipe = build_pipeline(ProtocolConfig.from_name("P+CW+M"))
+    p, cw, m = pipe.extensions
+    # one overrider: its own method, no dispatch loop
+    assert pipe.on_fill == cw.on_fill
+    assert pipe.on_miss_issued == p.on_miss_issued
+    assert pipe.grants_exclusive_read == m.grants_exclusive_read
+    # two overriders (P and CW): the ordered loop
+    assert pipe.on_read_hit.__func__ is ExtensionPipeline.on_read_hit
+    # no overrider: the no-op default
+    assert pipe.on_ownership_granted.__func__ is ProtocolExtension.on_ownership_granted
+    empty = build_pipeline(ProtocolConfig())
+    assert empty.absorb_ack_payload(None, None, 7) == 7
+    assert empty.on_write(None, 0, 0, None) is None
 
 
 def test_pipeline_instantiates_enabled_extensions_in_order():

@@ -209,3 +209,51 @@ class TestCwRestrictions:
 
         with pytest.raises(ValueError):
             tiny_config("CW", consistency=Consistency.SC)
+
+
+class TestReleaseMarkers:
+    def test_field_equal_markers_are_both_held_by_a_queued_flush(self):
+        """Two releases whose markers compare equal field by field are
+        still two sync points: each must wait for the queued flush."""
+        from repro.core.cache_ctrl import SyncMarker
+        from repro.mem.write_buffers import SlwbKind
+        from repro.mem.write_cache import WriteCacheEntry
+
+        system = System(tiny_config("CW"))
+        ctrl = system.nodes[0].cache
+        ext = ctrl.extensions.get("CW")
+        # a full SLWB makes every flush wait in the flush queue
+        held = [ctrl.slwb.alloc(SlwbKind.READ) for _ in range(ctrl.slwb.capacity)]
+        ext._queue_flush(WriteCacheEntry(block=3, dirty_words={0}), markers=[])
+
+        def on_done():
+            pass
+
+        first = SyncMarker(kind="release", target=LOCK, on_done=on_done)
+        second = SyncMarker(kind="release", target=LOCK, on_done=on_done)
+        ctrl._arm_marker(first)
+        assert first.outstanding == 1
+        # a write between the two releases: arming the second marker
+        # queues its flush first (outstanding 1), so when it reaches
+        # the older queued flush every field equals those of the
+        # marker already there
+        ext.wcache.write(5, 0, had_copy=False)
+        ctrl._arm_marker(second)
+        # neither fired; the second waits for both queued flushes
+        assert second.outstanding == 2
+        assert not ctrl._release_acks
+        older, newer = (markers for _entry, markers in ext._flush_queue)
+        assert len(older) == 2
+        assert older[0] is first and older[1] is second
+        assert len(newer) == 1 and newer[0] is second
+        # each flush holds its markers once it issues
+        for eid in held[:2]:
+            ctrl.release_slwb(eid)
+        assert not ext._flush_queue
+        ((older_eid,), (newer_eid,)) = (
+            tuple(ext._pending_flushes[b]) for b in (3, 5)
+        )
+        waiting = ctrl._eid_markers[older_eid]
+        assert len(waiting) == 2
+        assert waiting[0] is first and waiting[1] is second
+        assert ctrl._eid_markers[newer_eid] == [second]
