@@ -44,7 +44,7 @@ def _protocol_arg(args) -> str:
     """The requested protocol combination.
 
     ``--extensions`` accepts any combination of registered extensions
-    ("p,m,cw", "PF+M", ...) and takes precedence over ``--protocol``,
+    ("p,m,cw", "P+M", ...) and takes precedence over ``--protocol``,
     whose choices are limited to the paper's eight combinations.
     """
     return getattr(args, "extensions", None) or args.protocol
@@ -225,12 +225,11 @@ def cmd_list_extensions(args) -> int:
             info.order,
             info.description,
             info.config_cls.__name__ if info.config_cls else "-",
-            ",".join(sorted(info.conflicts)) or "-",
         )
         for info in registered_extensions()
     ]
     print(render_table(
-        ("name", "order", "description", "config", "conflicts"),
+        ("name", "order", "description", "config"),
         rows,
         title="registered protocol extensions (pipeline order)",
     ))
@@ -477,13 +476,12 @@ def cmd_verify_registry(args) -> int:
         (
             info.name,
             info.order,
-            ",".join(sorted(info.conflicts)) or "-",
             ",".join(sorted(info.traits)) or "-",
         )
         for info in infos
     ]
     print(render_table(
-        ("name", "order", "conflicts", "traits"),
+        ("name", "order", "traits"),
         rows,
         title=f"registry ok: {len(infos)} extensions, metadata consistent",
     ))
@@ -551,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--extensions", metavar="COMBO", nargs="+" if multi else None,
                 help=(
-                    "extension combination(s), e.g. 'p,m,cw' or 'PF+M'; "
+                    "extension combination(s), e.g. 'p,m,cw' or 'P+M'; "
                     "accepts any registered extension (see "
                     "list-extensions) and overrides --protocol(s)"
                 ),
@@ -694,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
             "alphabet on a tiny machine, asserting the coherence "
             "invariants at every visited state.  With --extensions, "
             "check that one combination; without it, sweep the full "
-            "registry cross-product of conflict-free combinations x "
+            "registry cross-product of extension combinations x "
             "directory organizations x consistency models."
         ),
     )
@@ -707,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vm.add_argument(
         "--extensions", metavar="COMBO",
         help=(
-            "extension combination to check ('p,cw,m', 'PF+M', ...); "
+            "extension combination to check ('p,cw,m', 'P+M', ...); "
             "omit to sweep the full registry cross-product"
         ),
     )

@@ -116,11 +116,10 @@ class CompetitiveConfig:
 class ProtocolConfig:
     """Which extensions are stacked onto the BASIC protocol.
 
-    The paper's three extensions keep their dedicated boolean flags;
-    any further registered extension (see
-    :mod:`repro.core.extensions.registry`) is named in ``extra``.  The
-    extension registry is the source of truth for name parsing,
-    canonical ordering and capability traits.
+    Each of the paper's three extensions has a boolean flag.  The
+    extension registry (:mod:`repro.core.extensions.registry`) is the
+    source of truth for name parsing, canonical ordering and capability
+    traits.
     """
 
     prefetch: bool = False
@@ -128,36 +127,13 @@ class ProtocolConfig:
     competitive_update: bool = False
     prefetch_params: PrefetchConfig = field(default_factory=PrefetchConfig)
     competitive_params: CompetitiveConfig = field(default_factory=CompetitiveConfig)
-    #: additional registered extensions by canonical name (e.g. "PF").
-    extra: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.extra:
-            # canonicalize and conflict-check against the registry
-            from repro.core.extensions import resolve_names
-
-            active = [
-                name
-                for name, on in (
-                    ("P", self.prefetch),
-                    ("CW", self.competitive_update),
-                    ("M", self.migratory),
-                )
-                if on
-            ]
-            names = resolve_names((*active, *self.extra))
-            object.__setattr__(
-                self,
-                "extra",
-                tuple(n for n in names if n not in {"P", "CW", "M"}),
-            )
 
     @property
     def name(self) -> str:
         """Paper-style protocol name: BASIC, P, M, CW, P+CW, ...
 
-        Built from the extension registry, so drop-in extensions slot
-        into the canonical order automatically.
+        Built from the extension registry, so the parts follow its
+        canonical order.
         """
         from repro.core.extensions import registered_extensions
 
@@ -179,7 +155,6 @@ class ProtocolConfig:
             prefetch="P" in names,
             migratory="M" in names,
             competitive_update="CW" in names,
-            extra=tuple(n for n in names if n not in {"P", "M", "CW"}),
         )
 
     def has_trait(self, trait: str) -> bool:

@@ -965,12 +965,9 @@ class CacheController:
 
     @property
     def prefetcher(self):
-        """The prefetch engine, when a prefetching extension is active."""
-        for name in ("P", "PF"):
-            ext = self.extensions.get(name)
-            if ext is not None:
-                return ext.engine
-        return None
+        """The P extension's prefetch engine (None without P)."""
+        ext = self.extensions.get("P")
+        return ext.engine if ext is not None else None
 
     @property
     def wcache(self):

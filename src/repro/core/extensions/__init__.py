@@ -10,8 +10,8 @@ user-facing re-exports from here:
   :func:`registered_extensions`, :func:`resolve_names`,
   :func:`build_pipeline`, :class:`UnknownExtensionError`,
 * the built-in extensions -- :class:`PrefetchExtension` (P),
-  :class:`CompetitiveExtension` (CW), :class:`MigratoryExtension` (M)
-  and the drop-in :class:`FixedPrefetchExtension` (PF).
+  :class:`CompetitiveExtension` (CW) and :class:`MigratoryExtension`
+  (M).
 
 ``docs/protocol.md`` walks through writing a new extension.
 """
@@ -32,14 +32,12 @@ from repro.core.extensions.registry import (
 
 # importing the built-in extension modules registers them
 from repro.core.extensions.prefetch_ext import PrefetchExtension
-from repro.core.extensions.fixed_prefetch import FixedPrefetchExtension
 from repro.core.extensions.competitive_ext import CompetitiveExtension
 from repro.core.extensions.migratory_ext import MigratoryExtension
 
-# lint the assembled registry: conflict symmetry can only be judged
-# once every built-in has registered (P conflicts with PF, which
-# registers later), so the check lives here rather than in
-# ``register_extension``.
+# lint the assembled registry: order uniqueness can only be judged
+# once every built-in has registered, so the check lives here rather
+# than in ``register_extension``.
 validate_registry()
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "CompetitiveExtension",
     "ExtensionInfo",
     "ExtensionPipeline",
-    "FixedPrefetchExtension",
     "MigratoryExtension",
     "PrefetchExtension",
     "ProtocolExtension",

@@ -97,7 +97,6 @@ register_extension(
         factory=lambda proto: PrefetchExtension(proto.prefetch_params),
         enabled=lambda proto: proto.prefetch,
         config_cls=PrefetchConfig,
-        conflicts=frozenset({"PF"}),
         traits=frozenset({"prefetch", "speculative_reads"}),
     )
 )

@@ -1,7 +1,7 @@
 """Name-keyed registry of protocol extensions.
 
-Every composable protocol extension (the paper's P, CW and M, plus any
-drop-ins) registers here under its canonical short name.  The registry
+Every composable protocol extension (the paper's P, CW and M)
+registers here under its canonical short name.  The registry
 is the single source of truth for
 
 * which extension names exist (``registered_extensions``),
@@ -46,8 +46,8 @@ class RegistryError(ValueError):
 
 
 #: the machine-readable capability/verification traits an extension may
-#: declare.  ``validate_registry`` rejects unknown names, so a typo in a
-#: drop-in's metadata fails at import time instead of silently disabling
+#: declare.  ``validate_registry`` rejects unknown names, so a typo in an
+#: extension's metadata fails at import time instead of silently disabling
 #: the behavior keyed on the trait.
 #:
 #: * ``prefetch`` -- uses the deeper SLWB budget (timing/config code);
@@ -79,8 +79,6 @@ class ExtensionInfo:
     enabled: Callable[["ProtocolConfig"], bool]
     #: dataclass holding the extension's tunables (None when none).
     config_cls: type | None = None
-    #: names that cannot be combined with this extension.
-    conflicts: frozenset[str] = frozenset()
     #: capability tags consulted by config/timing code, e.g.
     #: ``"prefetch"`` (uses the deeper SLWB) or ``"requires_rc"``
     #: (invalid under sequential consistency).
@@ -115,22 +113,12 @@ def registered_extensions() -> tuple[ExtensionInfo, ...]:
 def resolve_names(names: Iterable[str]) -> tuple[str, ...]:
     """Canonicalize a collection of extension names.
 
-    Case-insensitive, deduplicating, conflict-checking; the result is
-    in registry (pipeline) order, so ``resolve_names(["m", "P"])``
-    yields ``("P", "M")`` and hashes/cache-keys stay stable regardless
-    of how the user spelled the combination.
+    Case-insensitive and deduplicating; the result is in registry
+    (pipeline) order, so ``resolve_names(["m", "P"])`` yields
+    ``("P", "M")`` and hashes/cache-keys stay stable regardless of how
+    the user spelled the combination.
     """
-    chosen: dict[str, ExtensionInfo] = {}
-    for raw in names:
-        info = extension_info(raw)
-        chosen[info.name] = info
-    for info in chosen.values():
-        hit = chosen.keys() & {c.upper() for c in info.conflicts}
-        if hit:
-            raise ValueError(
-                f"extension {info.name!r} cannot be combined with "
-                f"{sorted(hit)}"
-            )
+    chosen = {extension_info(raw).name for raw in names}
     return tuple(i.name for i in registered_extensions() if i.name in chosen)
 
 
@@ -141,17 +129,13 @@ def validate_registry(
 
     Checked properties (each with a dedicated unit test):
 
-    * every ``conflicts`` name resolves to a registered extension;
-    * conflict declarations are symmetric (A conflicts B ⇒ B conflicts
-      A), so ``resolve_names`` rejects a bad combination no matter
-      which member the user names first;
     * ``order`` values are unique, so the pipeline dispatch order never
       depends on the alphabetical tiebreak;
     * every declared trait is in :data:`KNOWN_TRAITS`.
 
     Runs against the live registry at the end of
     :mod:`repro.core.extensions` import (after every built-in has
-    registered), so a drop-in with rotten metadata fails fast.  Tests
+    registered), so an extension with rotten metadata fails fast.  Tests
     pass an explicit ``registry`` mapping to exercise violation
     classes without touching the global one.
     """
@@ -165,19 +149,6 @@ def validate_registry(
                 problems.append(
                     f"extension {key!r} declares unknown trait {trait!r}; "
                     f"known traits: {sorted(KNOWN_TRAITS)}"
-                )
-        for conflict in sorted(info.conflicts):
-            other = reg.get(conflict.upper())
-            if other is None:
-                problems.append(
-                    f"extension {key!r} declares a conflict with "
-                    f"unregistered extension {conflict!r}"
-                )
-            elif key not in {c.upper() for c in other.conflicts}:
-                problems.append(
-                    f"conflict between {key!r} and {conflict.upper()!r} "
-                    f"is not symmetric: {conflict.upper()!r} does not "
-                    f"declare {key!r} back"
                 )
     for order, keys in sorted(by_order.items()):
         if len(keys) > 1:

@@ -6,10 +6,10 @@ from repro.network.uniform import UniformNetwork
 __all__ = ["MeshNetwork", "UniformNetwork"]
 
 
-def build_network(cfg, n_nodes, stats):
+def build_network(cfg, n_nodes):
     """Instantiate the interconnect selected by ``cfg.kind``."""
     from repro.config import NetworkKind
 
     if cfg.kind is NetworkKind.MESH:
-        return MeshNetwork(cfg, n_nodes, stats)
-    return UniformNetwork(cfg, n_nodes, stats)
+        return MeshNetwork(cfg, n_nodes)
+    return UniformNetwork(cfg)

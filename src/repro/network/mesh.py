@@ -22,7 +22,6 @@ import math
 
 from repro.config import NetworkConfig
 from repro.sim.resource import FcfsResource
-from repro.stats.counters import NetworkStats
 
 
 def mesh_dims(n_nodes: int) -> tuple[int, int]:
@@ -43,7 +42,7 @@ def mesh_dims(n_nodes: int) -> tuple[int, int]:
 class MeshNetwork:
     """Dimension-order wormhole mesh with per-link FCFS contention."""
 
-    def __init__(self, cfg: NetworkConfig, n_nodes: int, stats: NetworkStats) -> None:
+    def __init__(self, cfg: NetworkConfig, n_nodes: int) -> None:
         if cfg.mesh_dims is not None:
             w, h = cfg.mesh_dims
             if w < 1 or h < 1 or w * h != n_nodes:
@@ -57,7 +56,6 @@ class MeshNetwork:
             self._dims = mesh_dims(n_nodes)
         self._width = self._dims[0]
         self._cfg = cfg
-        self._stats = stats
         self._links: dict[tuple[int, int], FcfsResource] = {}
 
     @property
@@ -107,12 +105,6 @@ class MeshNetwork:
             start = self._link(edge).reserve(t, flits)
             t = start + self._cfg.hop_cycles
         return t + flits
-
-    def record(self, mtype_name: str, src: int, dst: int, size: int,
-               carries_data: bool) -> None:
-        """Account traffic (local messages never cross the network)."""
-        if src != dst:
-            self._stats.record(mtype_name, size, carries_data)
 
     def max_link_utilization(self, elapsed: int) -> float:
         """Peak link utilization -- saturation indicator for §5.3."""

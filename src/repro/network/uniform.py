@@ -9,30 +9,21 @@ with a node-to-node latency of 54 pclocks").  Node-internal contention
 from __future__ import annotations
 
 from repro.config import NetworkConfig
-from repro.stats.counters import NetworkStats
 
 
 class UniformNetwork:
     """Infinite-bandwidth interconnect with constant latency."""
 
-    __slots__ = ("_latency", "_n_nodes", "_stats")
+    __slots__ = ("_latency",)
 
-    def __init__(self, cfg: NetworkConfig, n_nodes: int, stats: NetworkStats) -> None:
+    def __init__(self, cfg: NetworkConfig) -> None:
         self._latency = cfg.uniform_latency
-        self._n_nodes = n_nodes
-        self._stats = stats
 
     def arrival_time(self, src: int, dst: int, size_bytes: int, ready: int) -> int:
         """When a message departing at ``ready`` reaches ``dst``."""
         if src == dst:
             return ready
         return ready + self._latency
-
-    def record(self, mtype_name: str, src: int, dst: int, size: int,
-               carries_data: bool) -> None:
-        """Account traffic (local messages never cross the network)."""
-        if src != dst:
-            self._stats.record(mtype_name, size, carries_data)
 
     def max_link_utilization(self, elapsed: int) -> float:
         """Always 0.0: the uniform network is contention-free."""

@@ -96,14 +96,6 @@ class NetworkStats:
     #: §5.3 saturation indicator.
     peak_link_utilization: float = 0.0
 
-    def record(self, mtype_name: str, size: int, carries_data: bool) -> None:
-        """Account one message crossing the network."""
-        self.messages += 1
-        self.bytes += size
-        if carries_data:
-            self.data_messages += 1
-        self.by_type[mtype_name] = self.by_type.get(mtype_name, 0) + 1
-
 
 def _fields_of(cls) -> tuple[tuple[str, ...], attrgetter]:
     """A stats class's field names (declaration order, which is also

@@ -41,7 +41,7 @@ class System:
             page_size=cfg.cache.page_size,
             n_nodes=cfg.n_procs,
         )
-        self.network = build_network(cfg.network, cfg.n_procs, self.stats.network)
+        self.network = build_network(cfg.network, cfg.n_procs)
         self.placement = make_placement(cfg.page_placement, cfg.n_procs)
         self.nodes = [
             Node(
@@ -120,7 +120,7 @@ class System:
         res.busy_cycles += occ
         res.reservations += 1
         if src != dst:
-            # traffic accounting (the networks' ``record``, inlined)
+            # traffic accounting: local messages never cross the network
             ns = self.stats.network
             ns.messages += 1
             ns.bytes += size

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.config import Consistency
-from repro.core.extensions import registered_extensions, resolve_names
+from repro.core.extensions import registered_extensions
 from repro.core.invariants import InvariantViolation
 from repro.sim.engine import SimulationError
 from repro.verify.canon import StateKey, canonical_key
@@ -178,10 +178,12 @@ MATRIX_DIRECTORIES = ("full_map", "limited:1", "coarse:2")
 
 
 def registry_combos(consistency: Consistency) -> list[str]:
-    """Every conflict-free extension combination, from the registry.
+    """Every extension combination, from the registry.
 
     Includes "BASIC" (no extensions) and filters combos whose traits
-    are invalid under ``consistency`` (``requires_rc`` under SC).
+    are invalid under ``consistency`` (``requires_rc`` under SC).  Names
+    are joined in registry order, so each combo is its canonical
+    protocol name.
     """
     infos = registered_extensions()
     combos: list[str] = []
@@ -191,11 +193,7 @@ def registry_combos(consistency: Consistency) -> list[str]:
             "requires_rc" in info.traits for info in chosen
         ):
             continue
-        try:
-            names = resolve_names(info.name for info in chosen)
-        except ValueError:
-            continue  # conflicting combination (e.g. P with PF)
-        combos.append("+".join(names) if names else "BASIC")
+        combos.append("+".join(i.name for i in chosen) if chosen else "BASIC")
     return combos
 
 

@@ -58,13 +58,13 @@ class TestCompareProtocols:
         assert ranking["BASIC"].protocol == "BASIC"
 
     def test_registry_combo_resolves(self):
-        # drop-in extensions and sloppy spellings canonicalize through
-        # the extension registry, so they work anywhere the paper's
-        # eight combinations do
+        # sloppy spellings canonicalize through the extension
+        # registry, so they work anywhere the paper's eight
+        # combinations do
         ranking = api.compare_protocols(
-            "water", protocols=("BASIC", "m+pf"), scale=0.2, n_procs=4
+            "water", protocols=("BASIC", "m+p"), scale=0.2, n_procs=4
         )
-        assert ranking["PF+M"].protocol == "PF+M"
+        assert ranking["P+M"].protocol == "P+M"
 
     def test_relative_time(self):
         ranking = api.compare_protocols(

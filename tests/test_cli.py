@@ -66,9 +66,9 @@ class TestCommands:
 
     def test_run_with_extensions_combo(self, capsys):
         rc = main(["run", "--app", "water", "--scale", "0.2",
-                   "--procs", "4", "--extensions", "pf,m"])
+                   "--procs", "4", "--extensions", "p,m"])
         assert rc == 0
-        assert "water / PF+M" in capsys.readouterr().out
+        assert "water / P+M" in capsys.readouterr().out
 
     def test_compare_with_extension_combos(self, capsys):
         rc = main([
@@ -83,7 +83,7 @@ class TestCommands:
         rc = main(["list-extensions"])
         assert rc == 0
         out = capsys.readouterr().out
-        for name in ("P", "PF", "CW", "M"):
+        for name in ("P", "CW", "M"):
             assert name in out
         assert "PrefetchConfig" in out
 
@@ -161,11 +161,11 @@ class TestVerify:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        # SC matrix: BASIC, P, PF, M, P+M, PF+M (CW requires RC)
+        # SC matrix: BASIC, P, M, P+M (CW requires RC)
         assert "BASIC / full_map / SC" in out
         assert "P+M / full_map / SC" in out
         assert "CW" not in out
-        assert "6 config(s)" in out
+        assert "4 config(s)" in out
         # matrix mode keeps the per-combo listing behind --coverage
         assert "directory transitions reached" not in out
 

@@ -1,8 +1,8 @@
 """Semantics of the protocol-extension registry and pipeline.
 
 Covers the composition layer itself -- deterministic ordering, name
-resolution, conflict/unknown-name errors, zero-extension overhead and
-the PF drop-in -- as opposed to the per-protocol behaviour pinned by
+resolution, unknown-name errors and zero-extension overhead -- as
+opposed to the per-protocol behaviour pinned by
 ``tests/test_extension_parity.py``.
 """
 
@@ -16,7 +16,6 @@ from repro.core.extensions import (
     ProtocolExtension,
     UnknownExtensionError,
     build_pipeline,
-    extension_info,
     registered_extensions,
     resolve_names,
 )
@@ -26,7 +25,7 @@ from repro.workloads import build_workload
 
 def test_registry_order_is_deterministic():
     names = [info.name for info in registered_extensions()]
-    assert names == ["P", "PF", "CW", "M"]
+    assert names == ["P", "CW", "M"]
     # idempotent: the registry never reorders between calls
     assert names == [info.name for info in registered_extensions()]
 
@@ -45,13 +44,6 @@ def test_unknown_extension_name_raises():
     # catch ValueError on bad protocol strings keep working
     with pytest.raises(ValueError, match="XYZ"):
         ProtocolConfig.from_name("P+XYZ")
-
-
-def test_conflicting_extensions_rejected():
-    with pytest.raises(ValueError, match="cannot be combined"):
-        resolve_names(["P", "PF"])
-    with pytest.raises(ValueError, match="cannot be combined"):
-        ProtocolConfig.from_name("P+PF")
 
 
 def test_duplicate_instances_rejected_by_pipeline():
@@ -92,36 +84,11 @@ def test_pipeline_instantiates_enabled_extensions_in_order():
 
 
 def test_protocol_name_round_trips_through_registry():
-    for name in ("BASIC", "P", "CW", "M", "P+CW", "P+M", "CW+M", "P+CW+M", "PF"):
+    for name in ("BASIC", "P", "CW", "M", "P+CW", "P+M", "CW+M", "P+CW+M"):
         assert ProtocolConfig.from_name(name).name == name
     # sloppy spellings canonicalize
     assert ProtocolConfig.from_name("m+cw").name == "CW+M"
-    assert ProtocolConfig.from_name("pf,m").name == "PF+M"
-
-
-def test_pf_extension_is_fixed_degree_prefetch():
-    info = extension_info("pf")
-    assert info.name == "PF"
-    assert "P" in info.conflicts
-    assert "prefetch" in info.traits
-    proto = ProtocolConfig.from_name("PF")
-    assert proto.extra == ("PF",)
-    (ext,) = build_pipeline(proto).extensions
-    assert ext.name == "PF"
-    assert ext.params.adaptive is False
-
-
-def test_pf_runs_as_a_protocol_and_issues_prefetches():
-    cfg = SystemConfig(n_procs=4).with_protocol("PF")
-    streams = build_workload("mp3d", cfg, scale=0.1)
-    system = System(cfg)
-    stats = system.run(streams)
-    assert sum(c.prefetches_issued for c in stats.caches) > 0
-    # fixed-degree: the engine never adapts away from the initial degree
-    for node in system.nodes:
-        engine = node.cache.prefetcher
-        assert engine is not None
-        assert engine.degree == cfg.protocol.prefetch_params.initial_degree
+    assert ProtocolConfig.from_name("p,m").name == "P+M"
 
 
 def test_stats_hooks_are_namespaced_by_extension():

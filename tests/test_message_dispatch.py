@@ -205,6 +205,13 @@ def _remote_census(tracer: MessageTracer) -> dict[str, int]:
     return census
 
 
+def _assert_local_messages_are_not_traffic(tracer, net) -> None:
+    """Only remote messages count as network bytes, and the trace
+    does contain local ones, so the exclusion is exercised."""
+    assert any(r.src == r.dst for r in tracer)
+    assert net.bytes == sum(r.size for r in tracer if r.src != r.dst)
+
+
 def _p_cw_m_mp3d() -> tuple[System, list]:
     cfg = SystemConfig(n_procs=4).with_protocol("P+CW+M")
     return System(cfg), build_workload("mp3d", cfg, scale=0.1)
@@ -218,6 +225,7 @@ def test_tracer_census_matches_network_counters():
     net = stats.network
     assert census == net.by_type
     assert sum(net.by_type.values()) == net.messages
+    _assert_local_messages_are_not_traffic(tracer, net)
     assert net.by_type["WC_FLUSH"] > 0 and net.by_type["UPD_PROP"] > 0
     # named once, in MsgType order
     order = [MsgType[name] for name in net.by_type]
@@ -234,6 +242,7 @@ def test_mesh_network_census_matches_network_counters():
     census = _remote_census(tracer)
     assert census == stats.network.by_type
     assert sum(census.values()) == stats.network.messages
+    _assert_local_messages_are_not_traffic(tracer, stats.network)
 
 
 def test_coverage_still_records_write_cache_flushes():

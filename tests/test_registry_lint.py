@@ -16,14 +16,13 @@ from repro.core.extensions import (
 )
 
 
-def info(name, order, conflicts=(), traits=()):
+def info(name, order, traits=()):
     return ExtensionInfo(
         name=name,
         order=order,
         description=f"test extension {name}",
         factory=lambda proto: None,
         enabled=lambda proto: False,
-        conflicts=frozenset(conflicts),
         traits=frozenset(traits),
     )
 
@@ -36,40 +35,9 @@ def test_live_registry_is_clean():
     validate_registry()
 
 
-def test_builtin_conflicts_are_symmetric():
-    by_name = {i.name: i for i in registered_extensions()}
-    assert "PF" in by_name["P"].conflicts
-    assert "P" in by_name["PF"].conflicts
-
-
 def test_clean_registry_passes():
     validate_registry(
-        registry(info("A", 1, conflicts={"B"}), info("B", 2, conflicts={"A"}))
-    )
-
-
-def test_rejects_unresolvable_conflict():
-    with pytest.raises(
-        RegistryError,
-        match=r"'A' declares a conflict with unregistered extension 'GHOST'",
-    ):
-        validate_registry(registry(info("A", 1, conflicts={"GHOST"})))
-
-
-def test_rejects_asymmetric_conflict():
-    with pytest.raises(
-        RegistryError,
-        match=r"conflict between 'A' and 'B' is not symmetric: "
-              r"'B' does not declare 'A' back",
-    ):
-        validate_registry(
-            registry(info("A", 1, conflicts={"B"}), info("B", 2))
-        )
-
-
-def test_conflict_symmetry_is_case_insensitive():
-    validate_registry(
-        registry(info("A", 1, conflicts={"b"}), info("B", 2, conflicts={"a"}))
+        registry(info("A", 1, traits={"prefetch"}), info("B", 2))
     )
 
 
@@ -89,13 +57,12 @@ def test_rejects_unknown_trait():
 
 def test_reports_every_problem_at_once():
     bad = registry(
-        info("A", 1, conflicts={"GHOST"}, traits={"telepathy"}),
+        info("A", 1, traits={"telepathy"}),
         info("B", 1),
     )
     with pytest.raises(RegistryError) as exc:
         validate_registry(bad)
     message = str(exc.value)
-    assert "GHOST" in message
     assert "telepathy" in message
     assert "share pipeline order 1" in message
 

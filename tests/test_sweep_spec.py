@@ -16,8 +16,6 @@ class TestCanonicalization:
     def test_protocol_name_is_canonicalized(self):
         assert RunSpec.for_run("mp3d", protocol="CW+P").protocol == "P+CW"
         assert RunSpec.for_run("mp3d", protocol="BASIC").protocol == "BASIC"
-        # registry extensions beyond the paper's three are accepted too
-        assert RunSpec.for_run("lu", protocol="PF").protocol == "PF"
 
     @pytest.mark.parametrize("backend", ["event", "replay"])
     def test_removed_backend_field_rejected(self, backend):

@@ -108,11 +108,10 @@ def test_shrink_ops_is_greedy_deletion():
     ]
 
 
-def test_registry_combos_respect_conflicts_and_consistency():
+def test_registry_combos_respect_consistency():
     rc = registry_combos(Consistency.RC)
     assert "BASIC" in rc
     assert "P+CW+M" in rc
-    assert not any("P+PF" in c or "PF+P" in c for c in rc)
     sc = registry_combos(Consistency.SC)
     assert "BASIC" in sc
     assert not any("CW" in c for c in sc)
