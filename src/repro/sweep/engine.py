@@ -7,7 +7,8 @@ completion order:
 
 * ``serial``  -- in-process loop (the default; zero overhead),
 * ``process`` -- fan the uncached cells out across the persistent
-  warm worker pool (:mod:`repro.sweep.pool`: spawned once, reused
+  warm worker pool (:mod:`repro.sweep.pool`: started once -- forked
+  from a single-threaded parent on Linux, spawned otherwise -- reused
   across ``run()`` calls and service jobs, crash-respawned).
 
 Uncached cells are dispatched most-expensive-first through a
@@ -273,10 +274,12 @@ class SweepEngine:
                     pending.append(i)
         with self._lock:
             self.misses += len(pending)
+        pool_starts = {"forked": 0, "spawned": 0}
         try:
             if pending:
                 if self.executor == "process" and len(pending) > 1:
-                    self._run_pooled(batch, pending, results, on_result)
+                    pool_starts = self._run_pooled(batch, pending, results,
+                                                   on_result)
                 else:
                     self._run_serial(batch, pending, results, on_result)
         finally:
@@ -307,6 +310,7 @@ class SweepEngine:
             ),
             "executor": ("serial" if self.executor == "serial"
                          or len(pending) <= 1 else "process"),
+            "pool": pool_starts,
         }
         return results  # type: ignore[return-value]  # every slot filled
 
@@ -317,9 +321,12 @@ class SweepEngine:
         ``sim_time`` is the *sum* of per-cell simulation seconds (the
         work the pool performed, possibly in parallel); ``sim`` /
         ``cache`` / ``dedup`` count where each cell came from and
-        ``hot_hits`` how many cache hits never touched disk.  On an
-        engine shared by concurrent threads the digest describes
-        whichever run finished last.
+        ``hot_hits`` how many cache hits never touched disk.  ``pool``
+        counts the worker starts the run caused by method, ``{"forked":
+        n, "spawned": m}``; it reads zeros for a serial run or a warm
+        pool.  On an engine shared by concurrent threads the digest
+        describes whichever run finished last, and ``pool`` counts
+        every start the shared pool made during it.
         """
         return self._last_run_stats
 
@@ -369,14 +376,20 @@ class SweepEngine:
         """
         return sorted(pending, key=lambda i: (-estimate_cost(batch[i]), i))
 
-    def _run_pooled(self, batch, pending, results, hook) -> None:
-        """Dynamic scheduling on the long-lived shared worker pool."""
+    def _run_pooled(self, batch, pending, results, hook) -> dict:
+        """Dynamic scheduling on the long-lived shared worker pool.
+
+        The whole pending batch goes to the pool in one call, which
+        starts any workers it needs on this thread.  Returns the worker
+        starts made meanwhile, by method.
+        """
         pool = self._get_pool()
         pool.resize(self.max_workers)
-        futures = {
-            pool.submit(batch[i].to_dict(), cost=estimate_cost(batch[i])): i
-            for i in self._cost_order(batch, pending)
-        }
+        forked, spawned = pool.forked, pool.spawned
+        order = self._cost_order(batch, pending)
+        futures = dict(zip(pool.submit_batch(
+            [(batch[i].to_dict(), estimate_cost(batch[i])) for i in order]
+        ), order))
         for fut in as_completed(futures):
             payload = fut.result()  # worker errors surface here
             i = futures[fut]
@@ -385,6 +398,8 @@ class SweepEngine:
                 batch, i, len(batch), stats, payload["wall_time"],
                 results, hook,
             )
+        return {"forked": pool.forked - forked,
+                "spawned": pool.spawned - spawned}
 
     def _complete(self, batch, i, total, stats, wall_time, results,
                   hook) -> None:

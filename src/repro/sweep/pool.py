@@ -1,15 +1,28 @@
 """Persistent warm worker pool for sweep execution.
 
-A :class:`PersistentPool` owns a set of long-lived spawned worker
-processes and a cost-ordered shared task queue.  It differs from a
-per-``run()`` ``ProcessPoolExecutor`` in exactly the ways that matter
-for sweep *throughput*:
+A :class:`PersistentPool` owns a set of long-lived worker processes and
+a cost-ordered shared task queue.  It differs from a per-``run()``
+``ProcessPoolExecutor`` in exactly the ways that matter for sweep
+*throughput*:
 
-* **Spawned once, reused forever.**  Workers are started lazily on the
-  first submission and survive across ``SweepEngine.run()`` calls and
-  HTTP service jobs; the interpreter+import cost of a spawned worker
-  (hundreds of milliseconds each) is paid once per process lifetime
+* **Started once, reused forever.**  Workers are started on the first
+  submission and survive across ``SweepEngine.run()`` calls and HTTP
+  service jobs, so the start cost is paid once per process lifetime
   instead of once per sweep.
+* **Forked when that is safe, spawned otherwise.**  On Linux, a worker
+  started by the only thread of the process is forked from the
+  already-imported parent (milliseconds).  Anywhere else -- macOS and
+  Windows, the HTTP service's request threads, crash respawns made by
+  the dispatcher thread -- it is spawned as a fresh interpreter that
+  imports ``repro`` itself (hundreds of milliseconds).  A forked worker
+  closes every pool pipe end it inherited and drops inherited profile
+  and trace hooks before it serves a task, so it behaves like a
+  spawned one: it exits when the parent dies and runs unprofiled.
+* **Workers start on the submitting thread.**  :meth:`PersistentPool.
+  submit_batch` starts the workers a batch needs, then queues the batch,
+  hands idle workers their first tasks and starts the dispatcher
+  thread.  The dispatcher only assigns tasks as workers free up and
+  replaces crashed workers.
 * **Warm state.**  Each worker keeps a
   :class:`~repro.sweep.engine.WarmContext`: built workload streams are
   memoized by workload identity, so repeated cells (the same
@@ -36,12 +49,14 @@ import atexit
 import heapq
 import itertools
 import os
+import sys
 import threading
 import time
 from concurrent.futures import Future
-from multiprocessing import get_context
+from multiprocessing import Pipe, get_context
 from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Any, Optional
+from multiprocessing.process import BaseProcess
+from typing import Any, Optional, Sequence
 
 #: how many times a task is resubmitted after crashing its worker
 #: before the failure is surfaced to the caller.
@@ -70,7 +85,8 @@ def ensure_importable_by_workers() -> None:
 
     Spawned workers inherit the environment, not ``sys.path``; if the
     package was made importable by a path hack rather than an install,
-    prepend its root to ``PYTHONPATH`` before starting any worker.
+    prepend its root to ``PYTHONPATH`` before spawning a worker (a
+    forked worker has the parent's ``sys.path`` and needs nothing).
     Computed once per process and guarded against duplicate entries.
     """
     global _importable_ensured
@@ -87,6 +103,23 @@ def ensure_importable_by_workers() -> None:
     _importable_ensured = True
 
 
+def _fork_is_safe() -> bool:
+    """Whether a worker may be forked now: Linux, and the calling
+    thread is the only thread in the process.
+
+    Forking a multi-threaded process can copy a lock another thread
+    holds (CPython 3.12 warns on it), so any second thread -- a
+    Python one, including this pool's dispatcher, or a native one,
+    which only ``/proc`` shows -- means spawn.
+    """
+    if not sys.platform.startswith("linux") or threading.active_count() != 1:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 class WorkerCrashError(RuntimeError):
     """A task repeatedly crashed the worker executing it."""
 
@@ -96,9 +129,10 @@ class PoolClosedError(RuntimeError):
 
 
 def _worker_main(conn: Connection) -> None:
-    """Worker process entry: execute tasks until the sentinel arrives.
+    """Worker loop: execute tasks until the sentinel arrives.
 
-    Each message is ``{"id": int, "spec": <RunSpec dict>}``; the reply
+    Spawned workers enter here directly, forked ones through
+    :func:`_forked_worker_main`.  Each message is ``{"id": int, "spec": <RunSpec dict>}``; the reply
     carries the versioned stats payload (or an error string) plus the
     worker's warm-state counters.  Workload streams, expensive to build
     and deterministic in the spec, are memoized in a per-process
@@ -135,6 +169,31 @@ def _worker_main(conn: Connection) -> None:
         pass
 
 
+def _forked_worker_main(conn: Connection, inherited: list) -> None:
+    """Forked worker entry: drop what the fork copied, then serve.
+
+    ``inherited`` holds every pool pipe end the parent had open at the
+    fork: this worker's own parent end, its siblings' parent ends and
+    the wake pipe.  While a copy of a parent end is open, the pipe
+    never reads EOF, so a worker holding one would outlive a killed
+    parent.  Profile and trace hooks (``sys.setprofile``, and
+    ``sys.monitoring`` tools, which cProfile uses from CPython 3.12)
+    are cleared so a worker of a profiled parent runs at full speed,
+    as a spawned one does.
+    """
+    for end in inherited:
+        end.close()
+    sys.setprofile(None)
+    sys.settrace(None)
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None:
+        for tool in range(6):  # every sys.monitoring tool id
+            if monitoring.get_tool(tool) is not None:
+                monitoring.set_events(tool, 0)
+                monitoring.free_tool_id(tool)
+    _worker_main(conn)
+
+
 class _Task:
     """One submitted spec: payload, scheduling cost, completion future."""
 
@@ -164,17 +223,18 @@ class PersistentPool:
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        ensure_importable_by_workers()
-        self._ctx = get_context("spawn")
         self._lock = threading.Lock()
         self._workers: list[_Worker] = []
         self._heap: list[tuple[float, int, _Task]] = []
         self._seq = itertools.count()
         self._tasks_by_id: dict[int, _Task] = {}
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._wake_r, self._wake_w = Pipe(duplex=False)
         self._dispatcher: threading.Thread | None = None
         self._closed = False
-        #: lifetime counters (reported via :meth:`counters`).
+        #: lifetime counters (reported via :meth:`counters`); every
+        #: worker start, respawns included, counts in exactly one of
+        #: ``forked`` and ``spawned``.
+        self.forked = 0
         self.spawned = 0
         self.respawns = 0
         self.completed = 0
@@ -201,33 +261,38 @@ class PersistentPool:
             return [w.process.pid for w in self._workers
                     if w.process.pid is not None]
 
-    def _spawn_worker_locked(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,),
-            name=f"repro-sweep-worker-{self.spawned}", daemon=True,
-        )
+    def _start_worker_locked(self) -> None:
+        """Start one worker: forked if that is safe now, else spawned."""
+        parent_conn, child_conn = Pipe(duplex=True)
+        name = f"repro-sweep-worker-{self.forked + self.spawned}"
+        process: BaseProcess
+        if _fork_is_safe():
+            inherited = [w.conn for w in self._workers]
+            inherited += [parent_conn, self._wake_r, self._wake_w]
+            process = get_context("fork").Process(
+                target=_forked_worker_main, args=(child_conn, inherited),
+                name=name, daemon=True,
+            )
+            self.forked += 1
+        else:
+            ensure_importable_by_workers()
+            process = get_context("spawn").Process(
+                target=_worker_main, args=(child_conn,),
+                name=name, daemon=True,
+            )
+            self.spawned += 1
         process.start()
         child_conn.close()
-        self.spawned += 1
-        worker = _Worker(process, parent_conn)
-        self._workers.append(worker)
-        return worker
-
-    def _ensure_started_locked(self) -> None:
-        if self._dispatcher is None:
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="repro-pool-dispatch",
-                daemon=True,
-            )
-            self._dispatcher.start()
+        self._workers.append(_Worker(process, parent_conn))
 
     def resize(self, max_workers: int) -> None:
-        """Grow the pool's worker cap (never shrinks a running pool)."""
+        """Grow the pool's worker cap (never shrinks a running pool).
+
+        New workers start with the next submission.
+        """
         with self._lock:
             if max_workers > self.max_workers:
                 self.max_workers = max_workers
-        self._wake()
 
     def close(self) -> None:
         """Shut down workers and fail any pending tasks.  Idempotent."""
@@ -269,22 +334,48 @@ class PersistentPool:
     # -- submission -----------------------------------------------------
 
     def submit(self, spec_dict: dict, cost: float = 0.0) -> Future:
-        """Queue one spec dict; returns a future of the reply payload.
+        """Queue one spec dict: :meth:`submit_batch` of one item."""
+        return self.submit_batch([(spec_dict, cost)])[0]
 
-        The payload is ``{"stats": <MachineStats dict>, "wall_time":
+    def submit_batch(
+        self, items: Sequence[tuple[dict, float]],
+    ) -> list[Future]:
+        """Queue ``(spec dict, cost)`` pairs; one future per item.
+
+        Each payload is ``{"stats": <MachineStats dict>, "wall_time":
         float}``; a worker-side execution error surfaces as a
         ``RuntimeError`` on the future, a repeated worker crash as
         :class:`WorkerCrashError`.
+
+        Workers start here, on the calling thread, and on demand: the
+        pool grows to ``min(max_workers, busy + queued)`` workers, so a
+        two-cell batch on a 16-way pool starts two processes, not 16.
+        The first call starts its workers before it starts the
+        dispatcher thread, so the first batch of a single-threaded
+        process forks every worker it needs.
         """
         with self._lock:
             if self._closed:
                 raise PoolClosedError("pool is closed")
-            task = _Task(next(self._seq), spec_dict, cost)
-            self._tasks_by_id[task.id] = task
-            heapq.heappush(self._heap, (-task.cost, task.id, task))
-            self._ensure_started_locked()
+            tasks = [_Task(next(self._seq), spec_dict, cost)
+                     for spec_dict, cost in items]
+            busy = sum(1 for w in self._workers if w.task is not None)
+            wanted = min(self.max_workers,
+                         busy + len(self._heap) + len(tasks))
+            for _ in range(wanted - len(self._workers)):
+                self._start_worker_locked()
+            for task in tasks:
+                self._tasks_by_id[task.id] = task
+                heapq.heappush(self._heap, (-task.cost, task.id, task))
+            self._assign_locked()
+            if self._dispatcher is None:
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch_loop, name="repro-pool-dispatch",
+                    daemon=True,
+                )
+                self._dispatcher.start()
         self._wake()
-        return task.future
+        return [task.future for task in tasks]
 
     def _wake(self) -> None:
         try:
@@ -315,19 +406,13 @@ class PersistentPool:
             self._reap_dead()
 
     def _assign_locked(self) -> None:
-        """Hand the most expensive pending tasks to idle workers.
-
-        Workers are spawned on demand up to ``max_workers``, so a
-        two-cell batch on a 16-way pool starts two processes, not 16.
-        """
+        """Hand the most expensive pending tasks to idle workers."""
         while self._heap:
             worker = next(
                 (w for w in self._workers if w.task is None), None
             )
             if worker is None:
-                if len(self._workers) >= self.max_workers:
-                    break
-                worker = self._spawn_worker_locked()
+                break
             _, _, task = heapq.heappop(self._heap)
             worker.task = task
             try:
@@ -388,7 +473,7 @@ class PersistentPool:
                     heapq.heappush(self._heap, (-task.cost, task.id, task))
             if not self._closed:
                 self.respawns += 1
-                self._spawn_worker_locked()
+                self._start_worker_locked()
         try:
             worker.conn.close()
         except OSError:
@@ -421,7 +506,12 @@ class PersistentPool:
     # -- introspection --------------------------------------------------
 
     def counters(self) -> dict:
-        """JSON-able digest (folded into engine/service counters)."""
+        """JSON-able digest (folded into engine/service counters).
+
+        ``forked`` and ``spawned`` count worker starts by method over
+        the pool's lifetime; every start, crash respawns included,
+        counts in exactly one of them.
+        """
         with self._lock:
             warm_totals = {"workload_hits": 0, "workload_misses": 0}
             for digest in self._warm.values():
@@ -430,6 +520,7 @@ class PersistentPool:
             return {
                 "workers": len(self._workers),
                 "max_workers": self.max_workers,
+                "forked": self.forked,
                 "spawned": self.spawned,
                 "respawns": self.respawns,
                 "completed": self.completed,

@@ -1,13 +1,14 @@
-"""Worker entry point for the pool's crash-recovery test.
+"""Worker loop for the pool's crash-recovery test.
 
-The test points :class:`~repro.sweep.pool.PersistentPool` at
-:func:`held_worker_main` instead of the real worker entry.  Each worker
-it starts first blocks on the FIFO named by ``$REPRO_TEST_HOLD_FIFO``
-until the test opens that FIFO for writing and closes it again, and
-only then serves tasks exactly as :func:`repro.sweep.pool._worker_main`
-does.  The test therefore decides when a worker may finish its task,
-with no timing involved.  This module is not a test file; the spawned
-worker imports it through ``PYTHONPATH``.
+The test replaces :func:`repro.sweep.pool._worker_main`, the loop that
+forked and spawned workers both run, with :func:`held_worker_main`.
+Each worker the pool starts first blocks on the FIFO named by
+``$REPRO_TEST_HOLD_FIFO`` until the test opens that FIFO for writing
+and closes it again, and only then serves tasks exactly as the real
+loop does.  The test therefore decides when a worker may finish its
+task, with no timing involved.  This module is not a test file.  A
+forked worker has it already, imported by the test; a spawned one,
+such as the crash respawn, imports it through ``PYTHONPATH``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,13 @@ from repro.service import (
     parse_sweep_request,
     sweep_request,
 )
-from repro.sweep import ResultCache, RunSpec, SweepEngine
+from repro.sweep import (
+    ResultCache,
+    RunSpec,
+    SweepEngine,
+    shared_pool,
+    shutdown_shared_pool,
+)
 
 SPECS = [
     RunSpec.for_run("water", protocol=p, scale=0.2, n_procs=4)
@@ -153,6 +159,22 @@ class TestErrors:
         with pytest.raises(ServiceError) as err:
             client._get("/v2/anything")
         assert err.value.status == 404
+
+
+class TestPooledService:
+    def test_request_threads_spawn_the_workers(self, tmp_path):
+        """The service starts its pool from a request thread, with the
+        HTTP server's thread alive, so it must never fork."""
+        shutdown_shared_pool()
+        engine = SweepEngine(executor="process", max_workers=2,
+                             cache=ResultCache(tmp_path / "cache"))
+        with ReproService(engine) as svc:
+            client = ServiceClient(svc.url, timeout=120.0)
+            job = client.submit_and_wait(SPECS, timeout=120)
+            counters = shared_pool().counters()
+        assert job["state"] == "done"
+        assert job["sources"]["sim"] == len(SPECS)
+        assert (counters["forked"], counters["spawned"]) == (0, len(SPECS))
 
 
 class TestCrossClientDedup:

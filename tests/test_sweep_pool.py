@@ -2,20 +2,29 @@
 
 Covers the ordering-invariance guarantee (serial and persistent-pool
 sweeps of one shuffled batch produce bitwise-identical cache bytes),
-crash recovery (a worker killed mid-sweep is respawned and the sweep
-still completes correctly), the cost model, and the engine's run
-digest.
+the two worker start methods (fork from a single-threaded parent,
+spawn otherwise) in fresh interpreters, orphaned workers exiting with
+a killed parent, crash recovery (a worker killed mid-sweep is
+respawned and the sweep still completes correctly), the cost model,
+and the engine's run digest.
 """
 
+import contextlib
 import errno
+import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import pool_batch
 import pool_hold
+import repro
+from pool_batch import MATRIX
 from repro.sweep import (
     PersistentPool,
     ResultCache,
@@ -23,19 +32,17 @@ from repro.sweep import (
     SweepEngine,
     estimate_cost,
     shared_pool,
+    shutdown_shared_pool,
 )
 from repro.sweep import pool as pool_mod
 from repro.sweep.pool import PoolClosedError, ensure_importable_by_workers
 from repro.system import System
 from repro.workloads import build_workload
 
-#: a small mixed matrix: two protocols, two machine sizes, two seeds.
-MATRIX = [
-    RunSpec.for_run("water", protocol=proto, scale=0.2, n_procs=np, seed=seed)
-    for proto in ("BASIC", "P+CW")
-    for np in (2, 4)
-    for seed in (1994, 7)
-]
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="workers fork only on Linux; the exit check reads /proc",
+)
 
 
 def _wait_for(predicate, timeout: float = 120.0) -> None:
@@ -145,6 +152,88 @@ class TestOrderingInvariance:
             assert s.stats == p.stats
 
 
+#: CPython 3.12+ warns when a process with a second thread alive forks,
+#: but drops that warning silently when a filter makes it an error.  So
+#: the child runs with every DeprecationWarning an error except that
+#: one, which it prints, and the test reads its stderr.
+WARNING_FLAGS = ("-W", "error::DeprecationWarning",
+                 "-W", "always:This process:DeprecationWarning")
+FORK_WARNING = "is multi-threaded, use of fork()"
+
+
+def _pool_batch(cache_dir, *flags, stderr=None) -> subprocess.Popen:
+    """Start ``pool_batch.py`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen(
+        [sys.executable, *WARNING_FLAGS,
+         os.path.abspath(pool_batch.__file__), str(cache_dir), *flags],
+        stdout=subprocess.PIPE, stderr=stderr, env=env, text=True,
+    )
+
+
+def _pool_batch_report(cache_dir, *flags) -> dict:
+    proc = _pool_batch(cache_dir, *flags, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    assert FORK_WARNING not in err
+    return json.loads(out)
+
+
+def _exited(pid: int) -> bool:
+    """Whether ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestStartMethods:
+    """Each test runs its batch in a fresh interpreter, so the parent's
+    thread count is the test's choice, in the full suite or alone."""
+
+    @pytest.mark.parametrize("flags, starts", [
+        pytest.param((), {"forked": 2, "spawned": 0}, marks=linux_only,
+                     id="single-thread-forks"),
+        pytest.param(("--extra-thread",), {"forked": 0, "spawned": 2},
+                     id="second-thread-spawns"),
+    ])
+    def test_start_method_and_cache_bytes(self, tmp_path, flags, starts):
+        """Every worker of the batch starts by the expected method, and
+        the pooled batch writes the serial executor's cache bytes."""
+        serial = tmp_path / "serial"
+        SweepEngine(cache=ResultCache(serial)).run(MATRIX)
+        report = _pool_batch_report(tmp_path / "pooled", *flags)
+        assert report["pool"] == starts
+        assert _cache_bytes(tmp_path / "pooled") == _cache_bytes(serial)
+
+    @linux_only
+    def test_workers_exit_after_parent_is_killed(self, tmp_path):
+        """A worker must not outlive a SIGKILLed parent: its pipe reads
+        EOF only once no process holds a copy of the parent's end."""
+        proc = _pool_batch(tmp_path / "cache", "--kill-self")
+        pids: list[int] = []
+        try:
+            pids = json.loads(proc.stdout.readline())["pids"]
+            assert proc.wait(timeout=300) == -signal.SIGKILL
+            assert len(pids) == 2
+            deadline = time.monotonic() + 60.0
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, \
+                    f"orphaned workers still alive: {pids}"
+                time.sleep(0.05)
+        finally:
+            for pid in pids:
+                if not _exited(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+
+
 class TestPersistentPool:
     def test_workers_survive_across_runs(self):
         engine = SweepEngine(executor="process", max_workers=2)
@@ -190,10 +279,12 @@ class TestPersistentPool:
         the correct, complete result.
 
         Workers start through :func:`pool_hold.held_worker_main`, which
-        blocks on a test-owned FIFO before serving.  The task is
-        assigned to the held worker when it is spawned, so the kill
-        lands while the task is provably in flight, and the task can
-        only complete on the respawned worker once the test releases it.
+        blocks on a test-owned FIFO before serving.  ``submit`` starts
+        the held worker and hands it the task before it returns, so the
+        kill lands while the task is provably in flight, and the task
+        can only complete on the respawned worker once the test
+        releases it.  The respawn is made by the dispatcher thread, so
+        it is always spawned, whichever way the first worker started.
         """
         spec = RunSpec.for_run("water", n_procs=2, scale=0.2)
         cfg = spec.to_config()
@@ -216,7 +307,7 @@ class TestPersistentPool:
         try:
             fut = pool.submit(spec.to_dict())
             # a reader on the FIFO proves the worker has started, and
-            # the pool assigned it the task when it spawned it
+            # the pool assigned it the task when it started it
             stale_fd = _open_fifo_writer(path)
             try:
                 # swap a fresh FIFO in under the same name: only the
@@ -236,7 +327,10 @@ class TestPersistentPool:
             finally:
                 os.close(fd)                # release the respawned worker
             payload = fut.result(timeout=120)
-            assert pool.counters()["respawns"] == 1
+            counters = pool.counters()
+            assert counters["respawns"] == 1
+            assert counters["spawned"] >= 1, "respawns are spawned"
+            assert counters["forked"] + counters["spawned"] == 2
             assert pool.worker_pids() != victims
             # the respawned worker's result equals a direct System run
             assert payload["stats"] == expected.to_dict()
@@ -317,3 +411,19 @@ class TestLastRunStats:
         digest = engine.last_run_stats()
         assert digest["sim"] == 0 and digest["cache"] == 2
         assert digest["sim_time"] == 0
+        assert digest["pool"] == {"forked": 0, "spawned": 0}
+
+    def test_pool_entry_counts_worker_starts(self):
+        shutdown_shared_pool()
+        engine = SweepEngine(executor="process", max_workers=2)
+        engine.run(MATRIX[:4])                       # cold pool
+        cold = engine.last_run_stats()
+        assert cold["executor"] == "process"
+        assert sum(cold["pool"].values()) == 2
+        counters = engine._get_pool().counters()
+        assert cold["pool"] == {"forked": counters["forked"],
+                                "spawned": counters["spawned"]}
+
+        engine.run(MATRIX[4:])                       # warm pool
+        assert engine.last_run_stats()["pool"] == {"forked": 0,
+                                                   "spawned": 0}
