@@ -19,7 +19,9 @@ Quickstart::
     print(stats.execution_time, stats.miss_rate("coherence"))
 """
 
-from repro import api
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.config import (
     ALL_PROTOCOLS,
     SC_PROTOCOLS,
@@ -33,9 +35,47 @@ from repro.config import (
     SystemConfig,
     TimingConfig,
 )
-from repro.stats.counters import MachineStats
-from repro.sweep import ResultCache, RunResult, RunSpec, SweepEngine, sweep
+# The simulator before the stats and sweep packages: a direct
+# simulation enters the import graph here, and entering it at
+# repro.stats instead would hide an import cycle through repro.system
+# from the standalone-import checks (tests/test_lazy_imports.py).
 from repro.system import System, run_system
+from repro.stats.counters import MachineStats
+from repro.sweep.spec import RunResult, RunSpec
+
+if TYPE_CHECKING:
+    from repro import api
+    from repro.sweep import ResultCache, SweepEngine, sweep
+
+#: exports resolved on first use, by home module: a direct simulation
+#: never imports the high-level API or the sweep engine, pool and
+#: cache, nor what they import (multiprocessing, logging, ...).
+_LAZY = {
+    "api": "repro.api",
+    "ResultCache": "repro.sweep.cache",
+    "SweepEngine": "repro.sweep.engine",
+    "sweep": "repro.sweep.engine",
+}
+
+# Importing repro.sweep.spec bound the subpackage to ``sweep`` here;
+# the package's ``sweep`` export is the sweep() helper, so unbind the
+# subpackage and let __getattr__ resolve the name.
+del globals()["sweep"]
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(home)
+    value = module if name == "api" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "1.0.0"
 

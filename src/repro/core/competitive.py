@@ -24,9 +24,13 @@ always migrate to the writer so that update propagation stops (§3.4).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.config import CompetitiveConfig
-from repro.core.directory import DirectoryEntry
-from repro.mem.slc import CacheLine
+
+if TYPE_CHECKING:
+    from repro.core.directory import DirectoryEntry
+    from repro.mem.slc import CacheLine
 
 
 class CompetitivePolicy:

@@ -18,8 +18,10 @@ vanish after the first sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.system import System
+if TYPE_CHECKING:
+    from repro.system import System
 
 
 @dataclass(frozen=True)

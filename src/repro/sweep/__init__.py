@@ -19,28 +19,9 @@ Typical use::
 See ``docs/sweeps.md`` for the cache layout and invalidation rules.
 """
 
-from repro.sweep.cache import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
-    HOT_ENTRIES,
-    ResultCache,
-    default_cache_dir,
-)
-from repro.sweep.engine import (
-    EXECUTORS,
-    ProgressEvent,
-    SweepEngine,
-    execute_spec,
-    run_spec,
-    sweep,
-)
-from repro.sweep.pool import (
-    PersistentPool,
-    WorkerCrashError,
-    estimate_cost,
-    shared_pool,
-    shutdown_shared_pool,
-)
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.sweep.spec import (
     DEFAULT_SEED,
     SPEC_SCHEMA_VERSION,
@@ -48,6 +29,62 @@ from repro.sweep.spec import (
     RunSpec,
     SpecSchemaError,
 )
+
+if TYPE_CHECKING:
+    from repro.sweep.cache import (
+        CACHE_SCHEMA_VERSION,
+        DEFAULT_CACHE_DIR,
+        HOT_ENTRIES,
+        ResultCache,
+        default_cache_dir,
+    )
+    from repro.sweep.engine import (
+        EXECUTORS,
+        ProgressEvent,
+        SweepEngine,
+        execute_spec,
+        run_spec,
+        sweep,
+    )
+    from repro.sweep.pool import (
+        PersistentPool,
+        WorkerCrashError,
+        estimate_cost,
+        shared_pool,
+        shutdown_shared_pool,
+    )
+
+#: exports resolved on first use, by home module, so that naming a
+#: cell (``RunSpec``) does not import the engine, the pool and the
+#: cache, nor multiprocessing, concurrent.futures and logging.
+_LAZY = {
+    **dict.fromkeys(
+        ("CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "HOT_ENTRIES",
+         "ResultCache", "default_cache_dir"),
+        "repro.sweep.cache"),
+    **dict.fromkeys(
+        ("EXECUTORS", "ProgressEvent", "SweepEngine", "execute_spec",
+         "run_spec", "sweep"),
+        "repro.sweep.engine"),
+    **dict.fromkeys(
+        ("PersistentPool", "WorkerCrashError", "estimate_cost",
+         "shared_pool", "shutdown_shared_pool"),
+        "repro.sweep.pool"),
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",

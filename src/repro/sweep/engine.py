@@ -50,6 +50,12 @@ from repro.sweep.cache import HOT_ENTRIES, ResultCache
 from repro.sweep.pool import PersistentPool, estimate_cost, shared_pool
 from repro.sweep.spec import RunResult, RunSpec
 
+# The simulation stack is imported with the engine, not on the first
+# execute_spec call, so a pool worker forked from this process starts
+# with it loaded instead of importing it inside its first task.
+from repro.system import System
+from repro.workloads import build_workload
+
 #: executor names accepted by :class:`SweepEngine`.
 EXECUTORS = ("serial", "process")
 
@@ -92,8 +98,6 @@ def workload_key(spec: RunSpec) -> str:
 
 
 def _build_streams(spec: RunSpec, cfg):
-    from repro.workloads import build_workload
-
     return build_workload(
         spec.app, cfg, scale=spec.scale, seed=spec.seed,
         **dict(spec.workload_kw),
@@ -149,8 +153,6 @@ def execute_spec(spec: RunSpec, warm: WarmContext | None = None) -> MachineStats
     memoizes the built workload streams across calls; the result is
     identical with or without it.
     """
-    from repro.system import System
-
     cfg = spec.to_config()
     streams = (warm.streams_for(spec, cfg) if warm is not None
                else _build_streams(spec, cfg))
