@@ -223,8 +223,7 @@ class CacheController:
         res.reservations += 1
         heap = sim._heap
         if (heap and heap[0][0] <= t1) or t1 > sim._until:
-            heappush(heap, (t1, sim._seq, self._slc_read, (block, on_done, t)))
-            sim._seq += 1
+            heappush(heap, (t1, sim._next_seq(), self._slc_read, (block, on_done, t)))
             return -1
         # No event fires before the SLC lookup completes: run what the
         # scheduled ``_slc_read`` would have done now, with the clock
@@ -261,8 +260,7 @@ class CacheController:
             # for it (boundary credit or an explicit reschedule)
             sim.now = t_done
             return t_done
-        heappush(heap, (t_done, sim._seq, on_done, ()))
-        sim._seq += 1
+        heappush(heap, (t_done, sim._next_seq(), on_done, ()))
         return -1
 
     def read(self, addr: int, on_done: DoneFn) -> None:
@@ -481,8 +479,7 @@ class CacheController:
         res.busy_cycles += occ
         res.reservations += 1
         sim = self.sim
-        heappush(sim._heap, (t1, sim._seq, self._drain_head, ()))
-        sim._seq += 1
+        heappush(sim._heap, (t1, sim._next_seq(), self._drain_head, ()))
 
     def _drain_head(self) -> None:
         sim = self.sim
@@ -523,8 +520,7 @@ class CacheController:
             res.busy_cycles += occ
             res.reservations += 1
             if (heap and heap[0][0] <= t1) or t1 > sim._until:
-                heappush(heap, (t1, sim._seq, self._drain_head, ()))
-                sim._seq += 1
+                heappush(heap, (t1, sim._next_seq(), self._drain_head, ()))
                 return
             sim.now = t1
             sim._events_fired += 1
@@ -558,8 +554,7 @@ class CacheController:
             return
         sim = self.sim
         t1 = self._slc_res.finish_time(sim.now, self._slc_access)
-        heappush(sim._heap, (t1, sim._seq, self._drain_head, ()))
-        sim._seq += 1
+        heappush(sim._heap, (t1, sim._next_seq(), self._drain_head, ()))
 
     def _notify_flwb_space(self) -> None:
         while self._flwb_space_waiters and not self.flwb.full:
@@ -809,8 +804,7 @@ class CacheController:
             sim = self.sim
             heap = sim._heap
             for cb in pr.demand_waiters:
-                heappush(heap, (done, sim._seq, cb, ()))
-                sim._seq += 1
+                heappush(heap, (done, sim._next_seq(), cb, ()))
         self.release_slwb(pr.slwb_id)
         for deferred in pr.deferred:
             self.sim.at(t1, self.deliver, deferred, t1)

@@ -118,14 +118,15 @@ class Processor:
         sc = cfg.consistency is Consistency.SC
         n_procs = cfg.n_procs
         resume = self._resume
+        next_seq = sim._next_seq
         t = sim.now
-        horizon = sim._until
         credits = 0
-        # per-op counters are accumulated in locals and flushed to the
-        # stats object before every suspension
+        # busy time accumulates in a local and reaches the stats object
+        # when the stream ends (nothing reads it mid-run); reference
+        # counts go straight to the stats object at issue, so an
+        # observer firing between ops (``EpochSampler``) reads them
+        # exact without a flush at every suspension
         busy = 0
-        nreads = 0
-        nwrites = 0
         # None while ops complete on their own; a suspended blocking op
         # names the stats field its wait is charged to ("" when
         # ``_write_retry`` charges it)
@@ -135,7 +136,7 @@ class Processor:
                 busy += arg
                 t2 = t + arg
             elif kind == "read":
-                nreads += 1
+                stats.shared_reads += 1
                 block = arg // bsize
                 if flc_sets.get(block % flc_nsets) == block:
                     # FLC hit, probed without leaving the loop (the
@@ -159,7 +160,7 @@ class Processor:
                         else:
                             busy += dt
             elif kind == "write":
-                nwrites += 1
+                stats.shared_writes += 1
                 if sc:
                     cache.write_blocking_at(arg, resume, t)
                     wait = "write_stall"
@@ -196,50 +197,41 @@ class Processor:
             else:
                 raise SimulationError(f"unknown workload op {(kind, arg)!r}")
             if wait is None:
-                if not ((heap and heap[0][0] <= t2) or t2 > horizon):
+                if not ((heap and heap[0][0] <= t2) or t2 > sim._until):
                     t = t2
                     credits += 1
                     continue
                 # a queued event (or the run horizon) falls inside the
-                # window: fall back to a real completion event at t2
-                heappush(heap, (t2, sim._seq, resume, ()))
-                sim._seq += 1
-            stats.busy += busy
-            if nreads:
-                stats.shared_reads += nreads
-                nreads = 0
-            if nwrites:
-                stats.shared_writes += nwrites
-                nwrites = 0
+                # window: fall back to a real completion event at t2,
+                # which resumes the loop at t2
+                heappush(heap, (t2, next_seq(), resume, ()))
+                t = t2
             if credits:
                 sim._events_fired += credits
                 credits = 0
-            busy = 0
             yield
             if wait is not None:
                 # resumed by the op's ``on_done``: the wait ran from
                 # issue time ``t``
+                now = sim.now
                 if wait:
-                    dt = sim.now - t
+                    dt = now - t
                     if wait == "barrier":
                         stats.acquire_stall += dt
                     elif dt > flc_hit:
-                        busy = flc_hit
+                        busy += flc_hit
                         stall = getattr(stats, wait) + dt - flc_hit
                         setattr(stats, wait, stall)
                     else:
-                        busy = dt
+                        busy += dt
                 wait = None
-            t = sim.now
-            horizon = sim._until
+                t = now
         # stream exhausted at boundary ``t``; the crossing rule
         # guarantees nothing fires before ``t``, so finishing inline
         # is indistinguishable from the elided completion event.
         self.finished = True
         stats.finish_time = t
         stats.busy += busy
-        stats.shared_reads += nreads
-        stats.shared_writes += nwrites
         if credits:
             sim._events_fired += credits
         self._on_finish(self.node_id)

@@ -11,18 +11,22 @@ paper's 100 MHz clock).  Times are plain integers; fractional delays are
 rounded up by the caller where they arise (e.g. bus cycles).
 
 Fast-path contract (see docs/internals.md, "Performance notes"): the
-processor's tight issue loop consumes local hits without scheduling
-their completion events.  It relies on two intra-package invariants of
-this class: ``_heap`` is never rebound (holders of a reference always
-see the live queue), and ``_until`` always carries the active
-``run(until=...)`` horizon (:data:`NO_HORIZON` outside such a window).
-Elided events are added straight to ``_events_fired`` so
+processor's tight issue loop, the cache controller and the transport
+push onto the heap directly and consume local hits without scheduling
+their completion events.  They rely on three intra-package invariants
+of this class: ``_heap`` is never rebound (holders of a reference
+always see the live queue), every entry is ``(time, _next_seq(), fn,
+args)`` (``_next_seq`` is one shared counter, so ties break in push
+order wherever the push happens), and ``_until`` always carries the
+active ``run(until=...)`` horizon (:data:`NO_HORIZON` outside such a
+window).  Elided events are added straight to ``_events_fired`` so
 ``events_fired`` stays bit-identical to the fully event-driven model.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable
 
 #: value of ``Simulator._until`` when no bounded ``run(until=...)``
@@ -46,12 +50,14 @@ class Simulator:
     ['b', 'a']
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_events_fired", "_until")
+    __slots__ = ("now", "_heap", "_next_seq", "_events_fired", "_until")
 
     def __init__(self) -> None:
         self.now: int = 0
         self._heap: list[tuple[int, int, Callable[..., None], tuple[Any, ...]]] = []
-        self._seq: int = 0
+        #: the next tie-breaking sequence number (0, 1, 2, ...), one
+        #: C call per push.
+        self._next_seq: Callable[[], int] = itertools.count().__next__
         self._events_fired: int = 0
         self._until: int = NO_HORIZON
 
@@ -61,8 +67,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time}, current time is {self.now}"
             )
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._seq += 1
+        heapq.heappush(self._heap, (time, self._next_seq(), fn, args))
 
     def after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` pclocks from now."""
@@ -96,50 +101,45 @@ class Simulator:
         ``until`` stops the clock at a given time (events beyond it
         remain queued, and ``now`` always advances to ``until`` even if
         the queue drains -- or was empty -- first); ``max_events``
-        guards against runaway simulations.
+        guards against runaway simulations.  ``events_fired`` is exact
+        whenever control leaves the loop: the guard trips after
+        exactly ``max_events`` events, and a handler that raises has
+        been counted.
         """
         heap = self._heap
         pop = heapq.heappop
-        horizon = until if until is not None else NO_HORIZON
-        self._until = horizon
-        # The dispatch loops accumulate fired events in a local and
-        # flush it on exit: nothing reads the counter mid-run (inline
-        # fast paths only *add* their elision credits to it).
-        fired = 0
+        self._until = NO_HORIZON if until is None else until
         try:
-            if max_events is None and until is None:
+            if until is None:
+                # Counted dispatch chunks: a chunk runs no more events
+                # than the queue holds when it starts -- every event
+                # pops one entry and pushes none or more, so the queue
+                # cannot drain inside it -- nor more than the budget
+                # left (credit-aware).  The ``for`` keeps the count,
+                # added once per chunk; ``i`` names the event a
+                # raising handler stopped at.
+                limit = NO_HORIZON if max_events is None else max_events
                 while heap:
-                    time, _seq, fn, args = pop(heap)
-                    self.now = time
-                    fired += 1
-                    fn(*args)
-            elif until is None:
-                # budget-only runs check the (credit-aware) budget at
-                # chunk boundaries instead of before every event; the
-                # chunk never exceeds the remaining budget, so the
-                # guard still trips as soon as it is exhausted.
-                while heap:
-                    self._events_fired += fired
-                    fired = 0
-                    budget = max_events - self._events_fired
-                    if budget <= 0:
+                    n = limit - self._events_fired
+                    if n <= 0:
                         raise SimulationError(
                             f"event budget of {max_events} exhausted "
                             f"at t={self.now}"
                         )
-                    n = 1024 if budget > 1024 else budget
-                    while heap and n:
-                        time, _seq, fn, args = pop(heap)
-                        self.now = time
-                        fired += 1
-                        fn(*args)
-                        n -= 1
+                    if n > len(heap):
+                        n = len(heap)
+                    i = -1
+                    try:
+                        for i in range(n):
+                            time, _seq, fn, args = pop(heap)
+                            self.now = time
+                            fn(*args)
+                    finally:
+                        self._events_fired += i + 1
             else:
-                while heap:
-                    if heap[0][0] > horizon:
-                        break
+                while heap and heap[0][0] <= until:
                     if max_events is not None and (
-                        self._events_fired + fired >= max_events
+                        self._events_fired >= max_events
                     ):
                         raise SimulationError(
                             f"event budget of {max_events} exhausted "
@@ -147,10 +147,9 @@ class Simulator:
                         )
                     time, _seq, fn, args = pop(heap)
                     self.now = time
-                    fired += 1
+                    self._events_fired += 1
                     fn(*args)
         finally:
-            self._events_fired += fired
             self._until = NO_HORIZON
         if until is not None and until > self.now:
             self.now = until

@@ -67,6 +67,18 @@ class System:
         self._bus_res = [n.bus._res for n in self.nodes]
         self._bus_width = cfg.timing.bus_width_bytes
         self._bus_cycle = cfg.timing.bus_transaction
+        #: bus occupancy per message type, indexed by ``int(mtype)``;
+        #: -1 for the variable-size types, computed per message.
+        bus = self.nodes[0].bus
+        self._occ_by_type = [
+            bus.cycles_for(size) * bus.cycle_pclocks if size >= 0 else -1
+            for size in SIZE_BY_TYPE
+        ]
+        #: bytes and data-carrying messages of the variable-size types
+        #: sent remotely; the fixed-size types' totals follow from
+        #: ``_msg_counts`` at the end of :meth:`run`.
+        self._var_bytes = 0
+        self._var_data_messages = 0
         # one handler table per node, indexed by message type: every
         # type is either home- or cache-bound, so the transport indexes
         # straight to the final handler with no membership test or
@@ -94,24 +106,28 @@ class System:
     def _send(self, msg: Message, ready: int) -> None:
         """Route a message: source bus -> network -> destination bus.
 
-        The hottest code in the simulator: the message size comes from
-        a per-type table (variable-size kinds fall back to the
-        property) and is threaded through the chain, the source-bus
-        reservation, the traffic accounting (per-type counts go to an
-        int-indexed list) and the uniform network's arrival arithmetic
-        are inlined (other topologies compute arrival through the
-        network), the delivery handler comes from a per-type table,
-        and the delivery event is pushed straight onto the heap.
+        The hottest code in the simulator: the bus occupancy comes from
+        a per-type table (variable-size kinds compute it from the
+        message's size), the source-bus reservation and the uniform
+        network's arrival arithmetic are inlined (other topologies
+        compute arrival through the network), traffic is counted per
+        type in an int-indexed list (bytes and data messages only for
+        the variable-size kinds; :meth:`run` derives the rest), the
+        delivery handler comes from a per-type table, and the delivery
+        event is pushed straight onto the heap.
         """
         src, dst, mtype = msg.src, msg.dst, msg.mtype
-        size = SIZE_BY_TYPE[mtype]
-        if size < 0:
+        occ = self._occ_by_type[mtype]
+        if occ < 0:
+            # (SplitTransactionBus.cycles_for, inlined: a message is at
+            # least a header, so it takes at least one cycle)
             size = msg.size_bytes
+            occ = -(-size // self._bus_width) * self._bus_cycle
+            if src != dst:
+                self._var_bytes += size
+                if size > HEADER_BYTES:
+                    self._var_data_messages += 1
         # source-bus reservation (SplitTransactionBus.access, inlined)
-        cycles = -(-size // self._bus_width)
-        if cycles < 1:
-            cycles = 1
-        occ = cycles * self._bus_cycle
         res = self._bus_res[src]
         free = res._free_at
         start = ready if ready > free else free
@@ -119,39 +135,29 @@ class System:
         res._free_at = t_out
         res.busy_cycles += occ
         res.reservations += 1
-        if src != dst:
-            # traffic accounting: local messages never cross the network
-            ns = self.stats.network
-            ns.messages += 1
-            ns.bytes += size
-            if size > HEADER_BYTES:
-                ns.data_messages += 1
-            self._msg_counts[mtype] += 1
-            lat = self._flat_latency
-            if lat is None:
-                arrive = self.network.arrival_time(src, dst, size, t_out)
-            else:
-                arrive = t_out + lat
-        else:
-            arrive = t_out
         fn = self._deliver_fns[dst][mtype]
         sim = self.sim
         if src == dst:
             # local: a single traversal of the shared node bus
-            heappush(sim._heap, (arrive, sim._seq, fn, (msg, arrive)))
+            heappush(sim._heap, (t_out, sim._next_seq(), fn, (msg, t_out)))
+            return
+        self._msg_counts[mtype] += 1
+        lat = self._flat_latency
+        if lat is None:
+            arrive = self.network.arrival_time(src, dst, msg.size_bytes, t_out)
         else:
-            # both buses are the same width, so the destination-bus
-            # occupancy equals the one just computed for the source
-            heappush(
-                sim._heap,
-                (arrive, sim._seq, self._deliver_remote, (msg, occ, fn)),
-            )
-        sim._seq += 1
+            arrive = t_out + lat
+        # both buses are the same width, so the destination-bus
+        # occupancy equals the one just computed for the source
+        heappush(
+            sim._heap,
+            (arrive, sim._next_seq(), self._deliver_remote,
+             (msg, occ, fn, self._bus_res[dst])),
+        )
 
-    def _deliver_remote(self, msg: Message, occ: int, fn) -> None:
+    def _deliver_remote(self, msg: Message, occ: int, fn, res) -> None:
         sim = self.sim
         # destination-bus reservation (SplitTransactionBus.access, inlined)
-        res = self._bus_res[msg.dst]
         free = res._free_at
         now = sim.now
         start = now if now > free else free
@@ -170,8 +176,7 @@ class System:
             sim._events_fired += 1
             fn(msg, t_in)
         else:
-            heappush(heap, (t_in, sim._seq, fn, (msg, t_in)))
-            sim._seq += 1
+            heappush(heap, (t_in, sim._next_seq(), fn, (msg, t_in)))
 
     # ------------------------------------------------------------------
     # running
@@ -225,9 +230,17 @@ class System:
             p.finish_time for p in self.stats.procs
         )
         net = self.stats.network
+        counts = self._msg_counts
+        net.messages = sum(counts)
+        net.bytes = self._var_bytes + sum(
+            n * size for n, size in zip(counts, SIZE_BY_TYPE) if size > 0
+        )
+        net.data_messages = self._var_data_messages + sum(
+            n for n, size in zip(counts, SIZE_BY_TYPE) if size > HEADER_BYTES
+        )
         net.by_type = {
             MSG_NAMES[mtype]: n
-            for mtype, n in enumerate(self._msg_counts)
+            for mtype, n in enumerate(counts)
             if n
         }
         net.peak_link_utilization = (

@@ -1,11 +1,21 @@
 """Tests for epoch (time-series) statistics."""
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import pad_streams, tiny_config
 
 from repro.stats.epochs import Epoch, EpochSampler, sparkline
 from repro.system import System
 from repro.workloads import build_workload
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+sys.path.insert(0, str(GOLDEN_DIR))
+from regen_epoch_parity import CELLS, cell_name, sample  # noqa: E402
+
+EPOCH_GOLDEN = json.loads((GOLDEN_DIR / "epoch_parity.json").read_text())
 
 
 def run_sampled(streams, interval=100, cfg=None):
@@ -51,6 +61,14 @@ class TestSampler:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             EpochSampler(System(tiny_config()), interval=0)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: cell_name(*c))
+def test_snapshots_match_golden(cell):
+    """Every tick reads the counters exactly as pinned: the processors'
+    reference counts and the caches' miss counters are current between
+    ops, not only when the run ends."""
+    assert sample(*cell) == EPOCH_GOLDEN[cell_name(*cell)]
 
 
 class TestEpochRates:

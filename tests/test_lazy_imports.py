@@ -5,7 +5,8 @@ sweep engine, the pool or the cache resolve on first use, so a direct
 simulation loads the simulator alone.  These tests pin that import
 budget, the package exports, the engine's promise to load the
 simulation stack before a pool worker is forked from it, and that the
-modules which once sat on import cycles import on their own.
+modules which once sat on import cycles import on their own, also
+under a bare ``repro`` package whose ``__init__`` never ran.
 """
 
 import json
@@ -79,13 +80,14 @@ def test_package_exports_resolve():
     out = _python("""
         import json, sys
         import repro
+        import repro.core
         from repro import System, RunSpec, SweepEngine, api, sweep
 
         # ``repro.sweep`` is the sweep() helper; the package is here
         sweep_pkg = sys.modules["repro.sweep"]
         missing = object()
         report = {}
-        for pkg in (repro, sweep_pkg):
+        for pkg in (repro, sweep_pkg, repro.core):
             names = pkg.__all__
             report[pkg.__name__] = {
                 "unresolved": [n for n in names
@@ -101,13 +103,13 @@ def test_package_exports_resolve():
         print(json.dumps(report))
     """)
     report = json.loads(out)
-    for pkg in ("repro", "repro.sweep"):
+    for pkg in ("repro", "repro.sweep", "repro.core"):
         assert report[pkg] == {"unresolved": [], "undir": []}, pkg
     assert report["star_missing"] == []
     assert report["sweep_is_helper"] and report["api_is_module"]
 
 
-@pytest.mark.parametrize("pkg", ["repro", "repro.sweep"])
+@pytest.mark.parametrize("pkg", ["repro", "repro.sweep", "repro.core"])
 def test_unknown_attribute_names_itself(pkg):
     out = _python(f"""
         import importlib
@@ -123,3 +125,18 @@ def test_unknown_attribute_names_itself(pkg):
 @pytest.mark.parametrize("module", ONCE_CYCLIC)
 def test_module_imports_on_its_own(module):
     _python(f"import {module}")
+
+
+#: preloads an empty ``repro`` package, so ``repro/__init__`` -- which
+#: imports the simulator in a fixed order -- cannot hide a cycle.
+BARE_PACKAGE = f"""
+import sys, types
+pkg = types.ModuleType("repro")
+pkg.__path__ = [{os.path.join(SRC, "repro")!r}]
+sys.modules["repro"] = pkg
+"""
+
+
+@pytest.mark.parametrize("module", ONCE_CYCLIC)
+def test_module_imports_under_a_bare_package(module):
+    _python(BARE_PACKAGE + f"import {module}")

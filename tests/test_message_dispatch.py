@@ -19,7 +19,14 @@ from repro.core.extensions import (
     ProtocolExtension,
     build_pipeline,
 )
-from repro.core.messages import HOME_BOUND, Message, MsgType
+from repro.core.messages import (
+    HEADER_BYTES,
+    HOME_BOUND,
+    MSG_NAMES,
+    SIZE_BY_TYPE,
+    Message,
+    MsgType,
+)
 from repro.core.transactions import Xact
 from repro.node import node as node_module
 from repro.sim.engine import SimulationError
@@ -205,11 +212,16 @@ def _remote_census(tracer: MessageTracer) -> dict[str, int]:
     return census
 
 
-def _assert_local_messages_are_not_traffic(tracer, net) -> None:
-    """Only remote messages count as network bytes, and the trace
-    does contain local ones, so the exclusion is exercised."""
-    assert any(r.src == r.dst for r in tracer)
-    assert net.bytes == sum(r.size for r in tracer if r.src != r.dst)
+def _assert_totals_match_trace(tracer: MessageTracer, net) -> None:
+    """The network counters, per type and in total, are the traced
+    remote messages.  Local messages are not traffic, and the trace
+    does contain some, so their exclusion is exercised."""
+    remote = [r for r in tracer if r.src != r.dst]
+    assert len(remote) < len(tracer)
+    assert _remote_census(tracer) == net.by_type
+    assert net.messages == len(remote) == sum(net.by_type.values())
+    assert net.bytes == sum(r.size for r in remote)
+    assert net.data_messages == sum(r.size > HEADER_BYTES for r in remote)
 
 
 def _p_cw_m_mp3d() -> tuple[System, list]:
@@ -217,19 +229,68 @@ def _p_cw_m_mp3d() -> tuple[System, list]:
     return System(cfg), build_workload("mp3d", cfg, scale=0.1)
 
 
-def test_tracer_census_matches_network_counters():
-    system, streams = _p_cw_m_mp3d()
-    tracer = MessageTracer.attach(system)
-    stats = system.run(streams)
-    census = _remote_census(tracer)
+#: (app, protocol) cells on the uniform network; between them they
+#: send every variable-size message type remotely: WC_FLUSH and
+#: UPD_PROP (always with data), XFER_ACK with and without data, and
+#: INV_ACK (without, as no CW cell invalidates remotely at this size)
+CENSUS_CELLS = [
+    ("mp3d", "P+CW+M"),
+    ("ocean", "P+CW+M"),
+    ("lu", "P+CW+M"),
+    ("cholesky", "BASIC"),
+]
+VARIABLE_SIZE_TYPES = {
+    name for name, size in zip(MSG_NAMES, SIZE_BY_TYPE) if size < 0
+}
+
+
+@pytest.fixture(scope="module")
+def census_runs() -> dict:
+    """``{cell: (tracer, stats)}`` for every census cell."""
+    runs = {}
+    for app, protocol in CENSUS_CELLS:
+        cfg = SystemConfig(n_procs=4).with_protocol(protocol)
+        system = System(cfg)
+        tracer = MessageTracer.attach(system)
+        runs[app, protocol] = (
+            tracer, system.run(build_workload(app, cfg, scale=0.1))
+        )
+    return runs
+
+
+def _assert_census(tracer: MessageTracer, stats) -> None:
     net = stats.network
-    assert census == net.by_type
-    assert sum(net.by_type.values()) == net.messages
-    _assert_local_messages_are_not_traffic(tracer, net)
-    assert net.by_type["WC_FLUSH"] > 0 and net.by_type["UPD_PROP"] > 0
+    _assert_totals_match_trace(tracer, net)
     # named once, in MsgType order
     order = [MsgType[name] for name in net.by_type]
     assert order == sorted(order)
+
+
+def test_tracer_census_matches_network_counters(census_runs):
+    tracer, stats = census_runs["mp3d", "P+CW+M"]
+    _assert_census(tracer, stats)
+    net = stats.network
+    assert net.by_type["WC_FLUSH"] > 0 and net.by_type["UPD_PROP"] > 0
+
+
+@pytest.mark.parametrize("cell", CENSUS_CELLS[1:], ids="/".join)
+def test_variable_size_census_matches_network_counters(census_runs, cell):
+    _assert_census(*census_runs[cell])
+
+
+def test_census_cells_send_every_variable_size_type(census_runs):
+    sent = {
+        (r.mtype, r.size > HEADER_BYTES)
+        for tracer, _stats in census_runs.values()
+        for r in tracer
+        if r.src != r.dst and r.mtype in VARIABLE_SIZE_TYPES
+    }
+    assert VARIABLE_SIZE_TYPES == {"WC_FLUSH", "UPD_PROP", "XFER_ACK", "INV_ACK"}
+    assert {mtype for mtype, _data in sent} == VARIABLE_SIZE_TYPES
+    for mtype in ("WC_FLUSH", "UPD_PROP", "XFER_ACK"):
+        assert (mtype, True) in sent
+    for mtype in ("XFER_ACK", "INV_ACK"):
+        assert (mtype, False) in sent
 
 
 def test_mesh_network_census_matches_network_counters():
@@ -239,10 +300,8 @@ def test_mesh_network_census_matches_network_counters():
     system = System(cfg)
     tracer = MessageTracer.attach(system)
     stats = system.run(build_workload("mp3d", cfg, scale=0.1))
-    census = _remote_census(tracer)
-    assert census == stats.network.by_type
-    assert sum(census.values()) == stats.network.messages
-    _assert_local_messages_are_not_traffic(tracer, stats.network)
+    _assert_totals_match_trace(tracer, stats.network)
+    assert stats.network.data_messages > 0
 
 
 def test_coverage_still_records_write_cache_flushes():

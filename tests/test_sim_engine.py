@@ -115,3 +115,71 @@ def test_event_args_passed_through():
     sim.after(1, lambda a, b: got.append((a, b)), 1, "x")
     sim.run()
     assert got == [(1, "x")]
+
+
+def test_max_events_guard_trips_after_exactly_the_budget():
+    sim = Simulator()
+
+    def loop():
+        # bounded, so a guard that never trips fails instead of hanging
+        if sim.now < 1000:
+            sim.after(1, loop)
+
+    sim.after(0, loop)
+    with pytest.raises(SimulationError, match="budget of 100"):
+        sim.run(max_events=100)
+    assert sim.events_fired == 100
+    assert sim.now == 99
+
+
+def test_max_events_guard_spans_many_dispatch_chunks():
+    # far more queued events than the budget: the guard still trips
+    # on the exact event count, not on a chunk boundary
+    sim = Simulator()
+    for i in range(3000):
+        sim.at(i, lambda: None)
+    with pytest.raises(SimulationError, match="budget of 2500"):
+        sim.run(max_events=2500)
+    assert sim.events_fired == 2500
+    assert sim.now == 2499
+    assert sim.pending_events == 500
+
+
+def test_budget_equal_to_the_work_does_not_trip():
+    sim = Simulator()
+    for i in range(100):
+        sim.at(i, lambda: None)
+    sim.run(max_events=100)
+    assert sim.events_fired == 100
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"max_events": 1000}, {"until": 1000}],
+    ids=["unbounded", "budget", "until"],
+)
+def test_raising_handler_is_counted(kwargs):
+    sim = Simulator()
+    calls = []
+
+    def tick():
+        calls.append(sim.now)
+        if len(calls) == 5:
+            raise ValueError("boom")
+        sim.after(1, tick)
+
+    sim.after(0, tick)
+    # a few bystanders that never get to run
+    for t in (50, 60, 70):
+        sim.at(t, lambda: None)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run(**kwargs)
+    assert sim.events_fired == 5
+    assert sim.now == 4
+    assert sim.pending_events == 3
+    # the engine stays usable: the horizon was reset and the
+    # remaining events run on the next call
+    sim.run()
+    assert sim.events_fired == 8
+    assert sim.now == 70
