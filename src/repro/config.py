@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property, lru_cache
 
 
 class Consistency(Enum):
@@ -128,12 +129,13 @@ class ProtocolConfig:
     prefetch_params: PrefetchConfig = field(default_factory=PrefetchConfig)
     competitive_params: CompetitiveConfig = field(default_factory=CompetitiveConfig)
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Paper-style protocol name: BASIC, P, M, CW, P+CW, ...
 
         Built from the extension registry, so the parts follow its
-        canonical order.
+        canonical order.  Computed once per instance (the dataclass is
+        frozen).
         """
         from repro.core.extensions import registered_extensions
 
@@ -143,8 +145,17 @@ class ProtocolConfig:
         return "+".join(parts) if parts else "BASIC"
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def from_name(name: str) -> "ProtocolConfig":
-        """Parse a protocol-combination name ('BASIC', 'P+CW', 'p,cw')."""
+        """Parse a protocol-combination name ('BASIC', 'P+CW', 'p,cw').
+
+        Memoized per spelling: every caller of one name shares one
+        frozen instance.  Only successful parses are kept, so a bad
+        name raises on every call.  Extensions register at import
+        time; a registration made later does not change an earlier
+        name's parse, because :class:`ProtocolConfig` has no flag for
+        it.
+        """
         from repro.core.extensions import resolve_names
 
         if name.upper() in {"BASIC", "B-SC", ""}:

@@ -86,14 +86,19 @@ class ExtensionInfo:
 
 
 _REGISTRY: dict[str, ExtensionInfo] = {}
+#: ``_REGISTRY``'s values in pipeline order; rebuilt on registration.
+_ORDERED: tuple[ExtensionInfo, ...] = ()
 
 
 def register_extension(info: ExtensionInfo) -> ExtensionInfo:
     """Add ``info`` to the registry (module-import time)."""
+    global _ORDERED
     key = info.name.upper()
     if key in _REGISTRY:
         raise ValueError(f"extension {info.name!r} registered twice")
     _REGISTRY[key] = info
+    _ORDERED = tuple(sorted(_REGISTRY.values(),
+                            key=lambda i: (i.order, i.name)))
     return info
 
 
@@ -107,7 +112,7 @@ def extension_info(name: str) -> ExtensionInfo:
 
 def registered_extensions() -> tuple[ExtensionInfo, ...]:
     """All registered extensions in deterministic pipeline order."""
-    return tuple(sorted(_REGISTRY.values(), key=lambda i: (i.order, i.name)))
+    return _ORDERED
 
 
 def resolve_names(names: Iterable[str]) -> tuple[str, ...]:

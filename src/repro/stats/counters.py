@@ -9,6 +9,7 @@ traffic in bytes normalized to BASIC (Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 from operator import attrgetter
 
 #: version of the ``MachineStats.to_dict`` and ``to_columns`` payloads.
@@ -128,8 +129,9 @@ def _rows(cls, names: tuple[str, ...], columns) -> list:
         raise ValueError(
             f"{cls.__name__} columns {sorted(columns)} != {sorted(names)}"
         )
-    return [cls(*row)
-            for row in zip(*[columns[name] for name in names], strict=True)]
+    return list(starmap(
+        cls, zip(*[columns[name] for name in names], strict=True)
+    ))
 
 
 @dataclass(slots=True)
@@ -152,7 +154,7 @@ class MachineStats:
     # -- aggregates used by the experiment drivers ---------------------
 
     def _mean(self, attr: str) -> float:
-        return sum(getattr(p, attr) for p in self.procs) / len(self.procs)
+        return sum(map(attrgetter(attr), self.procs)) / len(self.procs)
 
     @property
     def mean_busy(self) -> float:
@@ -199,7 +201,7 @@ class MachineStats:
             "coherence": "coherence_misses",
             "total": "demand_read_misses",
         }[component]
-        return 100.0 * sum(getattr(c, key) for c in self.caches) / refs
+        return 100.0 * sum(map(attrgetter(key), self.caches)) / refs
 
     # -- serialization (sweep cache, worker processes) -----------------
 

@@ -70,7 +70,6 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 from pathlib import Path
 
 from repro.stats.counters import MachineStats
@@ -106,6 +105,8 @@ class ResultCache:
         hot_entries: int = 0,
     ) -> None:
         self.root = Path(root)
+        #: ``root`` as a string, for the read path's file names
+        self._root_str = os.fspath(self.root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
@@ -168,7 +169,9 @@ class ResultCache:
                     self.hot_hits += 1
                     self._hot.move_to_end(key)
                     self._touch(key)
-                    return replace(result, spec=spec, from_cache=True)
+                    return RunResult(spec=spec, stats=result.stats,
+                                     wall_time=result.wall_time,
+                                     from_cache=True)
                 self.hot_misses += 1
             loaded = self._load(key)
             if loaded is None:
@@ -218,11 +221,13 @@ class ResultCache:
 
         Returns the parsed envelope and the entry's size in bytes.
         """
-        path = self.path_for_key(key)
+        # a plain string path and an explicit UTF-8 decode: cheaper
+        # than a ``Path`` and ``json.loads(bytes)``'s encoding sniffing
+        path = f"{self._root_str}/{key[:2]}/{key}.json"
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-            payload = json.loads(raw)
+            payload = json.loads(raw.decode())
         except FileNotFoundError:
             self.misses += 1
             return None

@@ -32,8 +32,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any
 
 from repro.config import (
     CacheConfig,
@@ -59,6 +60,11 @@ SPEC_SCHEMA_VERSION = 4
 DEFAULT_SEED = 1994
 
 
+#: the canonical JSON form keys and wire strings are hashed and sent in;
+#: ``json.dumps`` with these options would build a new encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class SpecSchemaError(ValueError):
     """A serialized RunSpec payload cannot be deserialized safely.
 
@@ -82,6 +88,25 @@ def _network_to_dict(net: NetworkConfig) -> dict:
     return d
 
 
+def _cache_to_dict(cache: CacheConfig) -> dict:
+    return {name: getattr(cache, name) for name in _CACHE_FIELDS}
+
+
+def _directory_to_dict(directory: DirectoryConfig) -> dict:
+    return {name: getattr(directory, name) for name in _DIRECTORY_FIELDS}
+
+
+#: the sub-configs a spec gets when it leaves them unset, one frozen
+#: instance each, shared by every such spec; their field dicts are
+#: built once here, so keying a default cell rebuilds none of them.
+_DEFAULT_NETWORK = NetworkConfig()
+_DEFAULT_CACHE = CacheConfig()
+_DEFAULT_DIRECTORY = DirectoryConfig()
+_DEFAULT_NETWORK_DICT = _network_to_dict(_DEFAULT_NETWORK)
+_DEFAULT_CACHE_DICT = _cache_to_dict(_DEFAULT_CACHE)
+_DEFAULT_DIRECTORY_DICT = _directory_to_dict(_DEFAULT_DIRECTORY)
+
+
 def _network_from_dict(d: Mapping[str, Any]) -> NetworkConfig:
     d = dict(d)
     d["kind"] = NetworkKind(d["kind"])
@@ -98,9 +123,9 @@ class RunSpec:
     n_procs: int = 16
     scale: float = 1.0
     seed: int = DEFAULT_SEED
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    directory: DirectoryConfig = field(default_factory=DirectoryConfig)
+    network: NetworkConfig = _DEFAULT_NETWORK
+    cache: CacheConfig = _DEFAULT_CACHE
+    directory: DirectoryConfig = _DEFAULT_DIRECTORY
     page_placement: str = "round_robin"
     #: extra workload keyword arguments, stored as a sorted tuple of
     #: (name, value) pairs so equal dicts hash equally.
@@ -160,9 +185,10 @@ class RunSpec:
             n_procs=n_procs,
             scale=scale,
             seed=seed,
-            network=network or NetworkConfig(),
-            cache=cache or CacheConfig(),
-            directory=directory if directory is not None else DirectoryConfig(),
+            network=network or _DEFAULT_NETWORK,
+            cache=cache or _DEFAULT_CACHE,
+            directory=(directory if directory is not None
+                       else _DEFAULT_DIRECTORY),
             page_placement=page_placement,
             workload_kw=workload_kw,
         )
@@ -182,6 +208,16 @@ class RunSpec:
 
     def to_dict(self) -> dict:
         """Plain JSON-able dict; inverse of :meth:`from_dict`."""
+        d = self._shared_dict()
+        # the caller may mutate what it gets; the defaults' dicts are shared
+        for name in ("network", "cache", "directory"):
+            d[name] = dict(d[name])
+        return d
+
+    def _shared_dict(self) -> dict:
+        """:meth:`to_dict` whose sub-config dicts may be the shared
+        defaults' dicts: read it, never mutate it."""
+        net, cache, directory = self.network, self.cache, self.directory
         return {
             "app": self.app,
             "protocol": self.protocol,
@@ -189,11 +225,13 @@ class RunSpec:
             "n_procs": self.n_procs,
             "scale": self.scale,
             "seed": self.seed,
-            "network": _network_to_dict(self.network),
-            "cache": {name: getattr(self.cache, name)
-                      for name in _CACHE_FIELDS},
-            "directory": {name: getattr(self.directory, name)
-                          for name in _DIRECTORY_FIELDS},
+            "network": (_DEFAULT_NETWORK_DICT if net is _DEFAULT_NETWORK
+                        else _network_to_dict(net)),
+            "cache": (_DEFAULT_CACHE_DICT if cache is _DEFAULT_CACHE
+                      else _cache_to_dict(cache)),
+            "directory": (_DEFAULT_DIRECTORY_DICT
+                          if directory is _DEFAULT_DIRECTORY
+                          else _directory_to_dict(directory)),
             "page_placement": self.page_placement,
             "workload_kw": {k: v for k, v in self.workload_kw},
         }
@@ -254,8 +292,7 @@ class RunSpec:
 
     def to_json(self) -> str:
         """Canonical JSON string of :meth:`to_wire`."""
-        return json.dumps(self.to_wire(), sort_keys=True,
-                          separators=(",", ":"))
+        return _canonical_json(self.to_wire())
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RunSpec":
@@ -279,10 +316,8 @@ class RunSpec:
         memo = self.__dict__.get("_key")
         if memo is not None:
             return memo
-        payload = json.dumps(
-            {"schema": SPEC_SCHEMA_VERSION, "spec": self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
+        payload = _canonical_json(
+            {"schema": SPEC_SCHEMA_VERSION, "spec": self._shared_dict()}
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
         object.__setattr__(self, "_key", digest)

@@ -27,6 +27,20 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig.from_name("P+XYZ")
 
+    def test_unknown_extension_rejected_on_every_call(self):
+        # the parse memo keeps successes only: an error is never cached
+        for _ in range(3):
+            with pytest.raises(ValueError, match="XYZ"):
+                ProtocolConfig.from_name("P+XYZ")
+
+    def test_spellings_share_one_memoized_config(self):
+        configs = [ProtocolConfig.from_name(n)
+                   for n in ("cw+p", "P,CW", "p+cw", "P+CW")]
+        assert {c.name for c in configs} == {"P+CW"}
+        assert len(set(configs)) == 1
+        assert ProtocolConfig.from_name("cw+p") is configs[0]
+        assert ProtocolConfig.from_name.cache_info().maxsize is not None
+
     def test_sc_suffix_stripped(self):
         assert ProtocolConfig.from_name("B-SC").name == "BASIC"
 

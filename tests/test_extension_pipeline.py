@@ -30,6 +30,27 @@ def test_registry_order_is_deterministic():
     assert names == [info.name for info in registered_extensions()]
 
 
+def test_registered_extension_joins_the_ordered_registry(monkeypatch):
+    from repro.core.extensions import ExtensionInfo, register_extension, registry
+
+    # both restored by undo(), which takes the extension out again
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_ORDERED", registry._ORDERED)
+    info = ExtensionInfo(
+        name="ZZ", order=15, description="test-only extension",
+        factory=lambda protocol: ProtocolExtension(),
+        enabled=lambda protocol: False,
+    )
+    register_extension(info)
+    assert [i.name for i in registered_extensions()] == ["P", "ZZ", "CW", "M"]
+    assert registered_extensions()[1] is info
+    assert resolve_names(["cw", "zz"]) == ("ZZ", "CW")
+    monkeypatch.undo()
+    assert [i.name for i in registered_extensions()] == ["P", "CW", "M"]
+    with pytest.raises(UnknownExtensionError):
+        resolve_names(["ZZ"])
+
+
 def test_resolve_names_canonicalizes_spelling_and_order():
     assert resolve_names(["m", "P"]) == ("P", "M")
     assert resolve_names(["cw", "CW", "Cw"]) == ("CW",)

@@ -39,6 +39,16 @@ class TestHotTier:
         assert hot.wall_time == cold.wall_time
         assert hot.from_cache and cold.from_cache
 
+    def test_hot_hit_returns_the_callers_spec(self, tmp_path):
+        cache = ResultCache(tmp_path, hot_entries=4)
+        cache.put(result_for_seed(1))
+        spec = result_for_seed(1).spec   # equal to the stored one, not it
+        got = cache.get(spec)
+        assert cache.hot_hits == 1
+        assert got.spec is spec
+        assert got.from_cache is True
+        assert got.wall_time == 0.5
+
     def test_disk_hits_promote_into_the_hot_tier(self, tmp_path):
         ResultCache(tmp_path).put(result_for_seed(1))
         cache = ResultCache(tmp_path, hot_entries=4)

@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from repro.config import Consistency, NetworkConfig, NetworkKind
+from repro.config import (
+    CacheConfig,
+    Consistency,
+    DirectoryConfig,
+    NetworkConfig,
+    NetworkKind,
+)
 from repro.experiments.runner import limited_slc_cache, mesh_network
 from repro.sweep import SPEC_SCHEMA_VERSION, RunSpec, SpecSchemaError
 
@@ -26,6 +32,12 @@ class TestCanonicalization:
         with pytest.raises(TypeError):
             RunSpec("mp3d", backend=backend)
         assert "backend" not in RunSpec.for_run("mp3d").to_dict()
+
+    def test_protocol_spellings_share_one_key(self):
+        specs = [RunSpec.for_run("mp3d", protocol=p)
+                 for p in ("cw+p", "P,CW", "p+cw")]
+        assert {s.protocol for s in specs} == {"P+CW"}
+        assert len({s.key() for s in specs}) == 1
 
     def test_consistency_enum_becomes_value(self):
         spec = RunSpec.for_run("mp3d", consistency=Consistency.SC)
@@ -48,6 +60,27 @@ class TestHashing:
         assert a == b
         assert hash(a) == hash(b)
         assert a.key() == b.key()
+
+    def test_explicit_default_configs_key_like_implicit_ones(self):
+        implicit = RunSpec.for_run("water")
+        explicit = RunSpec.for_run(
+            "water", network=NetworkConfig(), cache=CacheConfig(),
+            directory=DirectoryConfig(),
+        )
+        # distinct instances: the key is built field by field
+        assert explicit.network is not implicit.network
+        assert explicit == implicit
+        assert explicit.key() == implicit.key() == RunSpec("water").key()
+        assert explicit.to_json() == implicit.to_json()
+
+    def test_to_dict_hands_out_copies_of_the_default_configs(self):
+        spec = RunSpec.for_run("water")
+        d = spec.to_dict()
+        d["network"]["uniform_latency"] = 1
+        d["cache"]["block_size"] = 64
+        d["directory"]["org"] = "coarse"
+        assert RunSpec.for_run("water").to_dict() == spec.to_dict()
+        assert RunSpec.for_run("water").key() == spec.key()
 
     def test_every_field_perturbs_the_key(self):
         base = RunSpec.for_run("water")
