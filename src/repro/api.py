@@ -40,7 +40,6 @@ from repro.config import (
     ALL_PROTOCOLS,
     CacheConfig,
     Consistency,
-    DirectoryConfig,
     NetworkConfig,
     ProtocolConfig,
     SystemConfig,
@@ -194,7 +193,6 @@ def _spec(
     network: NetworkConfig | None,
     cache: CacheConfig | None,
     seed: int,
-    directory: DirectoryConfig | str | None = None,
 ) -> RunSpec:
     return RunSpec.for_run(
         app,
@@ -205,7 +203,6 @@ def _spec(
         n_procs=n_procs,
         scale=scale,
         seed=seed,
-        directory=directory,
     )
 
 
@@ -218,17 +215,11 @@ def run_app(
     network: NetworkConfig | None = None,
     cache: CacheConfig | None = None,
     seed: int = DEFAULT_SEED,
-    directory: DirectoryConfig | str | None = None,
     engine: SweepEngine | None = None,
 ) -> RunSummary:
-    """Simulate one application on one machine; returns a digest.
-
-    ``directory`` selects the directory organization (a
-    :class:`~repro.config.DirectoryConfig` or a name like
-    ``"limited:4"``; default full map).
-    """
+    """Simulate one application on one machine; returns a digest."""
     spec = _spec(app, protocol, consistency, scale, n_procs, network,
-                 cache, seed, directory)
+                 cache, seed)
     engine = engine or SweepEngine()
     return RunSummary.from_result(engine.run_one(spec))
 
@@ -291,7 +282,6 @@ def compare_protocols(
     network: NetworkConfig | None = None,
     cache: CacheConfig | None = None,
     seed: int = DEFAULT_SEED,
-    directory: DirectoryConfig | str | None = None,
     baseline: str = "BASIC",
     engine: SweepEngine | None = None,
 ) -> Ranking:
@@ -306,8 +296,7 @@ def compare_protocols(
     if baseline not in protocols:
         protocols = (baseline, *protocols)
     specs = [
-        _spec(app, p, consistency, scale, n_procs, network, cache, seed,
-              directory)
+        _spec(app, p, consistency, scale, n_procs, network, cache, seed)
         for p in protocols
     ]
     engine = engine or SweepEngine()

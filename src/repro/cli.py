@@ -28,7 +28,6 @@ import sys
 from repro.config import (
     ALL_PROTOCOLS,
     Consistency,
-    DirectoryConfig,
     NetworkConfig,
     NetworkKind,
     SystemConfig,
@@ -50,32 +49,11 @@ def _protocol_arg(args) -> str:
     return getattr(args, "extensions", None) or args.protocol
 
 
-def _parse_mesh_dims(text: str) -> tuple[int, int]:
-    """Parse a ``WxH`` mesh-dimension argument (e.g. ``8x2``)."""
-    try:
-        w, h = (int(part) for part in text.lower().split("x"))
-        return w, h
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected WxH (e.g. 8x2), got {text!r}"
-        ) from None
-
-
 def _network_arg(args) -> NetworkConfig | None:
-    """The NetworkConfig described by ``--mesh`` / ``--mesh-dims``."""
-    dims = getattr(args, "mesh_dims", None)
+    """The NetworkConfig described by ``--mesh``."""
     if getattr(args, "mesh", None):
-        return NetworkConfig(
-            kind=NetworkKind.MESH, link_width_bits=args.mesh, mesh_dims=dims,
-        )
-    if dims:
-        return NetworkConfig(kind=NetworkKind.MESH, mesh_dims=dims)
+        return NetworkConfig(kind=NetworkKind.MESH, link_width_bits=args.mesh)
     return None
-
-
-def _directory_arg(args) -> DirectoryConfig:
-    return DirectoryConfig.from_name(getattr(args, "directory", None)
-                                     or "full_map")
 
 
 def _make_config(args) -> SystemConfig:
@@ -83,7 +61,6 @@ def _make_config(args) -> SystemConfig:
         n_procs=args.procs,
         consistency=Consistency(args.consistency),
         network=_network_arg(args) or NetworkConfig(),
-        directory=_directory_arg(args),
     ).with_protocol(_protocol_arg(args))
 
 
@@ -124,7 +101,6 @@ def cmd_run(args) -> int:
             network=_network_arg(args),
             n_procs=args.procs,
             scale=args.scale,
-            directory=_directory_arg(args),
         )
         engine = SweepEngine()
 
@@ -188,7 +164,6 @@ def cmd_compare(args) -> int:
             n_procs=args.procs,
             scale=args.scale,
             seed=args.seed,
-            directory=_directory_arg(args),
         )
         for proto in combos
     ]
@@ -320,7 +295,6 @@ def cmd_submit(args) -> int:
             n_procs=args.procs,
             scale=args.scale,
             seed=args.seed,
-            directory=_directory_arg(args),
         )
         for proto in combos
     ]
@@ -383,7 +357,6 @@ def cmd_verify_model(args) -> int:
             n_blocks=args.blocks,
             depth=args.depth,
             extensions=args.extensions,
-            directory=args.directory or "full_map",
             consistency=Consistency(args.consistency or "RC"),
             max_states=args.max_states,
             symmetry=not args.no_symmetry,
@@ -392,8 +365,6 @@ def cmd_verify_model(args) -> int:
         show_coverage = not args.no_coverage
     else:
         kw = {}
-        if args.directory:
-            kw["directories"] = (args.directory,)
         if args.consistency:
             kw["consistencies"] = (Consistency(args.consistency),)
         configs = matrix_configs(
@@ -449,7 +420,7 @@ def cmd_verify_fuzz(args) -> int:
             f"{failure.error}"
         )
         print(
-            f"  config: {cfg.protocol.name} / {cfg.directory.name} / "
+            f"  config: {cfg.protocol.name} / "
             f"{cfg.consistency.value}, {cfg.n_procs} procs"
         )
         for pid, stream in enumerate(failure.streams):
@@ -491,8 +462,8 @@ def cmd_verify_registry(args) -> int:
 def cmd_experiments(args) -> int:
     """Dispatch to a table/figure driver."""
     from repro.experiments import (
-        figure2, figure3, figure4, placement, report, scaling,
-        sensitivity, table1, table2, table3,
+        figure2, figure3, figure4, report, sensitivity, table1, table2,
+        table3,
     )
 
     drivers = {
@@ -503,8 +474,6 @@ def cmd_experiments(args) -> int:
         "table3": table3,
         "figure4": figure4,
         "sensitivity": sensitivity,
-        "scaling": scaling,
-        "placement": placement,
         "report": report,
     }
     driver = drivers[args.name]
@@ -518,13 +487,6 @@ def cmd_experiments(args) -> int:
             extra.append("--no-cache")
         if args.progress:
             extra.append("--progress")
-    if args.name == "scaling":
-        if args.sizes:
-            extra += ["--sizes", args.sizes]
-        if args.directories:
-            extra += ["--directories", args.directories]
-        if args.app:
-            extra += ["--app", args.app]
     driver.main(extra)
     return 0
 
@@ -560,20 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--mesh", type=int, metavar="LINK_BITS",
                 help="use a wormhole mesh with this link width",
-            )
-            p.add_argument(
-                "--mesh-dims", type=_parse_mesh_dims, metavar="WxH",
-                help=(
-                    "explicit mesh dimensions (e.g. 8x2); implies a "
-                    "mesh; default: squarest factoring of --procs"
-                ),
-            )
-            p.add_argument(
-                "--directory", metavar="ORG", default="full_map",
-                help=(
-                    "directory organization: full_map, limited[:i] "
-                    "(Dir_i-B) or coarse[:k] (default: %(default)s)"
-                ),
             )
 
     p_run = sub.add_parser("run", help="simulate one configuration")
@@ -693,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
             "invariants at every visited state.  With --extensions, "
             "check that one combination; without it, sweep the full "
             "registry cross-product of extension combinations x "
-            "directory organizations x consistency models."
+            "consistency models."
         ),
     )
     p_vm.add_argument("--nodes", type=int, default=2, metavar="N",
@@ -707,14 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "extension combination to check ('p,cw,m', 'P+M', ...); "
             "omit to sweep the full registry cross-product"
-        ),
-    )
-    p_vm.add_argument(
-        "--directory", metavar="ORG",
-        help=(
-            "directory organization: full_map, limited[:i] or "
-            "coarse[:k] (default: full_map; matrix mode sweeps "
-            "full_map, limited:1 and coarse:2)"
         ),
     )
     p_vm.add_argument(
@@ -779,22 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         choices=(
             "table1", "figure2", "table2", "figure3", "table3",
-            "figure4", "sensitivity", "scaling", "placement", "report",
+            "figure4", "sensitivity", "report",
         ),
     )
     p_ex.add_argument("--scale", type=float, default=1.0)
-    p_ex.add_argument(
-        "--sizes", default=None, metavar="N,N,...",
-        help="(scaling) comma-separated processor counts",
-    )
-    p_ex.add_argument(
-        "--directories", default=None, metavar="ORG,ORG,...",
-        help="(scaling) comma-separated directory organizations",
-    )
-    p_ex.add_argument(
-        "--app", default=None, choices=ALL_APP_NAMES,
-        help="(scaling) application to scale",
-    )
     add_sweep_args(p_ex)
     p_ex.set_defaults(fn=cmd_experiments)
 

@@ -81,9 +81,6 @@ class PrefetchConfig:
 
     initial_degree: int = 1
     max_degree: int = 8
-    #: ref [3] compares *fixed* sequential prefetching (constant K)
-    #: against the adaptive scheme; False freezes the degree.
-    adaptive: bool = True
     #: counters are modulo 16: every 16 issued prefetches the useful
     #: fraction is compared against the two thresholds below.
     window: int = 16
@@ -96,21 +93,9 @@ class CompetitiveConfig:
     """Competitive update + write cache (paper §3.3, refs [4, 10])."""
 
     #: updates tolerated with no intervening local access before the
-    #: local copy self-invalidates.  1 with write caches (the paper's
-    #: recommendation); 4 without.
+    #: local copy self-invalidates (1: the paper's recommendation with
+    #: write caches).
     threshold: int = 1
-    use_write_cache: bool = True
-    #: let the home grant exclusive ownership to a flusher that is the
-    #: sole remaining sharer.  Saves single-user update traffic but
-    #: re-creates dirty-at-cache blocks, lengthening other processors'
-    #: coherence misses -- off by default, kept for the ablation bench.
-    exclusive_grant: bool = False
-
-    @staticmethod
-    def classic() -> "CompetitiveConfig":
-        """Ref [10]'s protocol: per-write updates, threshold 4, no
-        write cache -- the baseline §3.3 improves on."""
-        return CompetitiveConfig(threshold=4, use_write_cache=False)
 
 
 @dataclass(frozen=True)
@@ -199,88 +184,6 @@ class NetworkConfig:
     hop_cycles: int = 2
     #: message header size in bytes (address + type + routing info).
     header_bytes: int = 8
-    #: explicit mesh ``(width, height)``; None factors the node count
-    #: into the squarest W x H rectangle (16 -> 4x4, 12 -> 4x3).
-    mesh_dims: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.mesh_dims is not None:
-            dims = tuple(int(d) for d in self.mesh_dims)
-            if len(dims) != 2:
-                raise ValueError(
-                    f"mesh_dims must be a (width, height) pair, "
-                    f"got {self.mesh_dims!r}"
-                )
-            object.__setattr__(self, "mesh_dims", dims)
-
-
-#: the supported directory organizations (paper §2 + the scalability
-#: extension): exact full-map presence bits, limited pointers with
-#: broadcast fallback (Dir_i-B), and coarse presence bits of K nodes.
-DIRECTORY_ORGS = ("full_map", "limited", "coarse")
-
-
-@dataclass(frozen=True)
-class DirectoryConfig:
-    """Directory organization (storage/precision trade-off).
-
-    The paper's machine keeps a full-map presence vector, whose
-    per-block cost grows linearly with the node count.  The two
-    scalable organizations trade precision for storage: a
-    limited-pointer directory (Dir_i-B) keeps ``pointers`` exact node
-    pointers and falls back to broadcast invalidation once they
-    overflow; a coarse-vector directory keeps one presence bit per
-    ``region_size`` consecutive nodes, so every bit over-approximates
-    its region.  Both may therefore send protocol traffic to nodes
-    without a copy -- which is exactly the cost the scalability study
-    measures.
-    """
-
-    org: str = "full_map"
-    #: Dir_i-B: exact pointers kept before the broadcast fallback.
-    pointers: int = 4
-    #: coarse vector: nodes covered by one presence bit.
-    region_size: int = 4
-
-    def __post_init__(self) -> None:
-        if self.org not in DIRECTORY_ORGS:
-            raise ValueError(
-                f"unknown directory organization {self.org!r}; "
-                f"choose from {DIRECTORY_ORGS}"
-            )
-        if self.pointers < 1:
-            raise ValueError("limited-pointer directory needs >= 1 pointer")
-        if self.region_size < 1:
-            raise ValueError("coarse-vector region_size must be >= 1")
-
-    @staticmethod
-    def from_name(name: str) -> "DirectoryConfig":
-        """Parse ``full_map`` / ``limited[:i]`` / ``coarse[:k]``."""
-        base, _, param = name.partition(":")
-        base = base.strip().lower().replace("-", "_")
-        if base in ("full_map", "fullmap", "full"):
-            return DirectoryConfig()
-        if base in ("limited", "dir_i_b", "dirib"):
-            return DirectoryConfig(
-                org="limited", pointers=int(param) if param else 4
-            )
-        if base == "coarse":
-            return DirectoryConfig(
-                org="coarse", region_size=int(param) if param else 4
-            )
-        raise ValueError(
-            f"unknown directory organization {name!r}; use 'full_map', "
-            "'limited[:pointers]' or 'coarse[:region_size]'"
-        )
-
-    @property
-    def name(self) -> str:
-        """Canonical short name ('full_map', 'limited:4', 'coarse:4')."""
-        if self.org == "limited":
-            return f"limited:{self.pointers}"
-        if self.org == "coarse":
-            return f"coarse:{self.region_size}"
-        return "full_map"
 
 
 @dataclass(frozen=True)
@@ -293,17 +196,10 @@ class SystemConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    directory: DirectoryConfig = field(default_factory=DirectoryConfig)
-    #: page->home policy: "round_robin" (§4's choice) or "first_touch"
-    page_placement: str = "round_robin"
 
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ValueError("need at least one processor")
-        if self.page_placement not in ("round_robin", "first_touch"):
-            raise ValueError(
-                f"unknown page placement {self.page_placement!r}"
-            )
         if self.consistency is Consistency.SC and self.protocol.has_trait(
             "requires_rc"
         ):

@@ -99,7 +99,6 @@ class CacheController:
         slc_res: FcfsResource,
         send: SendFn,
         stats: CacheStats,
-        placement=None,
         pipeline: ExtensionPipeline | None = None,
     ) -> None:
         self.node_id = node_id
@@ -117,9 +116,6 @@ class CacheController:
         self._slc_res = slc_res
         self._send = send
         self.stats = stats
-        #: page->home policy; None falls back to the address map's
-        #: static round-robin placement
-        self._placement = placement
 
         self.flc = FirstLevelCache(cfg.cache.flc_size, cfg.cache.block_size)
         self.slc = SecondLevelCache(cfg.cache.slc_size, cfg.cache.block_size)
@@ -143,9 +139,7 @@ class CacheController:
         self._flc_sets = self.flc._sets
         self._flc_nsets = self.flc._n_sets
         self._flwb_fifo = self.flwb._fifo
-        #: block -> home node.  Both placement policies are stable once
-        #: a page's home is assigned (and every query here carries a
-        #: toucher), so memoizing per block is exact.
+        #: block -> home node (round-robin page placement, memoized)
         self._home_cache: dict[int, int] = {}
 
         self._pending_reads: dict[int, _PendingRead] = {}
@@ -690,7 +684,7 @@ class CacheController:
         """Send a request for ``block`` to its home node at ``t`` (now)."""
         dst = self._home_cache.get(block)
         if dst is None:
-            dst = self._home_of(block)
+            dst = self._amap.home_of_block(block)
             self._home_cache[block] = dst
         # positional Message fields: a ``**kw`` pass-through costs a
         # dict build and unpack per send
@@ -753,7 +747,10 @@ class CacheController:
             self.stats.writebacks += 1
             self._victims[victim.block] = victim.state is CacheState.DIRTY
             self.send_home(MsgType.WB, victim.block)
-        else:
+        elif victim.block not in self._pending_writes:
+            # no hint for a shared copy an ownership upgrade is already
+            # replacing: queued at the home behind a later transaction,
+            # the hint would drop the copy that transaction left here
             self.send_home(MsgType.REPL, victim.block)
 
     # ------------------------------------------------------------------

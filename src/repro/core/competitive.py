@@ -14,12 +14,9 @@ out of the cache controller:
   updates.
 
 The module also decides home-side exclusivity: a flusher that is the
-sole remaining sharer may be granted ownership, which stops update
-traffic for effectively-private data at the cost of re-creating
-dirty-at-cache blocks (longer misses for the next remote reader).
-That trade-off is the ``exclusive_grant`` knob of
-:class:`~repro.config.CompetitiveConfig`; migratory blocks under CW+M
-always migrate to the writer so that update propagation stops (§3.4).
+sole remaining sharer of a migratory block (CW+M) takes ownership, so
+that update propagation stops (§3.4); every other flush leaves the
+block shared.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ class CompetitivePolicy:
 
     def __init__(self, cfg: CompetitiveConfig) -> None:
         self.threshold = cfg.threshold
-        self.exclusive_grant = cfg.exclusive_grant
 
     def on_fill(self, line: CacheLine) -> None:
         """A copy was just loaded: full tolerance."""
@@ -63,14 +59,10 @@ class CompetitivePolicy:
         return line.comp_count <= 0
 
 
-def grants_exclusivity_on_flush(
-    policy_exclusive: bool, entry: DirectoryEntry, flusher: int
-) -> bool:
+def grants_exclusivity_on_flush(entry: DirectoryEntry, flusher: int) -> bool:
     """Home-side rule: may the flusher take the block exclusively?
 
-    Requires the flusher to actually hold a copy; migratory blocks
-    (CW+M) always migrate, otherwise the knob decides.
+    Only a migratory block (CW+M) migrates, and only to a flusher that
+    actually holds a copy.
     """
-    if flusher not in entry.sharers:
-        return False
-    return policy_exclusive or entry.migratory
+    return entry.migratory and flusher in entry.sharers

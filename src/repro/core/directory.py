@@ -1,28 +1,10 @@
-"""Directory state and pluggable directory organizations (paper §2).
+"""Directory state (paper §2).
 
 The paper's machine keeps a **full-map** directory: a presence-flag
-vector per memory block points to the nodes with a copy.  BASIC needs
-N presence bits plus 3 state bits per block (Table 1); the migratory
-optimization adds one migratory bit and a log2(N)-bit pointer.  That
-linear-in-N cost is what stops a full map at production scale, so the
-directory's *presence representation* is pluggable behind
-:class:`DirectoryOrg`:
-
-* :class:`FullMapOrg` -- exact presence bits (the paper's machine);
-* :class:`LimitedPointerOrg` -- Dir_i-B: ``i`` exact node pointers,
-  and once they overflow the entry degrades to a broadcast bit that
-  stands for "any node may hold a copy" until the next invalidation
-  round restores exact knowledge;
-* :class:`CoarseVectorOrg` -- one presence bit per ``region_size``
-  consecutive nodes, so each bit over-approximates its whole region.
-
-The protocol machinery never sees the representation directly: every
-entry's ``sharers`` is a set-like *believed-holder* view whose mutation
-semantics encode what the hardware can actually record.  Inexact
-organizations therefore keep the set a **superset** of the true
-holders -- invalidations, updates and interrogations fan out to the
-believed set, and nodes without a copy simply ack -- which is the
-honest performance cost of shrinking the directory.
+vector per memory block points to the nodes with a copy, held here as
+each entry's ``sharers`` set.  BASIC needs N presence bits plus 3 state
+bits per block (Table 1); the migratory optimization adds one
+migratory bit and a log2(N)-bit pointer.
 
 Entries are created lazily: a block never referenced is CLEAN with no
 sharers.
@@ -34,246 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.config import DirectoryConfig
 from repro.core.states import MemoryState
-
-# ----------------------------------------------------------------------
-# believed-sharer sets
-# ----------------------------------------------------------------------
-
-
-class _LimitedSharers(set):
-    """Dir_i-B presence view: ``i`` exact pointers, then broadcast.
-
-    While at most ``pointers`` nodes are recorded, behaves exactly like
-    a full map.  The overflowing ``add`` flips the broadcast bit and
-    materializes *every* node into the believed set; from then on
-    individual removals (replacement hints, update drops) are no-ops --
-    the hardware has no pointer left to clear -- until an operation
-    that restores exact knowledge (``clear`` or a completed
-    invalidation round's ``&=``) resets the pointers.
-    """
-
-    __slots__ = ("_org", "overflowed")
-
-    def __init__(self, org: "LimitedPointerOrg") -> None:
-        super().__init__()
-        self._org = org
-        self.overflowed = False
-
-    def add(self, node: int) -> None:
-        if self.overflowed:
-            return
-        set.add(self, node)
-        if len(self) > self._org.pointers:
-            self.overflowed = True
-            self._org.overflows += 1
-            set.update(self, range(self._org.n_nodes))
-
-    def discard(self, node: int) -> None:
-        if not self.overflowed:
-            set.discard(self, node)
-
-    def __isub__(self, other):
-        if not self.overflowed:
-            set.__isub__(self, other)
-        return self
-
-    def __iand__(self, other):
-        # the caller has interrogated/invalidated every believed holder
-        # and knows exactly who kept a copy: back to exact pointers.
-        set.__iand__(self, other)
-        self.overflowed = False
-        return self
-
-    def clear(self) -> None:
-        set.clear(self)
-        self.overflowed = False
-
-
-class _CoarseSharers(set):
-    """Coarse-vector presence view: one bit per ``region_size`` nodes.
-
-    Setting any node's bit materializes its whole region into the
-    believed set.  A single node cannot be cleared from a multi-node
-    region (the bit does not say which members hold copies), so
-    replacement hints and update drops are no-ops unless the region is
-    a single node -- with ``region_size == 1`` the coarse vector *is*
-    a full map and behaves identically.
-    """
-
-    __slots__ = ("_org",)
-
-    def __init__(self, org: "CoarseVectorOrg") -> None:
-        super().__init__()
-        self._org = org
-
-    def add(self, node: int) -> None:
-        k = self._org.region_size
-        if k == 1:
-            set.add(self, node)
-            return
-        lo = (node // k) * k
-        set.update(self, range(lo, min(lo + k, self._org.n_nodes)))
-
-    def discard(self, node: int) -> None:
-        if self._org.region_size == 1:
-            set.discard(self, node)
-
-    def __isub__(self, other):
-        if self._org.region_size == 1:
-            set.__isub__(self, other)
-        return self
-
-    def __iand__(self, other):
-        # exact knowledge of the survivors -- but the hardware can only
-        # re-encode them as region bits, so region-mates of a surviving
-        # holder become believed holders again.
-        keep = [n for n in other if n in self]
-        set.clear(self)
-        for n in keep:
-            self.add(n)
-        return self
-
-
-# ----------------------------------------------------------------------
-# organizations
-# ----------------------------------------------------------------------
-
-
-class DirectoryOrg:
-    """Presence-representation policy of one node's directory."""
-
-    #: canonical organization name (matches DirectoryConfig.org).
-    kind = "full_map"
-    #: True when the believed-sharer set always equals the true set of
-    #: copies the directory was told about (no over-approximation).
-    exact = True
-
-    def __init__(self, n_nodes: int) -> None:
-        self.n_nodes = n_nodes
-
-    def make_sharers(self) -> set:
-        """A fresh believed-sharer set for one directory entry."""
-        return set()
-
-    def bits_per_block(self, migratory: bool = False) -> int:
-        """Directory storage cost in bits per memory block."""
-        raise NotImplementedError
-
-    def representable(self, sharers: set) -> bool:
-        """True when ``sharers`` is a state this hardware can encode
-        (used by the invariant checker)."""
-        return True
-
-    @property
-    def name(self) -> str:
-        """Human-readable name for reports."""
-        return self.kind
-
-    def _migratory_bits(self) -> int:
-        # Table 1: one migratory bit + a ceil(log2 N)-bit pointer.
-        return 1 + math.ceil(math.log2(max(self.n_nodes, 2)))
-
-
-class FullMapOrg(DirectoryOrg):
-    """The paper's full-map presence vector: N bits, always exact."""
-
-    kind = "full_map"
-    exact = True
-
-    def bits_per_block(self, migratory: bool = False) -> int:
-        bits = 3 + self.n_nodes
-        if migratory:
-            bits += self._migratory_bits()
-        return bits
-
-
-class LimitedPointerOrg(DirectoryOrg):
-    """Dir_i-B: ``pointers`` exact pointers + broadcast fallback."""
-
-    kind = "limited"
-
-    def __init__(self, n_nodes: int, pointers: int = 4) -> None:
-        super().__init__(n_nodes)
-        self.pointers = pointers
-        #: entries that fell back to broadcast (scalability metric).
-        self.overflows = 0
-
-    @property
-    def exact(self) -> bool:  # type: ignore[override]
-        # with at least as many pointers as nodes the fallback can
-        # never trigger, and the organization degenerates to a full map
-        return self.pointers >= self.n_nodes
-
-    def make_sharers(self) -> set:
-        return _LimitedSharers(self)
-
-    def bits_per_block(self, migratory: bool = False) -> int:
-        ptr = math.ceil(math.log2(max(self.n_nodes, 2)))
-        bits = 3 + 1 + self.pointers * ptr  # +1: the broadcast bit
-        if migratory:
-            bits += self._migratory_bits()
-        return bits
-
-    def representable(self, sharers: set) -> bool:
-        if getattr(sharers, "overflowed", False):
-            return len(sharers) == self.n_nodes
-        return len(sharers) <= self.pointers
-
-    @property
-    def name(self) -> str:
-        return f"limited:{self.pointers}"
-
-
-class CoarseVectorOrg(DirectoryOrg):
-    """Coarse vector: one presence bit per ``region_size`` nodes."""
-
-    kind = "coarse"
-
-    def __init__(self, n_nodes: int, region_size: int = 4) -> None:
-        super().__init__(n_nodes)
-        self.region_size = region_size
-
-    @property
-    def exact(self) -> bool:  # type: ignore[override]
-        return self.region_size == 1
-
-    def make_sharers(self) -> set:
-        return _CoarseSharers(self)
-
-    def bits_per_block(self, migratory: bool = False) -> int:
-        bits = 3 + math.ceil(self.n_nodes / self.region_size)
-        if migratory:
-            bits += self._migratory_bits()
-        return bits
-
-    def representable(self, sharers: set) -> bool:
-        k = self.region_size
-        for node in sharers:
-            lo = (node // k) * k
-            region = range(lo, min(lo + k, self.n_nodes))
-            if any(m not in sharers for m in region):
-                return False
-        return True
-
-    @property
-    def name(self) -> str:
-        return f"coarse:{self.region_size}"
-
-
-def make_directory_org(
-    cfg: DirectoryConfig | None, n_nodes: int
-) -> DirectoryOrg:
-    """Build the organization described by ``cfg`` for ``n_nodes``."""
-    if cfg is None or cfg.org == "full_map":
-        return FullMapOrg(n_nodes)
-    if cfg.org == "limited":
-        return LimitedPointerOrg(n_nodes, pointers=cfg.pointers)
-    if cfg.org == "coarse":
-        return CoarseVectorOrg(n_nodes, region_size=cfg.region_size)
-    raise ValueError(f"unknown directory organization {cfg.org!r}")
-
 
 # ----------------------------------------------------------------------
 # per-block state
@@ -301,35 +44,22 @@ class DirectoryEntry:
         return set(self.sharers)
 
     def reset_sharers(self, nodes: Iterable[int] = ()) -> None:
-        """Replace the believed set with exact knowledge of ``nodes``.
-
-        ``clear`` is exact for every organization (write a zero
-        vector); the re-adds go through the organization's ``add``, so
-        an inexact representation may immediately re-over-approximate
-        (a coarse bit covers the whole region).
-        """
+        """Replace the sharer set, in place, with ``nodes``."""
         self.sharers.clear()
-        for node in nodes:
-            self.sharers.add(node)
+        self.sharers.update(nodes)
 
 
 class Directory:
     """Lazy directory for the blocks homed at one node."""
 
-    def __init__(self, org: DirectoryOrg | None = None) -> None:
-        #: presence-representation policy (full map when not given;
-        #: n_nodes=0 only affects storage-cost reporting, never the
-        #: believed-set behavior of an exact full map).
-        self.org = org if org is not None else FullMapOrg(0)
+    def __init__(self) -> None:
         self._entries: dict[int, DirectoryEntry] = {}
-        self._make_sharers = self.org.make_sharers
 
     def entry(self, block: int) -> DirectoryEntry:
         """The (lazily created) entry for ``block``."""
         ent = self._entries.get(block)
         if ent is None:
-            ent = DirectoryEntry(sharers=self._make_sharers())
-            self._entries[block] = ent
+            ent = self._entries[block] = DirectoryEntry()
         return ent
 
     def known_blocks(self) -> list[int]:
@@ -344,7 +74,9 @@ def directory_bits_per_block(n_nodes: int, migratory: bool = False) -> int:
     """Full-map directory overhead in bits per memory block (Table 1).
 
     BASIC: 3 state bits + N presence bits.  M adds 1 migratory bit and
-    a ceil(log2 N)-bit pointer.  Other organizations compute their own
-    cost via :meth:`DirectoryOrg.bits_per_block`.
+    a ceil(log2 N)-bit pointer.
     """
-    return FullMapOrg(n_nodes).bits_per_block(migratory)
+    bits = 3 + n_nodes
+    if migratory:
+        bits += 1 + math.ceil(math.log2(max(n_nodes, 2)))
+    return bits

@@ -12,13 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import (
-    Consistency,
-    DirectoryConfig,
-    ProtocolConfig,
-    SystemConfig,
-)
-from repro.core.directory import make_directory_org
+from repro.config import Consistency, ProtocolConfig, SystemConfig
+from repro.core.directory import directory_bits_per_block
 
 
 @dataclass(frozen=True)
@@ -51,21 +46,11 @@ def _cache_line_bits(proto: ProtocolConfig) -> int:
     return bits
 
 
-def _memory_line_bits(
-    proto: ProtocolConfig, n_nodes: int, directory: DirectoryConfig | None = None
-) -> int:
-    # full map: 3 state bits + N presence bits; other organizations
-    # price themselves (see repro.core.directory).  M adds 1 migratory
-    # bit + a ceil(log2 N) last-writer pointer in every organization.
-    org = make_directory_org(directory, n_nodes)
-    return org.bits_per_block(migratory=proto.migratory)
-
-
 def _mechanisms(proto: ProtocolConfig) -> tuple[str, ...]:
     out: list[str] = []
     if proto.prefetch:
         out.append("3 modulo-16 prefetch counters per cache")
-    if proto.competitive_update and proto.competitive_params.use_write_cache:
+    if proto.competitive_update:
         out.append("write cache with four blocks (per-word dirty bits)")
     return tuple(out)
 
@@ -79,15 +64,15 @@ def hardware_cost(cfg: SystemConfig) -> HardwareCost:
         extra_cache_mechanisms=_mechanisms(proto),
         slwb_entries=cfg.effective_slwb_entries,
         slwb_entry_holds_block=proto.competitive_update,
-        memory_state_bits_per_line=_memory_line_bits(
-            proto, cfg.n_procs, cfg.directory
+        memory_state_bits_per_line=directory_bits_per_block(
+            cfg.n_procs, proto.migratory
         ),
     )
 
 
 def directory_overhead_fraction(cfg: SystemConfig) -> float:
     """Directory bits as a fraction of a memory block's data bits."""
-    bits = _memory_line_bits(cfg.protocol, cfg.n_procs, cfg.directory)
+    bits = directory_bits_per_block(cfg.n_procs, cfg.protocol.migratory)
     return bits / (cfg.cache.block_size * 8)
 
 

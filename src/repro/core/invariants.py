@@ -12,16 +12,10 @@ Checked invariants:
 * **directory-owner agreement** -- a MODIFIED directory entry names
   exactly the cache holding the exclusive copy;
 * **directory-sharer conservativeness** -- every cached copy is known
-  to the directory.  The believed-sharer set may be a *superset* of
-  the true holders: exact full-map directories overestimate briefly
-  (an invalidation racing a read reply drops the line after the home
-  recorded the reader), and inexact organizations (Dir_i-B broadcast,
-  coarse vector -- see :mod:`repro.core.directory`) overestimate by
-  construction.  Only *missing* holders are a violation;
-* **directory representability** -- the believed-sharer set is a state
-  the configured directory hardware can actually encode (e.g. a
-  non-overflowed Dir_i entry within its pointer budget, a coarse
-  vector covering whole regions);
+  to the directory.  The sharer set may briefly be a *superset* of
+  the true holders (an invalidation racing a read reply drops the
+  line after the home recorded the reader), so only *missing* holders
+  are a violation;
 * **inclusion** -- every block valid in a node's FLC is valid in its
   SLC;
 * **quiescence** -- no pending reads/writes/flushes remain in any
@@ -141,7 +135,7 @@ def check_coherence(system: System) -> None:
     for node in system.nodes:
         cache = node.cache
         for line in cache.slc.resident_lines():
-            home = system.nodes[cache._home_of(line.block)].home
+            home = system.nodes[system.amap.home_of_block(line.block)].home
             if line.block not in home.directory:
                 raise InvariantViolation(
                     f"node {node.node_id}: SLC holds block {line.block} "
@@ -175,13 +169,6 @@ def check_coherence(system: System) -> None:
                     raise InvariantViolation(
                         f"block {block}: caches {sorted(unknown)} hold "
                         f"copies unknown to the directory {sorted(entry.sharers)}"
-                    )
-                org = home.directory.org
-                if not org.representable(entry.sharers):
-                    raise InvariantViolation(
-                        f"block {block}: believed sharers "
-                        f"{sorted(entry.sharers)} are not representable "
-                        f"by the {org.name} directory"
                     )
 
 

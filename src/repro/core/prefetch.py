@@ -49,8 +49,6 @@ class AdaptivePrefetcher:
 
     def on_prefetch_issued(self) -> None:
         """A prefetch request left for the memory system."""
-        if not self._cfg.adaptive:
-            return  # fixed sequential prefetching: K never changes
         self._issued_in_window += 1
         if self._issued_in_window >= self._cfg.window:
             self._adapt()
@@ -62,7 +60,7 @@ class AdaptivePrefetcher:
 
     def on_demand_miss(self, predecessor_cached: bool) -> None:
         """Track sequentiality so K can be turned back on from zero."""
-        if self.degree > 0 or not self._cfg.adaptive:
+        if self.degree > 0:
             return
         self._misses_in_window += 1
         if predecessor_cached:

@@ -7,8 +7,6 @@
 * :mod:`repro.experiments.table3` -- mesh link-width sensitivity
 * :mod:`repro.experiments.figure4` -- network traffic
 * :mod:`repro.experiments.sensitivity` -- §5.4 buffer/SLC studies
-* :mod:`repro.experiments.scaling` -- machine-size study (extension)
-* :mod:`repro.experiments.placement` -- page-placement study (extension)
 * :mod:`repro.experiments.report` -- everything, into EXPERIMENTS.md
 
 Each module offers ``run(scale=...)`` returning structured data,

@@ -8,12 +8,10 @@ per switch; the body streams behind it, holding each link for the
 serialization time -- which is how narrow links (16-bit) saturate
 under the extra traffic of P+CW while 64-bit links do not.
 
-The paper's machine is the square 4x4 mesh, but the topology is a
-general W x H rectangle: any node count factors into the squarest
-``W >= H`` rectangle (``mesh_dims(n)``), and
-:attr:`~repro.config.NetworkConfig.mesh_dims` overrides the factoring
-for deliberately elongated meshes.  Prime counts degenerate to an
-N x 1 chain, which is still a valid (if bisection-starved) mesh.
+The paper's machine is the square 4x4 mesh; other node counts factor
+into the squarest ``W >= H`` rectangle (``mesh_dims(n)``).  Prime
+counts degenerate to an N x 1 chain, which is still a valid (if
+bisection-starved) mesh.
 """
 
 from __future__ import annotations
@@ -43,17 +41,7 @@ class MeshNetwork:
     """Dimension-order wormhole mesh with per-link FCFS contention."""
 
     def __init__(self, cfg: NetworkConfig, n_nodes: int) -> None:
-        if cfg.mesh_dims is not None:
-            w, h = cfg.mesh_dims
-            if w < 1 or h < 1 or w * h != n_nodes:
-                raise ValueError(
-                    f"mesh_dims {cfg.mesh_dims} does not tile {n_nodes} "
-                    f"nodes; set NetworkConfig.mesh_dims to a (width, "
-                    f"height) pair with width*height == {n_nodes}"
-                )
-            self._dims = (w, h)
-        else:
-            self._dims = mesh_dims(n_nodes)
+        self._dims = mesh_dims(n_nodes)
         self._width = self._dims[0]
         self._cfg = cfg
         self._links: dict[tuple[int, int], FcfsResource] = {}

@@ -28,7 +28,10 @@ and then treated as a miss):
 * ``spec_key`` mismatch (file renamed or copied between keys),
 * stats payload rejected by ``MachineStats.from_columns`` (its own
   version stamp changed, or a column is missing, extra or of the
-  wrong length).
+  wrong length),
+* on a read by bare key (:meth:`ResultCache.get_by_key`), a stored
+  spec that :meth:`RunSpec.from_wire` refuses -- say one naming a
+  workload or machine option that no longer exists.
 
 A spec-schema bump changes every key, so older entries are simply
 never looked up again; they can be garbage-collected with ``clear``.
@@ -198,8 +201,8 @@ class ResultCache:
         the stored payload (spec wire form included) is returned with
         its columnar ``stats`` expanded to the per-node
         ``MachineStats.to_dict()`` shape.  Counts hits/misses and
-        refreshes recency like :meth:`get`; an entry whose stats do
-        not decode is invalidated and reads as a miss.
+        refreshes recency like :meth:`get`; an entry whose spec or
+        stats do not decode is invalidated and reads as a miss.
         """
         with self._lock:
             loaded = self._load(key)
@@ -207,6 +210,7 @@ class ResultCache:
                 return None
             payload, _ = loaded
             try:
+                RunSpec.from_wire(payload["spec"])
                 payload["stats"] = \
                     MachineStats.from_columns(payload["stats"]).to_dict()
             except (KeyError, TypeError, ValueError):

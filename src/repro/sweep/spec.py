@@ -33,19 +33,19 @@ import dataclasses
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import (
     CacheConfig,
     Consistency,
-    DirectoryConfig,
     NetworkConfig,
     NetworkKind,
     ProtocolConfig,
     SystemConfig,
 )
 from repro.stats.counters import MachineStats
+from repro.workloads import WORKLOADS
 
 #: bump whenever the meaning of a spec field (or a simulator default it
 #: relies on) changes; every cached result keyed under an older version
@@ -53,6 +53,9 @@ from repro.stats.counters import MachineStats
 #: v2: ``directory`` organization field and ``network.mesh_dims``.
 #: v3: ``backend`` execution-tier field.
 #: v4: the ``backend`` field is gone again (one execution tier).
+#: The directory, page-placement and mesh-shape options are gone too,
+#: but every canonical dict still carries their one surviving value
+#: (below), so the keys of v4 specs did not change with them.
 SPEC_SCHEMA_VERSION = 4
 
 #: the paper's seed; kept in one place so the API, the service layer
@@ -74,17 +77,23 @@ class SpecSchemaError(ValueError):
 
 
 #: field names of the config dataclasses a spec nests, in declaration
-#: order.  Every field holds a scalar, an enum or a tuple of ints, so a
-#: shallow field dict serializes exactly like ``dataclasses.asdict``
-#: without its recursive deep copy.
+#: order.  Every field holds a scalar or an enum, so a shallow field
+#: dict serializes exactly like ``dataclasses.asdict`` without its
+#: recursive deep copy.
 _NETWORK_FIELDS = tuple(f.name for f in dataclasses.fields(NetworkConfig))
 _CACHE_FIELDS = tuple(f.name for f in dataclasses.fields(CacheConfig))
-_DIRECTORY_FIELDS = tuple(f.name for f in dataclasses.fields(DirectoryConfig))
+
+#: the values the canonical dict keeps for the machine options that
+#: have one setting only: the full-map directory, round-robin page
+#: placement and the squarest mesh (``network.mesh_dims``).
+_DIRECTORY_DICT = {"org": "full_map", "pointers": 4, "region_size": 4}
+_PAGE_PLACEMENT = "round_robin"
 
 
 def _network_to_dict(net: NetworkConfig) -> dict:
     d = {name: getattr(net, name) for name in _NETWORK_FIELDS}
     d["kind"] = net.kind.value
+    d["mesh_dims"] = None
     return d
 
 
@@ -92,25 +101,41 @@ def _cache_to_dict(cache: CacheConfig) -> dict:
     return {name: getattr(cache, name) for name in _CACHE_FIELDS}
 
 
-def _directory_to_dict(directory: DirectoryConfig) -> dict:
-    return {name: getattr(directory, name) for name in _DIRECTORY_FIELDS}
-
-
 #: the sub-configs a spec gets when it leaves them unset, one frozen
 #: instance each, shared by every such spec; their field dicts are
 #: built once here, so keying a default cell rebuilds none of them.
 _DEFAULT_NETWORK = NetworkConfig()
 _DEFAULT_CACHE = CacheConfig()
-_DEFAULT_DIRECTORY = DirectoryConfig()
 _DEFAULT_NETWORK_DICT = _network_to_dict(_DEFAULT_NETWORK)
 _DEFAULT_CACHE_DICT = _cache_to_dict(_DEFAULT_CACHE)
-_DEFAULT_DIRECTORY_DICT = _directory_to_dict(_DEFAULT_DIRECTORY)
 
 
 def _network_from_dict(d: Mapping[str, Any]) -> NetworkConfig:
     d = dict(d)
+    dims = d.pop("mesh_dims", None)
+    if dims is not None:
+        raise ValueError(
+            f"unsupported mesh_dims {dims!r}: the mesh is always the "
+            "squarest factoring of n_procs"
+        )
     d["kind"] = NetworkKind(d["kind"])
     return NetworkConfig(**d)
+
+
+def _check_fixed(d: Mapping[str, Any]) -> None:
+    """Refuse a dict that sets a single-setting option to another value."""
+    directory = d.get("directory", _DIRECTORY_DICT)
+    if directory != _DIRECTORY_DICT:
+        raise ValueError(
+            f"unsupported directory {directory!r}: the machine has a "
+            "full-map directory only"
+        )
+    placement = d.get("page_placement", _PAGE_PLACEMENT)
+    if placement != _PAGE_PLACEMENT:
+        raise ValueError(
+            f"unsupported page placement {placement!r}: pages are "
+            "always placed round-robin"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,13 +150,19 @@ class RunSpec:
     seed: int = DEFAULT_SEED
     network: NetworkConfig = _DEFAULT_NETWORK
     cache: CacheConfig = _DEFAULT_CACHE
-    directory: DirectoryConfig = _DEFAULT_DIRECTORY
-    page_placement: str = "round_robin"
     #: extra workload keyword arguments, stored as a sorted tuple of
-    #: (name, value) pairs so equal dicts hash equally.
-    workload_kw: tuple[tuple[str, Any], ...] = ()
+    #: (name, value) pairs.  Equality and hashing go by their canonical
+    #: JSON (``_kw_json``) instead, as the key does: ``True``, ``1`` and
+    #: ``1.0`` compare equal in Python but serialize apart.
+    workload_kw: tuple[tuple[str, Any], ...] = field(default=(), compare=False)
+    _kw_json: str = field(default="{}", init=False, repr=False)
 
     def __post_init__(self) -> None:
+        app = self.app
+        if not isinstance(app, str) or app.lower() not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload {app!r}; choose from {sorted(WORKLOADS)}"
+            )
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
         Consistency(self.consistency)  # validate early
@@ -142,16 +173,13 @@ class RunSpec:
         object.__setattr__(
             self, "protocol", ProtocolConfig.from_name(self.protocol).name
         )
-        if isinstance(self.directory, str):
-            object.__setattr__(
-                self, "directory", DirectoryConfig.from_name(self.directory)
-            )
         kw = self.workload_kw
         if isinstance(kw, Mapping):
             kw = kw.items()
-        object.__setattr__(
-            self, "workload_kw", tuple(sorted((str(k), v) for k, v in kw))
-        )
+        kw = tuple(sorted((str(k), v) for k, v in kw))
+        object.__setattr__(self, "workload_kw", kw)
+        if kw:
+            object.__setattr__(self, "_kw_json", _canonical_json(dict(kw)))
 
     # -- construction ---------------------------------------------------
 
@@ -166,8 +194,6 @@ class RunSpec:
         n_procs: int = 16,
         scale: float = 1.0,
         seed: int = DEFAULT_SEED,
-        directory: DirectoryConfig | str | None = None,
-        page_placement: str = "round_robin",
         **workload_kw: Any,
     ) -> "RunSpec":
         """Mirror of the historical ``run_once`` signature."""
@@ -178,6 +204,12 @@ class RunSpec:
                 "for_run() got an unexpected keyword argument 'backend' "
                 "(there is one execution tier)"
             )
+        for name in ("directory", "page_placement"):
+            if name in workload_kw:
+                raise ValueError(
+                    f"for_run() no longer takes {name!r}: the machine has "
+                    "a full-map directory and round-robin page placement"
+                )
         return cls(
             app=app,
             protocol=protocol,
@@ -187,9 +219,6 @@ class RunSpec:
             seed=seed,
             network=network or _DEFAULT_NETWORK,
             cache=cache or _DEFAULT_CACHE,
-            directory=(directory if directory is not None
-                       else _DEFAULT_DIRECTORY),
-            page_placement=page_placement,
             workload_kw=workload_kw,
         )
 
@@ -202,8 +231,6 @@ class RunSpec:
             consistency=Consistency(self.consistency),
             network=self.network,
             cache=self.cache,
-            directory=self.directory,
-            page_placement=self.page_placement,
         ).with_protocol(self.protocol)
 
     def to_dict(self) -> dict:
@@ -217,7 +244,7 @@ class RunSpec:
     def _shared_dict(self) -> dict:
         """:meth:`to_dict` whose sub-config dicts may be the shared
         defaults' dicts: read it, never mutate it."""
-        net, cache, directory = self.network, self.cache, self.directory
+        net, cache = self.network, self.cache
         return {
             "app": self.app,
             "protocol": self.protocol,
@@ -229,16 +256,15 @@ class RunSpec:
                         else _network_to_dict(net)),
             "cache": (_DEFAULT_CACHE_DICT if cache is _DEFAULT_CACHE
                       else _cache_to_dict(cache)),
-            "directory": (_DEFAULT_DIRECTORY_DICT
-                          if directory is _DEFAULT_DIRECTORY
-                          else _directory_to_dict(directory)),
-            "page_placement": self.page_placement,
+            "directory": _DIRECTORY_DICT,
+            "page_placement": _PAGE_PLACEMENT,
             "workload_kw": {k: v for k, v in self.workload_kw},
         }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
+        _check_fixed(d)
         return cls(
             app=d["app"],
             protocol=d["protocol"],
@@ -248,8 +274,6 @@ class RunSpec:
             seed=d["seed"],
             network=_network_from_dict(d["network"]),
             cache=CacheConfig(**d["cache"]),
-            directory=DirectoryConfig(**d.get("directory", {})),
-            page_placement=d["page_placement"],
             workload_kw=d.get("workload_kw", {}),
         )
 
@@ -330,10 +354,6 @@ class RunSpec:
             extras.append(f"mesh{self.network.link_width_bits}")
         if self.n_procs != 16:
             extras.append(f"{self.n_procs}p")
-        if self.directory.org != "full_map":
-            extras.append(self.directory.name)
-        if self.page_placement != "round_robin":
-            extras.append(self.page_placement)
         tail = f" [{','.join(extras)}]" if extras else ""
         return f"{self.app}/{self.protocol}/{self.consistency}{tail}"
 

@@ -20,7 +20,6 @@ from repro.core.messages import (
     Message,
 )
 from repro.mem.addrmap import AddressMap
-from repro.mem.placement import make_placement
 from repro.network import build_network
 from repro.network.uniform import UniformNetwork
 from repro.node.node import Node
@@ -42,12 +41,8 @@ class System:
             n_nodes=cfg.n_procs,
         )
         self.network = build_network(cfg.network, cfg.n_procs)
-        self.placement = make_placement(cfg.page_placement, cfg.n_procs)
         self.nodes = [
-            Node(
-                i, self.sim, cfg, self.amap, self._send,
-                self.stats.caches[i], placement=self.placement,
-            )
+            Node(i, self.sim, cfg, self.amap, self._send, self.stats.caches[i])
             for i in range(cfg.n_procs)
         ]
         self.processors: list[Processor] = []

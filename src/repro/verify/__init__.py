@@ -20,7 +20,7 @@ registry`` surface both on the CLI; ``docs/verification.md`` explains
 how to verify a new extension before registering it.
 """
 
-from repro.verify.canon import agent_permutations, canonical_key
+from repro.verify.canon import canonical_key
 from repro.verify.coverage import CoverageTracker
 from repro.verify.explorer import (
     Counterexample,
@@ -55,7 +55,6 @@ __all__ = [
     "Stepper",
     "VerifyConfig",
     "VerifyDeadlock",
-    "agent_permutations",
     "canonical_key",
     "check_model",
     "fuzz_stream",

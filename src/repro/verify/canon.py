@@ -5,21 +5,18 @@ the quiescent machine state:
 
 * per-cache: resident SLC lines with their protocol metadata, resident
   FLC blocks, and the CW write-cache contents;
-* per-home: non-default directory entries (state, owner, believed
-  sharers, overflow bit, migratory metadata);
+* per-home: non-default directory entries (state, owner, sharers,
+  migratory metadata);
 * per-home: held locks and their waiter queues.
 
 Node ids are canonicalized as *agents* only: a permutation renames the
 caches (and every node id recorded in directory entries and lock
 tables), while the block->home mapping -- and therefore the physical
 directory an entry lives in -- stays fixed.  The canonical form is the
-minimum over all admissible permutations; for a coarse-vector
-directory only region-structure-preserving permutations are admissible
-(an arbitrary renaming could turn a representable region-aligned
-believed set into an unrepresentable one).
+minimum over all permutations.
 
 Soundness: nodes are architecturally identical, so two states equal
-under an admissible renaming can only differ in *which* physical node
+under a renaming can only differ in *which* physical node
 plays which role -- e.g. whether a requester is local to a block's
 home, which shifts latencies but not the protocol decisions reachable
 from a quiescent state.  If that ever merged two genuinely different
@@ -42,34 +39,12 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 StateKey = tuple
 
 
-def agent_permutations(system: "System") -> list[tuple[int, ...]]:
-    """Admissible agent renamings for ``system``'s configuration."""
-    n = system.cfg.n_procs
-    perms = list(permutations(range(n)))
-    org = system.nodes[0].home.directory.org
-    if getattr(org, "kind", "") == "coarse" and org.region_size > 1:
-        k = org.region_size
-
-        def preserves_regions(p: tuple[int, ...]) -> bool:
-            for lo in range(0, n, k):
-                image = sorted(p[i] for i in range(lo, min(lo + k, n)))
-                if image[0] % k or image != list(
-                    range(image[0], image[0] + len(image))
-                ):
-                    return False
-            return True
-
-        perms = [p for p in perms if preserves_regions(p)]
-    return perms
-
-
 def canonical_key(system: "System", symmetry: bool = True) -> StateKey:
     """The canonical form of ``system``'s quiescent global state."""
-    if not symmetry or system.cfg.n_procs == 1:
-        return _state_under(system, tuple(range(system.cfg.n_procs)))
-    return min(
-        _state_under(system, perm) for perm in agent_permutations(system)
-    )
+    n = system.cfg.n_procs
+    if not symmetry or n == 1:
+        return _state_under(system, tuple(range(n)))
+    return min(_state_under(system, perm) for perm in permutations(range(n)))
 
 
 def _state_under(system: "System", perm: tuple[int, ...]) -> StateKey:
@@ -120,13 +95,11 @@ def _home_repr(node: "Node", perm: tuple[int, ...]) -> StateKey:
     entries = []
     for block in sorted(node.home.directory._entries):
         e = node.home.directory._entries[block]
-        overflowed = bool(getattr(e.sharers, "overflowed", False))
         rec = (
             block,
             e.state.name,
             _rename(e.owner, perm),
             tuple(sorted(perm[s] for s in e.sharers)),
-            overflowed,
             e.migratory,
             _rename(e.last_writer, perm),
             _rename(e.last_updater, perm),
@@ -134,7 +107,7 @@ def _home_repr(node: "Node", perm: tuple[int, ...]) -> StateKey:
         # a default entry (CLEAN, nobody) is observationally identical
         # to a lazily absent one; normalizing it away merges states
         # that differ only in whether a block was ever referenced.
-        if rec[1:] != ("CLEAN", None, (), False, False, None, None):
+        if rec[1:] != ("CLEAN", None, (), False, None, None):
             entries.append(rec)
     return tuple(entries)
 

@@ -17,8 +17,8 @@ alphabet up to ``depth`` operations for one :class:`VerifyConfig`:
   sequence even before shrinking removes unneeded setup ops.
 
 ``registry_combos`` and ``verify_matrix`` run the checker across the
-registry cross-product of extension combinations x directory
-organizations x consistency models.
+registry cross-product of extension combinations x consistency
+models.
 """
 
 from __future__ import annotations
@@ -170,13 +170,6 @@ def check_model(
 # registry cross-product
 # ----------------------------------------------------------------------
 
-#: the directory organizations the matrix covers: the exact full map
-#: plus the two inexact ones at their most aggressive small-machine
-#: settings (a 1-pointer Dir_i-B overflows on the second sharer; a
-#: 2-node coarse region over-approximates from the first).
-MATRIX_DIRECTORIES = ("full_map", "limited:1", "coarse:2")
-
-
 def registry_combos(consistency: Consistency) -> list[str]:
     """Every extension combination, from the registry.
 
@@ -201,27 +194,22 @@ def matrix_configs(
     n_nodes: int = 2,
     n_blocks: int = 1,
     depth: int = 4,
-    directories: Iterable[str] = MATRIX_DIRECTORIES,
     consistencies: Iterable[Consistency] = (Consistency.RC, Consistency.SC),
     **kw,
 ) -> list[VerifyConfig]:
     """The full registry cross-product as :class:`VerifyConfig` list."""
-    configs = []
-    for consistency in consistencies:
-        for combo in registry_combos(consistency):
-            for directory in directories:
-                configs.append(
-                    VerifyConfig(
-                        n_nodes=n_nodes,
-                        n_blocks=n_blocks,
-                        depth=depth,
-                        extensions=combo,
-                        directory=directory,
-                        consistency=consistency,
-                        **kw,
-                    )
-                )
-    return configs
+    return [
+        VerifyConfig(
+            n_nodes=n_nodes,
+            n_blocks=n_blocks,
+            depth=depth,
+            extensions=combo,
+            consistency=consistency,
+            **kw,
+        )
+        for consistency in consistencies
+        for combo in registry_combos(consistency)
+    ]
 
 
 def verify_matrix(

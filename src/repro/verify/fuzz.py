@@ -4,8 +4,8 @@ The model checker is exhaustive but tiny; the fuzzer is the opposite
 arm of the same tong: long randomized reference streams (5k+ ops per
 processor) on randomized machine configurations spanning every knob
 the library exposes -- protocols, consistency models, bounded caches,
-small write buffers, mesh links, page placement, competitive-update
-variants, fixed prefetch degrees -- with the full invariant battery
+small write buffers, mesh links, competitive thresholds, initial
+prefetch degrees -- with the full invariant battery
 checked after the run.  ``tests/test_fuzz_matrix.py`` reuses
 :func:`fuzz_stream` / :func:`random_config` for its shorter CI sweep.
 
@@ -77,19 +77,11 @@ def random_config(rng: random.Random) -> SystemConfig:
     proto = ProtocolConfig.from_name(rng.choice(protos))
     if proto.competitive_update and rng.random() < 0.4:
         proto = replace(
-            proto,
-            competitive_params=rng.choice(
-                [
-                    CompetitiveConfig.classic(),
-                    CompetitiveConfig(exclusive_grant=True),
-                    CompetitiveConfig(threshold=2),
-                ]
-            ),
+            proto, competitive_params=CompetitiveConfig(threshold=2)
         )
     if proto.prefetch and rng.random() < 0.3:
         proto = replace(
-            proto,
-            prefetch_params=PrefetchConfig(initial_degree=4, adaptive=False),
+            proto, prefetch_params=PrefetchConfig(initial_degree=4)
         )
     return SystemConfig(
         n_procs=rng.choice([4, 9, 16]),
@@ -108,7 +100,6 @@ def random_config(rng: random.Random) -> SystemConfig:
             if rng.random() < 0.4
             else NetworkConfig()
         ),
-        page_placement=rng.choice(["round_robin", "first_touch"]),
     )
 
 
@@ -120,7 +111,9 @@ def _run_trial(
         system = System(cfg)
         system.run([list(s) for s in streams], max_events=max_events)
         check_all(system)
-    except (InvariantViolation, SimulationError) as exc:
+    except (InvariantViolation, SimulationError, ValueError) as exc:
+        # ValueError: a shrunk candidate may release a lock it never
+        # acquired; the lock table refuses that
         return exc
     return None
 
@@ -223,7 +216,7 @@ def run_fuzz(
             if progress is not None:
                 progress(
                     f"trial {trial}: ok -- {cfg.protocol.name} / "
-                    f"{cfg.directory.name} / {cfg.consistency.value}, "
+                    f"{cfg.consistency.value}, "
                     f"{cfg.n_procs} procs, {nops} ops/proc"
                 )
             continue

@@ -34,13 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import (
-    CacheConfig,
-    Consistency,
-    DirectoryConfig,
-    ProtocolConfig,
-    SystemConfig,
-)
+from repro.config import CacheConfig, Consistency, ProtocolConfig, SystemConfig
 from repro.core.invariants import check_all, check_safety
 from repro.core.states import CacheState
 from repro.system import System
@@ -75,8 +69,6 @@ class VerifyConfig:
     depth: int = 6
     #: protocol-combination name ("BASIC", "P+CW+M", "p,cw", ...).
     extensions: str = "BASIC"
-    #: directory organization ("full_map", "limited:1", "coarse:2").
-    directory: str = "full_map"
     consistency: Consistency = Consistency.RC
     #: stop exploring after this many distinct canonical states.
     max_states: int = 50_000
@@ -94,7 +86,6 @@ class VerifyConfig:
             consistency=self.consistency,
             protocol=self.protocol(),
             cache=CacheConfig(slc_size=SLC_SETS * 32),
-            directory=DirectoryConfig.from_name(self.directory),
         )
 
     @property
@@ -105,7 +96,7 @@ class VerifyConfig:
     def describe(self) -> str:
         name = self.protocol().name
         return (
-            f"{name} / {self.directory} / {self.consistency.value} "
+            f"{name} / {self.consistency.value} "
             f"({self.n_nodes} nodes x {self.n_blocks} blocks, "
             f"depth {self.depth})"
         )
@@ -131,7 +122,7 @@ class Stepper:
         self._conflict_addr = CONFLICT_BLOCK * bsize
         self._lock_addr = LOCK_BLOCK * bsize
         self._lock_home = self.system.nodes[
-            self.system.nodes[0].cache._home_of(LOCK_BLOCK)
+            self.system.amap.home_of_block(LOCK_BLOCK)
         ].home
 
     # -- state queries (valid at quiescence) ----------------------------

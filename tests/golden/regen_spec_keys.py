@@ -7,8 +7,9 @@ Run from the repository root:
 The snapshots pin ``RunSpec.key()`` (the result-cache address) and
 ``RunSpec.to_json()`` (the wire form cache files and the service
 exchange) over every application x the eight protocol combinations x
-RC/SC x the three directory organizations x uniform/mesh network x
-the default and both section-5.4 cache configurations.  A changed key
+RC/SC x uniform/mesh network x the default and both section-5.4 cache
+configurations.  Every cell id keeps a ``full_map`` directory field:
+the ids date from when the directory organization was a spec option.  A changed key
 orphans every cached result, so only regenerate them for an
 intentional, reviewed spec change (one that also bumps
 ``SPEC_SCHEMA_VERSION``).
@@ -30,7 +31,7 @@ from repro.sweep.spec import RunSpec
 from repro.workloads import ALL_APP_NAMES
 
 CONSISTENCIES = ("RC", "SC")
-DIRECTORIES = ("full_map", "limited", "coarse")
+DIRECTORIES = ("full_map",)
 NETWORKS = (("uniform", None), ("mesh16", mesh_network(16)))
 CACHES = (
     ("default", CacheConfig()),
@@ -50,7 +51,7 @@ def corpus() -> list[tuple[str, RunSpec]]:
     ):
         spec = RunSpec.for_run(
             app, protocol=proto, consistency=cons, network=net,
-            cache=cache, directory=dirname,
+            cache=cache,
         )
         cells.append(
             (f"{app}/{proto}/{cons}/{dirname}/{net_name}/{cache_name}", spec)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import figure2, scaling, sensitivity
+from repro.experiments import figure2, report, sensitivity
 
 
 class TestParser:
@@ -120,9 +120,9 @@ class TestCliChoices:
     ], ids=["pool", "hot-cache-entries", "backend", "trace-dir"])
     @pytest.mark.parametrize("argv", [
         ["compare"], ["serve"], ["bench", "--suite", "sweep"], figure2,
-        ["run"], ["submit"], ["bench"], scaling, sensitivity,
+        ["run"], ["submit"], ["bench"], report, sensitivity,
     ], ids=["compare", "serve", "bench", "figure2", "run", "submit",
-            "bench-cells", "scaling", "sensitivity"])
+            "bench-cells", "report", "sensitivity"])
     def test_removed_orchestration_flags_rejected(self, argv, flag, capsys):
         """One pool, one hot-tier size and one execution tier: no CLI
         selects another."""
@@ -144,26 +144,24 @@ class TestVerify:
     def test_verify_model_single_combo(self, capsys):
         rc = main([
             "verify", "model", "--nodes", "2", "--blocks", "1",
-            "--extensions", "p,cw,m", "--directory", "full",
-            "--depth", "3",
+            "--extensions", "p,cw,m", "--depth", "3",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "P+CW+M / full / RC" in out
+        assert "P+CW+M / RC" in out
         assert "states" in out and "transitions" in out
         assert "directory transitions reached" in out
         assert "0 violation(s)" in out
 
     def test_verify_model_matrix_mode(self, capsys):
         rc = main([
-            "verify", "model", "--depth", "1",
-            "--directory", "full_map", "--consistency", "SC",
+            "verify", "model", "--depth", "1", "--consistency", "SC",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         # SC matrix: BASIC, P, M, P+M (CW requires RC)
-        assert "BASIC / full_map / SC" in out
-        assert "P+M / full_map / SC" in out
+        assert "BASIC / SC" in out
+        assert "P+M / SC" in out
         assert "CW" not in out
         assert "4 config(s)" in out
         # matrix mode keeps the per-combo listing behind --coverage

@@ -3,8 +3,8 @@
 A seeded version of the development fuzzer: random reference streams
 run on randomized machine configurations spanning every knob the
 library exposes -- protocols, consistency models, bounded caches,
-small write buffers, mesh links, page placement, competitive-update
-variants, fixed prefetch degrees -- and every run must complete and
+small write buffers, mesh links, competitive thresholds, initial
+prefetch degrees -- and every run must complete and
 satisfy the global coherence invariants.
 """
 

@@ -8,7 +8,6 @@ tests prove nothing.
 import pytest
 from conftest import pad_streams, tiny_config
 
-from repro.config import DirectoryConfig, SystemConfig
 from repro.core.invariants import (
     InvariantViolation,
     check_all,
@@ -28,13 +27,6 @@ def healthy_system():
         [[("read", 0), ("write", 0)], [("read", 4096)]], 4
     )
     system.run(streams)
-    return system
-
-
-def healthy_directory_system(directory: DirectoryConfig):
-    """4 procs, block 0 read by three nodes, under ``directory``."""
-    system = System(SystemConfig(n_procs=4, directory=directory))
-    system.run(pad_streams([[("read", 0)], [("read", 0)], [("read", 0)]], 4))
     return system
 
 
@@ -148,54 +140,6 @@ def test_inclusion_message_is_specific():
               r"\(inclusion violated\)",
     ):
         check_inclusion(system)
-
-
-def test_representability_rejects_limited_overflow_shrunk():
-    """A Dir_i-B entry past overflow must believe *every* node; losing
-    one believed holder is a state the hardware cannot encode."""
-    system = healthy_directory_system(
-        DirectoryConfig(org="limited", pointers=1)
-    )
-    entry = system.nodes[0].home.directory.entry(0)
-    assert entry.sharers.overflowed and len(entry.sharers) == 4
-    set.discard(entry.sharers, 3)  # bypass the believed-set semantics
-    with pytest.raises(
-        InvariantViolation,
-        match=r"believed sharers \[0, 1, 2\] are not representable "
-              r"by the limited:1 directory",
-    ):
-        check_coherence(system)
-
-
-def test_representability_rejects_unoverflowed_excess_pointers():
-    system = healthy_directory_system(
-        DirectoryConfig(org="limited", pointers=4)
-    )
-    entry = system.nodes[0].home.directory.entry(0)
-    assert not entry.sharers.overflowed
-    # forge a fifth believed holder without tripping the overflow bit
-    set.update(entry.sharers, {0, 1, 2, 3})
-    entry.sharers._org.pointers = 3
-    with pytest.raises(
-        InvariantViolation, match="not representable by the limited:3"
-    ):
-        check_coherence(system)
-
-
-def test_representability_rejects_partial_coarse_region():
-    """A coarse vector can only believe whole regions; a believed set
-    with half a region is unencodable."""
-    system = healthy_directory_system(
-        DirectoryConfig(org="coarse", region_size=2)
-    )
-    entry = system.nodes[0].home.directory.entry(0)
-    # readers 0,1,2 materialize both regions: {0,1} and {2,3}
-    assert set(entry.sharers) == {0, 1, 2, 3}
-    set.discard(entry.sharers, 3)  # bypass the region semantics
-    with pytest.raises(
-        InvariantViolation, match="not representable by the coarse:2"
-    ):
-        check_coherence(system)
 
 
 def test_check_swmr_needs_no_directory_state():

@@ -1,6 +1,5 @@
 """Unit and property tests for the interconnect models."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -43,16 +42,6 @@ class TestMeshRouting:
         assert mesh_dims(8) == (4, 2)
         assert mesh_dims(7) == (7, 1)  # prime: N x 1 chain
         assert mesh_dims(256) == (16, 16)
-
-    def test_mesh_dims_override(self):
-        cfg = NetworkConfig(kind=NetworkKind.MESH, mesh_dims=(6, 2))
-        net = MeshNetwork(cfg, 12)
-        assert net.dims == (6, 2)
-
-    def test_bad_mesh_dims_error_names_the_knob(self):
-        cfg = NetworkConfig(kind=NetworkKind.MESH, mesh_dims=(5, 2))
-        with pytest.raises(ValueError, match="mesh_dims"):
-            MeshNetwork(cfg, 12)
 
     def test_side_shim_is_gone(self):
         # the deprecation shim was removed: dims is the only geometry

@@ -144,14 +144,13 @@ class TestCompetitivePolicy:
 
 class TestExclusivityRule:
     def test_needs_a_copy(self):
-        entry = DirectoryEntry(sharers=set())
-        assert not competitive.grants_exclusivity_on_flush(True, entry, 1)
+        entry = DirectoryEntry(sharers=set(), migratory=True)
+        assert not competitive.grants_exclusivity_on_flush(entry, 1)
 
-    def test_knob_controls_plain_blocks(self):
+    def test_plain_blocks_stay_shared(self):
         entry = DirectoryEntry(sharers={1})
-        assert competitive.grants_exclusivity_on_flush(True, entry, 1)
-        assert not competitive.grants_exclusivity_on_flush(False, entry, 1)
+        assert not competitive.grants_exclusivity_on_flush(entry, 1)
 
     def test_migratory_blocks_always_migrate(self):
         entry = DirectoryEntry(sharers={1}, migratory=True)
-        assert competitive.grants_exclusivity_on_flush(False, entry, 1)
+        assert competitive.grants_exclusivity_on_flush(entry, 1)

@@ -130,6 +130,24 @@ class TestEvictionsAndWritebacks:
         entry = system.nodes[0].home.directory.entry(a // BLOCK)
         assert 0 not in entry.sharers
 
+    def test_upgrade_in_flight_leaves_no_stale_replacement_hint(self):
+        """Node 0 evicts its shared copy of ``a`` while its ownership
+        upgrade waits on node 1's invalidation.  A hint sent then would
+        queue at the home behind node 2's read, whose fetch leaves node
+        0 a shared copy, and drop node 0 from the sharers."""
+        cfg = tiny_config(slc_size=1024)
+        a = addr_homed_at(3)            # SLC set 0, remote home
+        conflict = addr_homed_at(0)     # SLC set 0, local home: fills first
+        streams = pad_streams([
+            [("read", a), ("write", a), ("read", conflict), ("think", 3000)],
+            [("read", a), ("think", 3000)],
+            [("think", 185), ("read", a), ("think", 3000)],
+        ], 4)
+        system = run_streams(cfg, streams)  # checks every invariant
+        assert system.nodes[0].cache.slc.lookup(a // BLOCK) is not None
+        entry = system.nodes[3].home.directory.entry(a // BLOCK)
+        assert entry.sharers == {0, 2}
+
     def test_replacement_miss_classified(self):
         cfg = tiny_config(slc_size=1024)
         a = addr_homed_at(0)

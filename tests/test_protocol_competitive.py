@@ -3,11 +3,6 @@
 import pytest
 from conftest import BLOCK, pad_streams, run_streams, tiny_config
 
-from repro.config import (
-    CompetitiveConfig,
-    ProtocolConfig,
-    SystemConfig,
-)
 from repro.core.states import CacheState, MemoryState
 from repro.system import System
 from repro.core.invariants import check_all
@@ -138,26 +133,11 @@ class TestUpdatePropagation:
 
 
 class TestExclusivityKnob:
-    def _cfg(self, exclusive_grant):
-        proto = ProtocolConfig(
-            competitive_update=True,
-            competitive_params=CompetitiveConfig(exclusive_grant=exclusive_grant),
-        )
-        return SystemConfig(n_procs=4, protocol=proto)
-
-    def test_sole_sharer_gets_exclusivity_when_enabled(self):
-        cfg = self._cfg(True)
-        ops = cs(LOCK, [("read", 0), ("write", 0)]) + [("think", 2000)]
-        system = System(cfg)
-        system.run(pad_streams([ops], 4))
-        check_all(system)
-        line = system.nodes[0].cache.slc.lookup(0)
-        assert line is not None and line.state is CacheState.DIRTY
-        entry = system.nodes[0].home.directory.entry(0)
-        assert entry.state is MemoryState.MODIFIED
+    """A sole sharer's flush leaves a plain block shared: only a
+    migratory block (CW+M) migrates to the flusher."""
 
     def test_no_exclusivity_by_default(self):
-        cfg = self._cfg(False)
+        cfg = tiny_config("CW")
         ops = cs(LOCK, [("read", 0), ("write", 0)]) + [("think", 2000)]
         system = System(cfg)
         system.run(pad_streams([ops], 4))

@@ -96,7 +96,7 @@ class TestWarmContext:
 
     def test_protocol_does_not_change_the_workload_key(self):
         basic = self._spec(protocol="BASIC")
-        full = self._spec(protocol="P+CW+M", directory="limited:4")
+        full = self._spec(protocol="P+CW+M")
         assert workload_key(basic) == workload_key(full)
         warm = WarmContext()
         streams = warm.streams_for(basic, basic.to_config())

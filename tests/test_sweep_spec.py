@@ -6,16 +6,27 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.config import (
     CacheConfig,
     Consistency,
-    DirectoryConfig,
     NetworkConfig,
     NetworkKind,
 )
 from repro.experiments.runner import limited_slc_cache, mesh_network
 from repro.sweep import SPEC_SCHEMA_VERSION, RunSpec, SpecSchemaError
+
+
+#: workload-keyword values that Python equates across types (True == 1
+#: == 1.0) but JSON writes apart
+_KW_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 1.0, 1.5]),
+    st.sampled_from(["1", "true"]),
+)
 
 
 class TestCanonicalization:
@@ -65,7 +76,6 @@ class TestHashing:
         implicit = RunSpec.for_run("water")
         explicit = RunSpec.for_run(
             "water", network=NetworkConfig(), cache=CacheConfig(),
-            directory=DirectoryConfig(),
         )
         # distinct instances: the key is built field by field
         assert explicit.network is not implicit.network
@@ -93,7 +103,7 @@ class TestHashing:
             RunSpec.for_run("water", seed=1),
             RunSpec.for_run("water", network=mesh_network(16)),
             RunSpec.for_run("water", cache=limited_slc_cache()),
-            RunSpec.for_run("water", page_placement="first_touch"),
+            RunSpec.for_run("water", extra_knob=1),
         ]
         keys = {base.key()} | {v.key() for v in variants}
         assert len(keys) == len(variants) + 1
@@ -104,6 +114,20 @@ class TestHashing:
         c = RunSpec("water", workload_kw=(("beta", 2), ("alpha", 1)))
         assert a == b == c
         assert a.key() == b.key() == c.key()
+
+    @given(
+        st.dictionaries(st.sampled_from(["a", "b"]), _KW_VALUES, max_size=2),
+        st.dictionaries(st.sampled_from(["a", "b"]), _KW_VALUES, max_size=2),
+    )
+    @example({"a": True}, {"a": 1})
+    @example({"a": 1.0}, {"a": 1})
+    @example({"a": 0}, {"a": False})
+    def test_equality_and_hash_follow_the_key(self, kw_a, kw_b):
+        a = RunSpec.for_run("water", **kw_a)
+        b = RunSpec.for_run("water", **kw_b)
+        assert (a == b) == (a.key() == b.key())
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_key_stable_across_processes(self):
         spec = RunSpec.for_run(
@@ -133,7 +157,6 @@ class TestRoundTrip:
             n_procs=9, scale=0.3, seed=3,
             network=NetworkConfig(kind=NetworkKind.MESH, link_width_bits=16),
             cache=limited_slc_cache(32 * 1024),
-            page_placement="first_touch",
             extra_knob=5,
         )
         again = RunSpec.from_dict(spec.to_dict())
@@ -142,13 +165,11 @@ class TestRoundTrip:
 
     def test_to_config_carries_everything(self):
         spec = RunSpec.for_run(
-            "water", protocol="P+CW", n_procs=4, page_placement="first_touch",
-            network=mesh_network(16),
+            "water", protocol="P+CW", n_procs=4, network=mesh_network(16),
         )
         cfg = spec.to_config()
         assert cfg.protocol.name == "P+CW"
         assert cfg.n_procs == 4
-        assert cfg.page_placement == "first_touch"
         assert cfg.network.kind is NetworkKind.MESH
         assert cfg.consistency is Consistency.RC
 
@@ -158,7 +179,6 @@ class TestRoundTrip:
             n_procs=9, scale=0.3, seed=3,
             network=NetworkConfig(kind=NetworkKind.MESH, link_width_bits=16),
             cache=limited_slc_cache(32 * 1024),
-            page_placement="first_touch",
             extra_knob=5,
         )
         again = RunSpec.from_json(spec.to_json())

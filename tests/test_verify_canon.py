@@ -1,11 +1,6 @@
 """State canonicalization modulo node renaming."""
 
-from repro.verify import (
-    Stepper,
-    VerifyConfig,
-    agent_permutations,
-    canonical_key,
-)
+from repro.verify import Stepper, VerifyConfig, canonical_key
 
 
 def run_ops(ops, **kw):
@@ -42,22 +37,6 @@ def test_lock_state_is_part_of_the_key():
     held = Stepper(cfg).run([("lock", 0)])
     free = Stepper(cfg).run([("lock", 0), ("unlock", 0)])
     assert canonical_key(held) != canonical_key(free)
-
-
-def test_coarse_directory_restricts_permutations():
-    """An arbitrary renaming could split a coarse region; only
-    region-structure-preserving permutations are admissible."""
-    full = Stepper(
-        VerifyConfig(n_nodes=3, n_blocks=1, extensions="BASIC")
-    ).system
-    coarse = Stepper(
-        VerifyConfig(
-            n_nodes=3, n_blocks=1, extensions="BASIC", directory="coarse:2"
-        )
-    ).system
-    assert len(agent_permutations(full)) == 6
-    # regions {0, 1} and {2}: only the within-region swap survives
-    assert sorted(agent_permutations(coarse)) == [(0, 1, 2), (1, 0, 2)]
 
 
 def test_wcache_contents_are_part_of_the_key():

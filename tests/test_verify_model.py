@@ -36,17 +36,6 @@ def test_acceptance_combo_p_cw_m_full_map():
     assert not res.truncated
 
 
-@pytest.mark.parametrize("directory", ["limited:1", "coarse:2"])
-def test_inexact_directories_explore_cleanly(directory):
-    res = check_model(
-        VerifyConfig(
-            n_nodes=2, n_blocks=1, depth=3, extensions="m",
-            directory=directory,
-        )
-    )
-    assert res.ok
-
-
 def test_sc_configuration_explores_cleanly():
     res = check_model(
         VerifyConfig(
@@ -119,7 +108,7 @@ def test_registry_combos_respect_consistency():
 
 
 def test_matrix_configs_cross_product():
-    configs = matrix_configs(depth=2, directories=("full_map",))
+    configs = matrix_configs(depth=2)
     combos = len(registry_combos(Consistency.RC)) + len(
         registry_combos(Consistency.SC)
     )
