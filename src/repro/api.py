@@ -68,7 +68,6 @@ def make_engine(jobs: int = 1, cache_dir: str | None = None) -> SweepEngine:
     if cache_dir is not None:
         cache = ResultCache(cache_dir, hot_entries=HOT_ENTRIES)
     return SweepEngine(
-        executor="process" if jobs > 1 else "serial",
         max_workers=jobs,
         cache=cache,
     )

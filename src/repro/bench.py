@@ -237,7 +237,6 @@ def run_sweep_cell(
 
     def make_engine(root: str) -> SweepEngine:
         return SweepEngine(
-            executor="process" if jobs > 1 else "serial",
             max_workers=jobs,
             cache=ResultCache(root, hot_entries=HOT_ENTRIES),
         )

@@ -53,6 +53,21 @@ class TimingConfig:
         return self.memory_latency + 2 * self.bus_transaction
 
 
+def require_ints(obj: object, *names: str) -> None:
+    """Refuse a field of ``obj`` that is not a plain ``int``.
+
+    ``True`` and ``16.0`` compare equal to ``1`` and ``16`` but
+    serialize apart, so a config holding one would equal its int twin
+    and still be keyed (and cached) under another spec key.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise ValueError(
+                f"{type(obj).__name__}.{name} must be an int, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Cache-hierarchy geometry."""
@@ -67,6 +82,10 @@ class CacheConfig:
     write_cache_blocks: int = 4
 
     def __post_init__(self) -> None:
+        require_ints(self, "block_size", "page_size", "flc_size",
+                     "flwb_entries", "slwb_entries", "write_cache_blocks")
+        if self.slc_size is not None:
+            require_ints(self, "slc_size")
         if self.block_size <= 0 or self.block_size & (self.block_size - 1):
             raise ValueError("block_size must be a positive power of two")
         if self.flc_size % self.block_size:
@@ -184,6 +203,10 @@ class NetworkConfig:
     hop_cycles: int = 2
     #: message header size in bytes (address + type + routing info).
     header_bytes: int = 8
+
+    def __post_init__(self) -> None:
+        require_ints(self, "uniform_latency", "link_width_bits", "hop_cycles",
+                     "header_bytes")
 
 
 @dataclass(frozen=True)

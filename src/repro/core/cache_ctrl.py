@@ -666,12 +666,6 @@ class CacheController:
     # message send helpers
     # ------------------------------------------------------------------
 
-    def _home_of(self, block: int) -> int:
-        if self._placement is None:
-            return self._amap.home_of_block(block)
-        page = self._amap.page_of(self._amap.block_base(block))
-        return self._placement.home_of_page(page, toucher=self.node_id)
-
     def send_home(
         self,
         mtype: MsgType,
@@ -741,8 +735,6 @@ class CacheController:
     def _evict(self, victim: CacheLine) -> None:
         self.classifier.on_eviction(victim.block)
         self.flc.invalidate(victim.block)  # inclusion
-        if self._exts:
-            self.extensions.on_evict(self, victim)
         if victim.state in (CacheState.DIRTY, CacheState.MIG_CLEAN):
             self.stats.writebacks += 1
             self._victims[victim.block] = victim.state is CacheState.DIRTY

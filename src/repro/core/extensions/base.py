@@ -31,7 +31,6 @@ Cache side (first argument is the
 ``on_miss_issued(...)``      the miss request left for the home node
 ``on_write(...)``            may the extension absorb this write?
 ``on_fill(ctrl, line)``      a line was just inserted into the SLC
-``on_evict(ctrl, victim)``   a line is being victimized
 ``on_invalidate(...)``       an INV arrived; return dirty words to piggyback
 ``on_release(ctrl, marker)`` a release/barrier is arming (RCpc sync point)
 ``cache_outstanding(ctrl)``  in-flight extension requests (quiescence checks)
@@ -45,7 +44,6 @@ Home side (first argument is the
 ``attach_home(home)``               create per-home state
 ``grants_exclusive_read(...)``      serve this read miss with an exclusive copy?
 ``on_ownership_requested(...)``     an OWN_REQ/RDX_REQ reached a CLEAN block
-``on_ownership_granted(...)``       ownership was just granted to a requester
 ``on_exclusive_read_transfer(...)`` an exclusive read grant completed (XFER_ACK)
 ``absorb_ack_payload(...)``         charge memory for piggybacked payload
 ``home_request_handlers(home)``     claim request types: type -> handler
@@ -156,9 +154,6 @@ class ProtocolExtension:
     def on_fill(self, ctrl: "CacheController", line: "CacheLine") -> None:
         """``line`` was just inserted into the SLC."""
 
-    def on_evict(self, ctrl: "CacheController", victim: "CacheLine") -> None:
-        """``victim`` is being removed from the SLC."""
-
     def on_invalidate(self, ctrl: "CacheController", block: int) -> int:
         """An INV for ``block`` arrived; drop extension state and return
         the number of dirty words to piggyback on the INV_ACK."""
@@ -211,11 +206,6 @@ class ProtocolExtension:
     ) -> None:
         """An ownership request reached a CLEAN directory entry."""
 
-    def on_ownership_granted(
-        self, home: "HomeController", entry: "DirectoryEntry", req: int
-    ) -> None:
-        """Ownership of the block was just granted to node ``req``."""
-
     def on_exclusive_read_transfer(
         self, home: "HomeController", entry: "DirectoryEntry", msg: "Message"
     ) -> None:
@@ -252,13 +242,11 @@ _FILTERED_HOOKS = (
     "on_miss_issued",
     "on_write",
     "on_fill",
-    "on_evict",
     "on_invalidate",
     "on_release",
     "cache_outstanding",
     "grants_exclusive_read",
     "on_ownership_requested",
-    "on_ownership_granted",
     "on_exclusive_read_transfer",
     "absorb_ack_payload",
 )
@@ -392,10 +380,6 @@ class ExtensionPipeline:
         for ext in self._on_fill:
             ext.on_fill(ctrl, line)
 
-    def on_evict(self, ctrl, victim) -> None:
-        for ext in self._on_evict:
-            ext.on_evict(ctrl, victim)
-
     def on_invalidate(self, ctrl, block) -> int:
         words = 0
         for ext in self._on_invalidate:
@@ -420,10 +404,6 @@ class ExtensionPipeline:
     def on_ownership_requested(self, home, entry, msg) -> None:
         for ext in self._on_ownership_requested:
             ext.on_ownership_requested(home, entry, msg)
-
-    def on_ownership_granted(self, home, entry, req) -> None:
-        for ext in self._on_ownership_granted:
-            ext.on_ownership_granted(home, entry, req)
 
     def on_exclusive_read_transfer(self, home, entry, msg) -> None:
         for ext in self._on_exclusive_read_transfer:

@@ -301,8 +301,6 @@ class HomeController:
         entry.owner = req
         entry.sharers.clear()
         entry.last_writer = req
-        if self._exts:
-            self.extensions.on_ownership_granted(self, entry, req)
         if needs_data:
             self.reply(MsgType.RDX_RPL, req, block, t)
         else:

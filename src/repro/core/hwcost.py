@@ -27,10 +27,6 @@ class HardwareCost:
     slwb_entry_holds_block: bool
     memory_state_bits_per_line: int
 
-    def total_cache_line_bits(self) -> int:
-        """State bits per SLC line including extension bits."""
-        return self.slc_state_bits_per_line
-
 
 def _cache_line_bits(proto: ProtocolConfig) -> int:
     bits = 2  # BASIC: 3 stable states -> 2 bits

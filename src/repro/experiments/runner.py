@@ -164,7 +164,6 @@ def engine_from_args(args: argparse.Namespace) -> SweepEngine:
             args.cache_dir or default_cache_dir(), hot_entries=HOT_ENTRIES
         )
     return SweepEngine(
-        executor="process" if args.jobs > 1 else "serial",
         max_workers=args.jobs,
         cache=cache,
         on_result=_progress_printer if args.progress else None,

@@ -84,8 +84,3 @@ class AddressSpace:
     def region(self, name: str) -> tuple[int, int]:
         """(base, size) of a named region."""
         return self._regions[name]
-
-    @property
-    def highest_address(self) -> int:
-        """One past the last allocated byte."""
-        return self._next

@@ -19,11 +19,6 @@ class FirstLevelCache:
         #: set index -> resident block number
         self._sets: dict[int, int] = {}
 
-    @property
-    def n_sets(self) -> int:
-        """Number of direct-mapped sets."""
-        return self._n_sets
-
     def _index(self, block: int) -> int:
         return block % self._n_sets
 

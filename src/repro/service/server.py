@@ -289,7 +289,6 @@ def create_service(
             hot_entries=HOT_ENTRIES,
         )
     engine = SweepEngine(
-        executor="process" if jobs > 1 else "serial",
         max_workers=jobs,
         cache=cache,
     )

@@ -47,7 +47,3 @@ class MissClassifier:
         if block in self._lost_to_coherence:
             return self.COHERENCE
         return self.REPLACEMENT
-
-    def ever_cached(self, block: int) -> bool:
-        """True if the cache has ever held ``block``."""
-        return block in self._ever_cached

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
         default_cache_dir,
     )
     from repro.sweep.engine import (
-        EXECUTORS,
         ProgressEvent,
         SweepEngine,
         execute_spec,
@@ -63,7 +62,7 @@ _LAZY = {
          "ResultCache", "default_cache_dir"),
         "repro.sweep.cache"),
     **dict.fromkeys(
-        ("EXECUTORS", "ProgressEvent", "SweepEngine", "execute_spec",
+        ("ProgressEvent", "SweepEngine", "execute_spec",
          "run_spec", "sweep"),
         "repro.sweep.engine"),
     **dict.fromkeys(
@@ -90,7 +89,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_SEED",
-    "EXECUTORS",
     "HOT_ENTRIES",
     "PersistentPool",
     "ProgressEvent",

@@ -1,15 +1,17 @@
 """Batch execution of :class:`RunSpec` iterables.
 
 The engine takes any iterable of specs, serves what it can from the
-:class:`~repro.sweep.cache.ResultCache`, executes the rest through a
-pluggable executor and returns results **in spec order** regardless of
-completion order:
+:class:`~repro.sweep.cache.ResultCache`, executes the rest through an
+executor chosen by ``max_workers`` and returns results **in spec
+order** regardless of completion order:
 
-* ``serial``  -- in-process loop (the default; zero overhead),
-* ``process`` -- fan the uncached cells out across the persistent
-  warm worker pool (:mod:`repro.sweep.pool`: started once -- forked
-  from a single-threaded parent on Linux, spawned otherwise -- reused
-  across ``run()`` calls and service jobs, crash-respawned).
+* ``serial``  -- ``max_workers=1`` (the default): an in-process loop
+  with zero overhead,
+* ``process`` -- ``max_workers>1``: fan the uncached cells out across
+  the persistent warm worker pool (:mod:`repro.sweep.pool`: started
+  once -- forked from a single-threaded parent on Linux, spawned
+  otherwise -- reused across ``run()`` calls and service jobs,
+  crash-respawned).
 
 Uncached cells are dispatched most-expensive-first through a
 cost-ordered queue (:func:`repro.sweep.pool.estimate_cost`), so
@@ -55,10 +57,6 @@ from repro.sweep.spec import RunResult, RunSpec
 # with it loaded instead of importing it inside its first task.
 from repro.system import System
 from repro.workloads import build_workload
-
-#: executor names accepted by :class:`SweepEngine`.
-EXECUTORS = ("serial", "process")
-
 
 @dataclass(frozen=True)
 class ProgressEvent:
@@ -174,17 +172,11 @@ class SweepEngine:
 
     def __init__(
         self,
-        executor: str = "serial",
-        max_workers: int | None = None,
+        max_workers: int = 1,
         cache: ResultCache | None = None,
         on_result: ProgressHook | None = None,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
-        self.executor = executor
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = max_workers
         self.cache = cache
         self.on_result = on_result
         #: cells handed to run() over the engine's lifetime.
@@ -203,6 +195,11 @@ class SweepEngine:
         self._warm = WarmContext()
         self._pool: PersistentPool | None = None
         self._last_run_stats: dict | None = None
+
+    @property
+    def executor(self) -> str:
+        """``"process"`` when more than one worker may run, else ``"serial"``."""
+        return "process" if self.max_workers > 1 else "serial"
 
     @property
     def invalidated(self) -> int:
@@ -474,7 +471,6 @@ def sweep(
 ) -> list[RunResult]:
     """One-call sweep: build an engine, run the batch, return results."""
     engine = SweepEngine(
-        executor="process" if jobs > 1 else "serial",
         max_workers=jobs,
         cache=(ResultCache(cache_dir, hot_entries=HOT_ENTRIES)
                if cache_dir is not None else None),

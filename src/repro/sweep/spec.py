@@ -43,6 +43,7 @@ from repro.config import (
     NetworkKind,
     ProtocolConfig,
     SystemConfig,
+    require_ints,
 )
 from repro.stats.counters import MachineStats
 from repro.workloads import WORKLOADS
@@ -166,6 +167,9 @@ class RunSpec:
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
         Consistency(self.consistency)  # validate early
+        # the sub-configs check their own fields when built, so the
+        # shared defaults are not checked again here
+        require_ints(self, "n_procs", "seed")
         # 1 and 1.0 compare and hash equal, so they must share one key
         # (and one cache entry) too
         object.__setattr__(self, "scale", float(self.scale))

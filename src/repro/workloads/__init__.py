@@ -3,11 +3,10 @@
 from typing import Callable
 
 from repro.config import SystemConfig
-from repro.workloads import cholesky, hitpath, lu, mp3d, ocean, pthor, water
+from repro.workloads import cholesky, hitpath, lu, mp3d, ocean, water
 from repro.workloads.base import Op, StreamBuilder
 
 #: workload registry, in the paper's presentation order, plus the
-#: PTHOR extension (the sixth SPLASH program of ref [3]) and the
 #: hot-path microbenchmark used by the benchmark harness
 WORKLOADS: dict[str, Callable] = {
     "mp3d": mp3d.streams,
@@ -15,7 +14,6 @@ WORKLOADS: dict[str, Callable] = {
     "water": water.streams,
     "lu": lu.streams,
     "ocean": ocean.streams,
-    "pthor": pthor.streams,
     "hitpath": hitpath.streams,
 }
 

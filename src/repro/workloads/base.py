@@ -27,7 +27,6 @@ from repro.mem.addrmap import AddressMap, AddressSpace
 Op = tuple
 
 BLOCK = 32
-WORD = 4
 
 
 class StreamBuilder:
@@ -68,21 +67,6 @@ class StreamBuilder:
     def barrier(self, bar_id: int) -> None:
         """Global barrier."""
         self.ops.append(("barrier", bar_id))
-
-    def touch_run(self, base: int, n_blocks: int, reads: int = 2,
-                  writes: int = 0, think: int = 2) -> None:
-        """Sequential sweep over ``n_blocks`` consecutive blocks.
-
-        The block-sequential pattern is what adaptive sequential
-        prefetching exploits.
-        """
-        for i in range(n_blocks):
-            addr = base + i * BLOCK
-            for r in range(reads):
-                self.read(addr + (r % (BLOCK // WORD)) * WORD)
-            for w in range(writes):
-                self.write(addr + (w % (BLOCK // WORD)) * WORD)
-            self.think(think)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from repro.workloads import build_workload
 
 #: (app, n_procs, scale) cells: small enough for CI, busy enough that
 #: every extension fires (prefetches, flushes, updates, detections).
-CELLS = (("mp3d", 8, 0.25), ("pthor", 8, 0.25), ("ocean", 8, 0.25))
+CELLS = (("mp3d", 8, 0.25), ("ocean", 8, 0.25))
 
 OUT = Path(__file__).with_name("extension_parity.json")
 

@@ -42,8 +42,7 @@ def main(argv: list[str] | None = None) -> None:
     release = threading.Event()
     if args.extra_thread:
         threading.Thread(target=release.wait, daemon=True).start()
-    engine = SweepEngine(executor="process", max_workers=2,
-                         cache=ResultCache(args.cache_dir))
+    engine = SweepEngine(max_workers=2, cache=ResultCache(args.cache_dir))
     engine.run(MATRIX)
     release.set()
     print(json.dumps({

@@ -1,34 +1,13 @@
-"""Tests for the consistency-model policies and their observable effects."""
+"""Observable effects of the consistency models on the simulator.
+
+SC and RC are applied by ``SystemConfig`` (buffer depths, the CW
+refusal) and the processor (stalls); these tests run the real
+simulator under each.
+"""
 
 from conftest import BLOCK, pad_streams, run_streams, tiny_config
 
-from repro.config import Consistency, ProtocolConfig
-from repro.consistency import ConsistencyPolicy, protocol_feasible
-
-
-class TestPolicies:
-    def test_sc_policy(self):
-        p = ConsistencyPolicy.for_model(Consistency.SC)
-        assert p.blocking_writes
-        assert p.blocking_releases
-        assert not p.write_latency_hidden
-
-    def test_rc_policy(self):
-        p = ConsistencyPolicy.for_model(Consistency.RC)
-        assert not p.blocking_writes
-        assert not p.blocking_releases
-        assert p.write_latency_hidden
-
-    def test_cw_not_feasible_under_sc(self):
-        cw = ProtocolConfig(competitive_update=True)
-        assert not protocol_feasible(cw, Consistency.SC)
-        assert protocol_feasible(cw, Consistency.RC)
-
-    def test_others_feasible_everywhere(self):
-        for name in ("BASIC", "P", "M", "P+M"):
-            proto = ProtocolConfig.from_name(name)
-            assert protocol_feasible(proto, Consistency.SC)
-            assert protocol_feasible(proto, Consistency.RC)
+from repro.config import Consistency
 
 
 class TestObservableBehaviour:

@@ -57,11 +57,9 @@ def _canonical_cache_bytes(path):
 class TestAcrossExecutors:
     def test_serial_and_process_cache_bytes_identical(self, tmp_path):
         serial_cache = ResultCache(tmp_path / "serial")
-        SweepEngine(executor="serial", cache=serial_cache).run(SPECS)
+        SweepEngine(cache=serial_cache).run(SPECS)
         pooled_cache = ResultCache(tmp_path / "process")
-        SweepEngine(
-            executor="process", max_workers=2, cache=pooled_cache
-        ).run(SPECS)
+        SweepEngine(max_workers=2, cache=pooled_cache).run(SPECS)
         for spec in SPECS:
             a = _canonical_cache_bytes(serial_cache.path_for(spec))
             b = _canonical_cache_bytes(pooled_cache.path_for(spec))

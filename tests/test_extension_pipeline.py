@@ -90,10 +90,26 @@ def test_hooks_with_fewer_than_two_overriders_are_bound_at_build():
     # two overriders (P and CW): the ordered loop
     assert pipe.on_read_hit.__func__ is ExtensionPipeline.on_read_hit
     # no overrider: the no-op default
-    assert pipe.on_ownership_granted.__func__ is ProtocolExtension.on_ownership_granted
     empty = build_pipeline(ProtocolConfig())
+    assert empty.on_fill.__func__ is ProtocolExtension.on_fill
     assert empty.absorb_ack_payload(None, None, 7) == 7
     assert empty.on_write(None, 0, 0, None) is None
+
+
+def test_every_hook_has_an_overrider():
+    """A hook no registered extension overrides is an extension point
+    with no user, and still costs a no-op call wherever it is
+    dispatched."""
+    every = "+".join(info.name for info in registered_extensions())
+    classes = [type(ext) for ext in
+               build_pipeline(ProtocolConfig.from_name(every)).extensions]
+    assert len(classes) == len(registered_extensions())
+    hooks = [name for name, value in vars(ProtocolExtension).items()
+             if callable(value) and not name.startswith("_")]
+    unused = [hook for hook in hooks
+              if all(getattr(cls, hook) is getattr(ProtocolExtension, hook)
+                     for cls in classes)]
+    assert unused == []
 
 
 def test_pipeline_instantiates_enabled_extensions_in_order():

@@ -78,7 +78,6 @@ class WindowedSimulator(Simulator):
         ("lu", "BASIC", 1),
         ("hitpath", "BASIC", 16),
         ("mp3d", "P+CW+M", 8),
-        ("pthor", "P+M", 8),
         ("ocean", "P+M", 8),
     ],
 )

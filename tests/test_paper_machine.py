@@ -1,9 +1,10 @@
 """The simulated machine is the paper's, and nothing else (§4).
 
-One full-map directory and 4-KB pages placed round-robin.  The
-limited-pointer and coarse-vector directories, first-touch placement
-and explicit mesh shapes were removed; their canonical-dict entries
-stay at the one surviving value, so no surviving spec's key changed.
+One full-map directory, 4-KB pages placed round-robin and the paper's
+applications.  The ``pthor`` workload, the limited-pointer and
+coarse-vector directories, first-touch placement and explicit mesh
+shapes were removed; their canonical-dict entries stay at the one
+surviving value, so no surviving spec's key changed.
 A spec naming a removed option is refused at every entry point,
 loudly.
 """
@@ -32,6 +33,7 @@ from repro.sweep import (
 
 #: one edit per removed option, applied to a valid wire payload
 REMOVED = {
+    "pthor": lambda w: w.update(app="pthor"),
     "limited": lambda w: w["directory"].update(org="limited"),
     "coarse": lambda w: w["directory"].update(org="coarse", region_size=2),
     "first_touch": lambda w: w.update(page_placement="first_touch"),

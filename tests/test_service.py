@@ -166,8 +166,7 @@ class TestPooledService:
         """The service starts its pool from a request thread, with the
         HTTP server's thread alive, so it must never fork."""
         shutdown_shared_pool()
-        engine = SweepEngine(executor="process", max_workers=2,
-                             cache=ResultCache(tmp_path / "cache"))
+        engine = SweepEngine(max_workers=2, cache=ResultCache(tmp_path / "cache"))
         with ReproService(engine) as svc:
             client = ServiceClient(svc.url, timeout=120.0)
             job = client.submit_and_wait(SPECS, timeout=120)

@@ -28,7 +28,7 @@ from regen_spec_keys import corpus  # noqa: E402
 
 def test_corpus_matches_golden():
     cells = corpus()
-    assert len(cells) == len(GOLDEN) == 672
+    assert len(cells) == len(GOLDEN) == 576
     for cell, spec in cells:
         expected = GOLDEN[cell]
         assert spec.to_json() == expected["json"], cell

@@ -40,15 +40,11 @@ class TestSerialExecutor:
         result = run_spec(MATRIX[0])
         assert result.wall_time > 0
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            SweepEngine(executor="threads")
-
 
 class TestProcessExecutor:
     def test_bitwise_identical_to_serial(self):
         serial = SweepEngine().run(MATRIX)
-        pooled = SweepEngine(executor="process", max_workers=2).run(MATRIX)
+        pooled = SweepEngine(max_workers=2).run(MATRIX)
         assert [r.spec for r in pooled] == MATRIX
         for s, p in zip(serial, pooled):
             assert s.stats == p.stats
@@ -77,8 +73,7 @@ class TestMemoization:
 
     def test_pooled_replay_hits_cache(self, tmp_path):
         sweep(MATRIX, jobs=2, cache_dir=tmp_path)
-        engine = SweepEngine(executor="process", max_workers=2,
-                             cache=ResultCache(tmp_path))
+        engine = SweepEngine(max_workers=2, cache=ResultCache(tmp_path))
         results = engine.run(MATRIX)
         assert engine.misses == 0
         assert all(r.from_cache for r in results)

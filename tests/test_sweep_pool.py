@@ -135,8 +135,8 @@ class TestOrderingInvariance:
         random.Random(42).shuffle(batch)
         baselines = {}
         for name, engine_kw in (
-            ("serial", dict(executor="serial")),
-            ("persistent", dict(executor="process", max_workers=2)),
+            ("serial", {}),
+            ("persistent", dict(max_workers=2)),
         ):
             root = tmp_path / name
             engine = SweepEngine(cache=ResultCache(root), **engine_kw)
@@ -147,7 +147,7 @@ class TestOrderingInvariance:
 
     def test_persistent_results_match_serial_stats(self):
         serial = SweepEngine().run(MATRIX)
-        pooled = SweepEngine(executor="process", max_workers=2).run(MATRIX)
+        pooled = SweepEngine(max_workers=2).run(MATRIX)
         for s, p in zip(serial, pooled):
             assert s.stats == p.stats
 
@@ -236,7 +236,7 @@ class TestStartMethods:
 
 class TestPersistentPool:
     def test_workers_survive_across_runs(self):
-        engine = SweepEngine(executor="process", max_workers=2)
+        engine = SweepEngine(max_workers=2)
         engine.run(MATRIX[:4])
         pool = engine._get_pool()
         pids_first = set(pool.worker_pids())
@@ -415,7 +415,7 @@ class TestLastRunStats:
 
     def test_pool_entry_counts_worker_starts(self):
         shutdown_shared_pool()
-        engine = SweepEngine(executor="process", max_workers=2)
+        engine = SweepEngine(max_workers=2)
         engine.run(MATRIX[:4])                       # cold pool
         cold = engine.last_run_stats()
         assert cold["executor"] == "process"

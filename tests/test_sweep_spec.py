@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given
@@ -62,6 +63,38 @@ class TestCanonicalization:
     def test_unknown_consistency_rejected(self):
         with pytest.raises(ValueError):
             RunSpec.for_run("mp3d", consistency="weak")
+
+
+#: (build, wire edit): a value that equals an int of a valid spec but
+#: is not one, so it would be keyed apart from its int twin
+_NON_INTS = {
+    "n_procs-float": (lambda: RunSpec.for_run("water", n_procs=16.0),
+                      lambda w: w.update(n_procs=16.0)),
+    "seed-bool": (lambda: RunSpec.for_run("water", seed=True),
+                  lambda w: w.update(seed=True)),
+    "slc_size-float": (lambda: CacheConfig(slc_size=16384.0),
+                       lambda w: w["cache"].update(slc_size=16384.0)),
+}
+
+
+class TestPlainInts:
+    @pytest.mark.parametrize("case", sorted(_NON_INTS))
+    def test_non_int_values_refused(self, case):
+        build, edit = _NON_INTS[case]
+        with pytest.raises(ValueError, match="must be an int"):
+            build()
+        wire = RunSpec.for_run("water").to_wire()
+        edit(wire)
+        with pytest.raises(SpecSchemaError, match="must be an int"):
+            RunSpec.from_wire(wire)
+
+    @pytest.mark.parametrize("cls", [CacheConfig, NetworkConfig])
+    def test_every_int_field_of_a_sub_config_refuses_a_float(self, cls):
+        ints = [f.name for f in fields(cls) if f.type in ("int", "int | None")]
+        assert ints
+        for name in ints:
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                cls(**{name: 4096.0})
 
 
 class TestHashing:

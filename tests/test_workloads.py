@@ -87,8 +87,8 @@ class TestStructure:
 class TestRegistry:
     def test_five_paper_applications_plus_extensions(self):
         assert set(APP_NAMES) == {"mp3d", "cholesky", "water", "lu", "ocean"}
-        # plus the pthor extension and the hot-path microbenchmark
-        assert set(WORKLOADS) == set(APP_NAMES) | {"pthor", "hitpath"}
+        # plus the hot-path microbenchmark
+        assert set(WORKLOADS) == set(APP_NAMES) | {"hitpath"}
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
