@@ -35,26 +35,26 @@ from repro.config import (
     SystemConfig,
     TimingConfig,
 )
-# The simulator before the stats and sweep packages: a direct
-# simulation enters the import graph here, and entering it at
-# repro.stats instead would hide an import cycle through repro.system
-# from the standalone-import checks (tests/test_lazy_imports.py).
-from repro.system import System, run_system
 from repro.stats.counters import MachineStats
 from repro.sweep.spec import RunResult, RunSpec
 
 if TYPE_CHECKING:
     from repro import api
     from repro.sweep import ResultCache, SweepEngine, sweep
+    from repro.system import System, run_system
 
 #: exports resolved on first use, by home module: a direct simulation
 #: never imports the high-level API or the sweep engine, pool and
-#: cache, nor what they import (multiprocessing, logging, ...).
+#: cache, nor what they import (multiprocessing, logging, ...), and an
+#: experiment CLI that reads its cells from the cache never imports
+#: the simulator.
 _LAZY = {
     "api": "repro.api",
     "ResultCache": "repro.sweep.cache",
     "SweepEngine": "repro.sweep.engine",
     "sweep": "repro.sweep.engine",
+    "System": "repro.system",
+    "run_system": "repro.system",
 }
 
 # Importing repro.sweep.spec bound the subpackage to ``sweep`` here;

@@ -39,14 +39,11 @@ from __future__ import annotations
 
 import json
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 from repro.config import SystemConfig
-from repro.system import System
-from repro.workloads import build_workload
 
 SCHEMA_VERSION = 2
 
@@ -83,6 +80,8 @@ FULL_MATRIX: tuple[tuple, ...] = tuple(
 
 def git_revision(repo: Path | None = None) -> str:
     """Short git revision of ``repo`` (cwd), ``+dirty`` when unclean."""
+    import subprocess
+
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -133,6 +132,9 @@ def run_cell(
 
     The workload is built once, outside the timed region.
     """
+    from repro.system import System
+    from repro.workloads import build_workload
+
     cfg = SystemConfig(n_procs=n_procs).with_protocol(protocol)
     best = None
     events = execution_time = 0

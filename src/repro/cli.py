@@ -35,8 +35,7 @@ from repro.config import (
 from repro.experiments.formats import render_table
 from repro.experiments.runner import add_sweep_args
 from repro.sweep import DEFAULT_SEED
-from repro.system import System
-from repro.workloads import ALL_APP_NAMES, build_workload
+from repro.workloads import ALL_APP_NAMES
 
 
 def _protocol_arg(args) -> str:
@@ -85,6 +84,7 @@ def cmd_run(args) -> int:
     """Simulate one configuration and print the summary."""
     cfg = _make_config(args)
     if args.trace_file:
+        from repro.system import System
         from repro.trace import load_streams
 
         streams = load_streams(args.trace_file)
@@ -215,6 +215,7 @@ def cmd_analyze(args) -> int:
     """Sharing-pattern census of a workload."""
     from repro.mem.addrmap import AddressMap
     from repro.stats.sharing import Pattern, analyze
+    from repro.workloads import build_workload
 
     cfg = SystemConfig(n_procs=args.procs)
     streams = build_workload(args.app, cfg, scale=args.scale)
@@ -239,6 +240,7 @@ def cmd_analyze(args) -> int:
 def cmd_trace(args) -> int:
     """Dump a workload's reference streams to a trace file."""
     from repro.trace import save_streams
+    from repro.workloads import build_workload
 
     cfg = SystemConfig(n_procs=args.procs)
     streams = build_workload(args.app, cfg, scale=args.scale)

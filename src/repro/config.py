@@ -172,15 +172,22 @@ class ProtocolConfig:
             competitive_update="CW" in names,
         )
 
-    def has_trait(self, trait: str) -> bool:
-        """True when any enabled extension declares ``trait``."""
+    @cached_property
+    def _traits(self) -> frozenset[str]:
+        """The traits the enabled extensions declare, built from the
+        registry once per instance, as :attr:`name` is."""
         from repro.core.extensions import registered_extensions
 
-        return any(
-            trait in info.traits
+        return frozenset(
+            trait
             for info in registered_extensions()
             if info.enabled(self)
+            for trait in info.traits
         )
+
+    def has_trait(self, trait: str) -> bool:
+        """True when any enabled extension declares ``trait``."""
+        return trait in self._traits
 
 
 class NetworkKind(Enum):
@@ -209,6 +216,25 @@ class NetworkConfig:
                      "header_bytes")
 
 
+def check_machine(n_procs: int, consistency: Consistency,
+                  protocol: ProtocolConfig) -> None:
+    """Refuse a machine that cannot be built: no processors, or an
+    extension that needs release consistency under SC.
+
+    :class:`SystemConfig` and :class:`~repro.sweep.RunSpec` both apply
+    it when built, so a spec that names such a machine is refused
+    before it is keyed, not inside a worker.
+    """
+    if n_procs < 1:
+        raise ValueError("need at least one processor")
+    if consistency is Consistency.SC and protocol.has_trait("requires_rc"):
+        raise ValueError(
+            "the competitive-update mechanism requires release consistency "
+            "(paper §5.2: 'We omit CW because it is not feasible under "
+            "sequential consistency')"
+        )
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete description of one simulated machine."""
@@ -221,16 +247,7 @@ class SystemConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
 
     def __post_init__(self) -> None:
-        if self.n_procs < 1:
-            raise ValueError("need at least one processor")
-        if self.consistency is Consistency.SC and self.protocol.has_trait(
-            "requires_rc"
-        ):
-            raise ValueError(
-                "the competitive-update mechanism requires release consistency "
-                "(paper §5.2: 'We omit CW because it is not feasible under "
-                "sequential consistency')"
-            )
+        check_machine(self.n_procs, self.consistency, self.protocol)
 
     def with_protocol(self, name: str) -> "SystemConfig":
         """A copy of this config running the named protocol."""

@@ -43,20 +43,19 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import as_completed
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.stats.counters import MachineStats
 from repro.sweep.cache import HOT_ENTRIES, ResultCache
-from repro.sweep.pool import PersistentPool, estimate_cost, shared_pool
 from repro.sweep.spec import RunResult, RunSpec
 
-# The simulation stack is imported with the engine, not on the first
-# execute_spec call, so a pool worker forked from this process starts
-# with it loaded instead of importing it inside its first task.
-from repro.system import System
-from repro.workloads import build_workload
+# The simulator and the worker pool are imported where they run: a
+# fully cached sweep loads neither, and the pool loads the simulator
+# before it forks its first worker (see _load_simulator there).
+if TYPE_CHECKING:
+    from repro.sweep.pool import PersistentPool
+
 
 @dataclass(frozen=True)
 class ProgressEvent:
@@ -96,6 +95,8 @@ def workload_key(spec: RunSpec) -> str:
 
 
 def _build_streams(spec: RunSpec, cfg):
+    from repro.workloads import build_workload
+
     return build_workload(
         spec.app, cfg, scale=spec.scale, seed=spec.seed,
         **dict(spec.workload_kw),
@@ -151,6 +152,8 @@ def execute_spec(spec: RunSpec, warm: WarmContext | None = None) -> MachineStats
     memoizes the built workload streams across calls; the result is
     identical with or without it.
     """
+    from repro.system import System
+
     cfg = spec.to_config()
     streams = (warm.streams_for(spec, cfg) if warm is not None
                else _build_streams(spec, cfg))
@@ -209,6 +212,8 @@ class SweepEngine:
     def _get_pool(self) -> PersistentPool:
         """The persistent pool (the process-wide shared one)."""
         if self._pool is None or self._pool.closed:
+            from repro.sweep.pool import shared_pool
+
             self._pool = shared_pool(self.max_workers)
         return self._pool
 
@@ -373,6 +378,8 @@ class SweepEngine:
         Ties keep submission order, so scheduling is deterministic for
         a given batch; results are reassembled by index either way.
         """
+        from repro.sweep.pool import estimate_cost
+
         return sorted(pending, key=lambda i: (-estimate_cost(batch[i]), i))
 
     def _run_pooled(self, batch, pending, results, hook) -> dict:
@@ -382,6 +389,10 @@ class SweepEngine:
         starts any workers it needs on this thread.  Returns the worker
         starts made meanwhile, by method.
         """
+        from concurrent.futures import as_completed
+
+        from repro.sweep.pool import estimate_cost
+
         pool = self._get_pool()
         pool.resize(self.max_workers)
         forked, spawned = pool.forked, pool.spawned

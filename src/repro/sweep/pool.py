@@ -11,7 +11,8 @@ a cost-ordered shared task queue.  It differs from a per-``run()``
   instead of once per sweep.
 * **Forked when that is safe, spawned otherwise.**  On Linux, a worker
   started by the only thread of the process is forked from the
-  already-imported parent (milliseconds).  Anywhere else -- macOS and
+  parent (milliseconds), which imports the simulator first, so the
+  worker inherits it.  Anywhere else -- macOS and
   Windows, the HTTP service's request threads, crash respawns made by
   the dispatcher thread -- it is spawned as a fresh interpreter that
   imports ``repro`` itself (hundreds of milliseconds).  A forked worker
@@ -103,6 +104,20 @@ def ensure_importable_by_workers() -> None:
     _importable_ensured = True
 
 
+def _load_simulator() -> None:
+    """Import what a worker's tasks run: the engine and the simulator.
+
+    The engine imports the simulator on its first simulation, so a
+    parent that has served only cache hits has not loaded it.  The pool
+    calls this before it forks a worker, which then inherits the
+    modules, and a spawned worker calls it before it reads a task;
+    either way no task pays for the import.
+    """
+    import repro.sweep.engine  # noqa: F401
+    import repro.system  # noqa: F401
+    import repro.workloads  # noqa: F401
+
+
 def _fork_is_safe() -> bool:
     """Whether a worker may be forked now: Linux, and the calling
     thread is the only thread in the process.
@@ -138,6 +153,7 @@ def _worker_main(conn: Connection) -> None:
     and deterministic in the spec, are memoized in a per-process
     :class:`~repro.sweep.engine.WarmContext`.
     """
+    _load_simulator()
     from repro.sweep.engine import WarmContext, execute_spec
     from repro.sweep.spec import RunSpec
 
@@ -267,6 +283,7 @@ class PersistentPool:
         name = f"repro-sweep-worker-{self.forked + self.spawned}"
         process: BaseProcess
         if _fork_is_safe():
+            _load_simulator()
             inherited = [w.conn for w in self._workers]
             inherited += [parent_conn, self._wake_r, self._wake_w]
             process = get_context("fork").Process(

@@ -43,8 +43,13 @@ from repro.config import (
     NetworkKind,
     ProtocolConfig,
     SystemConfig,
+    check_machine,
     require_ints,
 )
+# The extension registry, which ProtocolConfig.from_name parses names
+# with: every spec canonicalizes its protocol through it, so it loads
+# with this module rather than inside the first spec built.
+import repro.core.extensions  # noqa: F401
 from repro.stats.counters import MachineStats
 from repro.workloads import WORKLOADS
 
@@ -166,7 +171,7 @@ class RunSpec:
             )
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
-        Consistency(self.consistency)  # validate early
+        consistency = Consistency(self.consistency)  # validate early
         # the sub-configs check their own fields when built, so the
         # shared defaults are not checked again here
         require_ints(self, "n_procs", "seed")
@@ -174,9 +179,10 @@ class RunSpec:
         # (and one cache entry) too
         object.__setattr__(self, "scale", float(self.scale))
         # canonicalize the protocol name ("CW+P" -> "P+CW")
-        object.__setattr__(
-            self, "protocol", ProtocolConfig.from_name(self.protocol).name
-        )
+        protocol = ProtocolConfig.from_name(self.protocol)
+        object.__setattr__(self, "protocol", protocol.name)
+        # refuse what to_config() would, before the spec is keyed
+        check_machine(self.n_procs, consistency, protocol)
         kw = self.workload_kw
         if isinstance(kw, Mapping):
             kw = kw.items()

@@ -6,9 +6,10 @@ Run from the repository root:
 
 The snapshots pin ``RunSpec.key()`` (the result-cache address) and
 ``RunSpec.to_json()`` (the wire form cache files and the service
-exchange) over every application x the eight protocol combinations x
-RC/SC x uniform/mesh network x the default and both section-5.4 cache
-configurations.  Every cell id keeps a ``full_map`` directory field:
+exchange) over every application x the eight protocol combinations
+under RC and the four feasible under SC (CW needs release
+consistency, so a spec refuses it under SC) x uniform/mesh network x
+the default and both section-5.4 cache configurations.  Every cell id keeps a ``full_map`` directory field:
 the ids date from when the directory organization was a spec option.  A changed key
 orphans every cached result, so only regenerate them for an
 intentional, reviewed spec change (one that also bumps
@@ -21,7 +22,7 @@ import itertools
 import json
 from pathlib import Path
 
-from repro.config import ALL_PROTOCOLS, CacheConfig
+from repro.config import ALL_PROTOCOLS, SC_PROTOCOLS, CacheConfig
 from repro.experiments.runner import (
     limited_slc_cache,
     mesh_network,
@@ -49,6 +50,8 @@ def corpus() -> list[tuple[str, RunSpec]]:
         itertools.product(ALL_APP_NAMES, ALL_PROTOCOLS, CONSISTENCIES,
                           DIRECTORIES, NETWORKS, CACHES)
     ):
+        if cons == "SC" and proto not in SC_PROTOCOLS:
+            continue
         spec = RunSpec.for_run(
             app, protocol=proto, consistency=cons, network=net,
             cache=cache,

@@ -1,8 +1,9 @@
 """Cache addresses and wire bytes of ``RunSpec`` are pinned.
 
 ``tests/golden/spec_keys.json`` holds ``key()`` and ``to_json()`` for
-every application x the eight protocol combinations x RC/SC x
-uniform/mesh x the three cache configurations.  A changed key silently orphans every cached result
+every application x the eight protocol combinations under RC and the
+four feasible under SC x uniform/mesh x the three cache
+configurations.  A changed key silently orphans every cached result
 and every hash a service client holds, so the serialization must
 reproduce these bytes exactly.
 
@@ -16,6 +17,9 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.config import ALL_PROTOCOLS, SC_PROTOCOLS
 from repro.stats.counters import MachineStats
 from repro.sweep import ResultCache, RunResult, RunSpec, SweepEngine
 
@@ -28,11 +32,19 @@ from regen_spec_keys import corpus  # noqa: E402
 
 def test_corpus_matches_golden():
     cells = corpus()
-    assert len(cells) == len(GOLDEN) == 576
+    assert len(cells) == len(GOLDEN) == 432
     for cell, spec in cells:
         expected = GOLDEN[cell]
         assert spec.to_json() == expected["json"], cell
         assert spec.key() == expected["key"], cell
+
+
+@pytest.mark.parametrize("protocol", sorted(set(ALL_PROTOCOLS)
+                                             - set(SC_PROTOCOLS)))
+def test_cw_under_sc_has_no_key(protocol):
+    # refused when built, so no such cell is ever keyed or cached
+    with pytest.raises(ValueError, match="requires release consistency"):
+        RunSpec.for_run("mp3d", protocol=protocol, consistency="SC")
 
 
 def test_golden_json_round_trips_to_the_same_key():

@@ -11,6 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.config import (
+    ALL_PROTOCOLS,
+    SC_PROTOCOLS,
     CacheConfig,
     Consistency,
     NetworkConfig,
@@ -95,6 +97,39 @@ class TestPlainInts:
         for name in ints:
             with pytest.raises(ValueError, match=f"{name} must be an int"):
                 cls(**{name: 4096.0})
+
+
+#: (for_run keywords, wire edit, refusal): machines SystemConfig
+#: refuses, which a spec must refuse when built, before it is keyed
+_UNBUILDABLE = {
+    "no-procs": ({"n_procs": 0}, {"n_procs": 0}, "at least one processor"),
+    "negative-procs": ({"n_procs": -3}, {"n_procs": -3},
+                       "at least one processor"),
+    "cw-under-sc": ({"protocol": "CW", "consistency": "SC"},
+                    {"protocol": "CW", "consistency": "SC"},
+                    "requires release consistency"),
+}
+
+
+class TestUnbuildableMachines:
+    @pytest.mark.parametrize("case", sorted(_UNBUILDABLE))
+    def test_refused_when_built(self, case):
+        kw, edit, message = _UNBUILDABLE[case]
+        with pytest.raises(ValueError, match=message):
+            RunSpec.for_run("mp3d", **kw)
+        with pytest.raises(ValueError, match=message):
+            RunSpec(app="mp3d", **kw)
+        wire = RunSpec.for_run("mp3d").to_wire()
+        wire.update(edit)
+        with pytest.raises(SpecSchemaError, match=message):
+            RunSpec.from_wire(wire)
+
+    def test_every_feasible_paper_cell_still_builds(self):
+        for consistency, protocols in (("RC", ALL_PROTOCOLS),
+                                       ("SC", SC_PROTOCOLS)):
+            for protocol in protocols:
+                RunSpec.for_run("mp3d", protocol=protocol,
+                                consistency=consistency).to_config()
 
 
 class TestHashing:
