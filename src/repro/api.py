@@ -24,11 +24,9 @@ described by a :class:`~repro.sweep.RunSpec` (versioned wire form via
 ``to_wire``/``to_json``), and a completed cell is digested by
 :class:`RunSummary` -- every summary, whatever produced it, is built
 by the same constructor from the same ``MachineStats``, and
-:meth:`RunSummary.to_dict` / :meth:`Ranking.to_dict` are the only
-JSON shapes.  The CLI tables, the experiment reports and the HTTP
-service (:mod:`repro.service`) all render from these dicts instead of
-keeping private formats, so a number shown anywhere is the same
-number stored in the cache and served over the wire.
+:meth:`RunSummary.to_dict` is its only JSON shape.  The CLI tables
+render from that dict instead of keeping a private format, so a
+number shown anywhere is the same number stored in the cache.
 """
 
 from __future__ import annotations
@@ -146,14 +144,9 @@ class RunSummary:
             stats=stats,
         )
 
-    def to_dict(self, include_stats: bool = False) -> dict:
-        """JSON-able digest; the wire/report form of this summary.
-
-        The full (versioned) ``MachineStats`` payload is included only
-        on request -- it is an order of magnitude larger than the
-        digest and most consumers only want the ratios.
-        """
-        d = {
+    def to_dict(self) -> dict:
+        """JSON-able digest; the report form of this summary."""
+        return {
             "app": self.app,
             "protocol": self.protocol,
             "consistency": self.consistency,
@@ -169,9 +162,6 @@ class RunSummary:
             "network_bytes": self.network_bytes,
             "spec": self.spec.to_wire() if self.spec is not None else None,
         }
-        if include_stats:
-            d["stats"] = self.stats.to_dict()
-        return d
 
     def speedup_over(self, baseline: "RunSummary") -> float:
         """How many times faster this run is than ``baseline``.
@@ -249,18 +239,6 @@ class Ranking:
         """``{protocol: execution_time / baseline_time}`` for all rows."""
         base = self.baseline_summary().execution_time
         return {s.protocol: s.execution_time / base for s in self.summaries}
-
-    def to_dict(self, include_stats: bool = False) -> dict:
-        """JSON-able ranking: summaries (fastest first) + speedups."""
-        return {
-            "app": self.app,
-            "baseline": self.baseline,
-            "speedups": self.speedups(),
-            "summaries": [
-                s.to_dict(include_stats=include_stats)
-                for s in self.summaries
-            ],
-        }
 
     def __getitem__(self, protocol: str) -> RunSummary:
         for summary in self.summaries:

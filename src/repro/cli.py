@@ -12,9 +12,6 @@ Subcommands:
 * ``bench``       -- benchmark regression harness (events/sec over a
   fixed workload x protocol matrix, JSON artifacts),
 * ``experiments`` -- dispatch to the table/figure drivers,
-* ``serve``       -- run the sweep service (HTTP API over the engine),
-* ``submit``      -- send a sweep to a running service and print the
-  ranking when it completes,
 * ``verify``      -- protocol verification: bounded model checking
   (``verify model``), seeded invariant fuzzing (``verify fuzz``) and
   the static extension-metadata lint (``verify registry``).
@@ -34,7 +31,6 @@ from repro.config import (
 )
 from repro.experiments.formats import render_table
 from repro.experiments.runner import add_sweep_args
-from repro.sweep import DEFAULT_SEED
 from repro.workloads import ALL_APP_NAMES
 
 
@@ -247,95 +243,6 @@ def cmd_trace(args) -> int:
     save_streams(streams, args.out)
     total = sum(len(s) for s in streams)
     print(f"wrote {total} ops for {len(streams)} processors to {args.out}")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Run the sweep service until interrupted."""
-    from repro.service import create_service
-    from repro.sweep import default_cache_dir
-
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
-    service = create_service(
-        host=args.host,
-        port=args.port,
-        cache_dir=cache_dir,
-        max_cache_bytes=args.max_cache_bytes,
-        max_cache_entries=args.max_cache_entries,
-        jobs=args.jobs,
-        verbose=args.verbose,
-    )
-    print(
-        f"repro sweep service on {service.url} "
-        f"(cache: {cache_dir or 'off'}, jobs: {args.jobs})",
-        file=sys.stderr, flush=True,
-    )
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    finally:
-        service.close()
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Send one sweep to a running service; print the ranking."""
-    from repro.service import ServiceClient, ServiceError
-    from repro.sweep import RunSpec
-
-    network = _network_arg(args)
-    combos = args.extensions or args.protocols
-    specs = [
-        RunSpec.for_run(
-            args.app,
-            protocol=proto,
-            consistency=Consistency(args.consistency),
-            network=network,
-            n_procs=args.procs,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        for proto in combos
-    ]
-    client = ServiceClient(args.url)
-    try:
-        sweep_id = client.submit(specs)
-        print(f"submitted {len(specs)} cells as {sweep_id} to {args.url}",
-              file=sys.stderr, flush=True)
-        job = client.wait_for(sweep_id, timeout=args.timeout)
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 1
-    if job["state"] == "failed":
-        print(f"sweep failed: {job['error']}", file=sys.stderr)
-        return 1
-    summaries = [c["summary"] for c in job["results"]]
-    base = summaries[0]["execution_time"]
-    rows = [
-        (
-            s["protocol"],
-            s["execution_time"] / base,
-            s["cold_miss_rate"],
-            s["coherence_miss_rate"],
-            s["network_bytes"],
-        )
-        for s in summaries
-    ]
-    rows.sort(key=lambda r: r[1])
-    print(render_table(
-        ("protocol", "rel. time", "cold %", "coh %", "net bytes"),
-        rows,
-        title=f"{args.app} ({args.consistency}, scale {args.scale})",
-    ))
-    src = job["sources"]
-    print(
-        f"[service] cells={job['cells']} sim={src['sim']} "
-        f"cache={src['cache']} dedup={src['dedup']}",
-        file=sys.stderr, flush=True,
-    )
     return 0
 
 
@@ -576,57 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tr, protocol=False)
     p_tr.add_argument("--out", required=True)
     p_tr.set_defaults(fn=cmd_trace)
-
-    p_srv = sub.add_parser(
-        "serve", help="run the sweep service (HTTP API over the engine)"
-    )
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=8484)
-    p_srv.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per sweep (1 = serial, the default)",
-    )
-    p_srv.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-             ".repro-cache)",
-    )
-    p_srv.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without a result cache (always simulate)",
-    )
-    p_srv.add_argument(
-        "--max-cache-bytes", type=int, default=None, metavar="BYTES",
-        help="LRU-evict the cache above this many bytes",
-    )
-    p_srv.add_argument(
-        "--max-cache-entries", type=int, default=None, metavar="N",
-        help="LRU-evict the cache above this many entries",
-    )
-    p_srv.add_argument(
-        "--verbose", action="store_true",
-        help="log every HTTP request to stderr",
-    )
-    p_srv.set_defaults(fn=cmd_serve)
-
-    p_sub = sub.add_parser(
-        "submit", help="send a sweep to a running service"
-    )
-    common(p_sub, multi=True)
-    p_sub.add_argument(
-        "--url", default="http://127.0.0.1:8484",
-        help="service base URL (default: %(default)s)",
-    )
-    p_sub.add_argument(
-        "--protocols", nargs="+", default=list(ALL_PROTOCOLS),
-        choices=ALL_PROTOCOLS,
-    )
-    p_sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sub.add_argument(
-        "--timeout", type=float, default=3600.0,
-        help="seconds to wait for the sweep to finish",
-    )
-    p_sub.set_defaults(fn=cmd_submit)
 
     p_ver = sub.add_parser(
         "verify",

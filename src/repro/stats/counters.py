@@ -215,7 +215,7 @@ class MachineStats:
 
         Every counter is a plain int/float/str, so the round trip is
         lossless.  One dict per node: the shape of the worker-pool
-        replies, the service API and ``GET /v1/runs/<hash>``.
+        replies.
         """
         return {
             "version": STATS_SCHEMA_VERSION,

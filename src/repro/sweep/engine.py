@@ -10,7 +10,7 @@ order** regardless of completion order:
 * ``process`` -- ``max_workers>1``: fan the uncached cells out across
   the persistent warm worker pool (:mod:`repro.sweep.pool`: started
   once -- forked from a single-threaded parent on Linux, spawned
-  otherwise -- reused across ``run()`` calls and service jobs,
+  otherwise -- reused across ``run()`` calls and engines,
   crash-respawned).
 
 Uncached cells are dispatched most-expensive-first through a
@@ -26,13 +26,13 @@ path through the same versioned dict round-trip guarantees that a
 process-pool sweep, a serial sweep and a cache replay produce
 bitwise-identical statistics.
 
-One engine may be shared by many threads (the HTTP service submits
-every client sweep through a single engine).  ``run`` is thread-safe,
-and concurrent submissions of the *same* spec hash are **deduplicated
-in flight**: the first submitter simulates, everyone else blocks on
-the shared execution and receives the identical result (reported with
-progress source ``"dedup"`` and counted in :attr:`SweepEngine.deduped`).
-Duplicates inside one batch collapse the same way.
+Equal specs inside one batch are simulated once: later copies receive
+the first copy's result (reported with progress source ``"dedup"``
+and counted in :attr:`SweepEngine.deduped`).
+
+An engine and its cache are used from one thread, the one that calls
+``run``; the pool resolves its futures without callbacks, so no engine
+or cache code ever runs on the pool's dispatcher thread.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -65,10 +64,7 @@ class ProgressEvent:
     total: int          #: batch size
     spec: RunSpec
     wall_time: float    #: seconds spent simulating (0.0 for cache hits)
-    source: str         #: "sim", "cache" or "dedup" (shared execution)
-    #: the completed result; lets per-call hooks (the service's job
-    #: tracker) stream results without waiting for the whole batch.
-    result: RunResult | None = None
+    source: str         #: "sim", "cache" or "dedup" (an equal spec's run)
 
 
 ProgressHook = Callable[[ProgressEvent], None]
@@ -106,8 +102,8 @@ def _build_streams(spec: RunSpec, cfg):
 class WarmContext:
     """Per-process memo of built workload streams.
 
-    A long-lived worker (the persistent sweep pool, the HTTP service's
-    serial engine) executes many specs that share a workload: the same
+    A long-lived worker (a persistent pool worker, an engine's serial
+    path) executes many specs that share a workload: the same
     :func:`workload_key` under different protocols, directories or
     timings.  Building the reference streams is deterministic in that
     identity, and the simulator only *iterates* the frozen ``Op``
@@ -160,16 +156,6 @@ def execute_spec(spec: RunSpec, warm: WarmContext | None = None) -> MachineStats
     return System(cfg).run(streams)
 
 
-class _InFlight:
-    """One spec hash currently executing; waiters block on the event."""
-
-    __slots__ = ("event", "result")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: RunResult | None = None
-
-
 class SweepEngine:
     """Executes spec batches with memoization and progress reporting."""
 
@@ -188,12 +174,10 @@ class SweepEngine:
         self.misses = 0
         #: cells served from the cache without simulating.
         self.hits = 0
-        #: cells that piggybacked on an identical in-flight execution.
+        #: cells that took the result of an equal spec in their batch.
         self.deduped = 0
         #: wall-clock seconds spent inside run().
         self.wall_time = 0.0
-        self._lock = threading.Lock()
-        self._inflight: dict[str, _InFlight] = {}
         #: warm state of the in-process (serial) execution path.
         self._warm = WarmContext()
         self._pool: PersistentPool | None = None
@@ -217,101 +201,56 @@ class SweepEngine:
             self._pool = shared_pool(self.max_workers)
         return self._pool
 
-    def close(self, shutdown_pool: bool = False) -> None:
-        """Optionally stop the worker pool.
-
-        The persistent pool is shared process-wide, so it is left
-        running by default (an ``atexit`` hook stops it at interpreter
-        exit); pass ``shutdown_pool=True`` to stop it now -- the
-        service does on shutdown.
-        """
-        if shutdown_pool and self._pool is not None:
-            self._pool.close()
-
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        specs: Iterable[RunSpec],
-        on_result: ProgressHook | None = None,
-    ) -> list[RunResult]:
-        """Execute every spec; results come back in submission order.
-
-        ``on_result`` is a per-call completion callback fired *in
-        addition to* the engine-wide hook -- the service uses it to
-        track each client sweep separately on one shared engine.
-        """
+    def run(self, specs: Iterable[RunSpec]) -> list[RunResult]:
+        """Execute every spec; results come back in submission order."""
         batch = list(specs)
         total = len(batch)
         t0 = time.perf_counter()
-        hot_before = self.cache.hot_hits if self.cache is not None else 0
-        with self._lock:
-            self.cells += total
+        cache = self.cache
+        hot_before = cache.hot_hits if cache is not None else 0
+        self.cells += total
         results: list[RunResult | None] = [None] * total
-        pending: list[int] = []                      # this call simulates
-        waiting: list[tuple[int, _InFlight]] = []    # someone else is
-        owned: dict[str, _InFlight] = {}             # keys this call claimed
-        cached_here = 0
+        pending: list[int] = []                 # cells this call simulates
+        first: dict[str, int] = {}              # key -> its pending index
+        dups: list[tuple[int, int]] = []        # (cell, equal pending cell)
         for i, spec in enumerate(batch):
-            cached = self.cache.get(spec) if self.cache is not None else None
+            cached = cache.get(spec) if cache is not None else None
             if cached is not None:
                 results[i] = cached
-                cached_here += 1
-                with self._lock:
-                    self.hits += 1
-                self._report(i, total, spec, 0.0, "cache", on_result, cached)
+                self._report(i, total, spec, 0.0, "cache")
                 continue
-            key = spec.key()
-            with self._lock:
-                mine = owned.get(key)
-                theirs = self._inflight.get(key)
-                if mine is not None:
-                    waiting.append((i, mine))
-                    self.deduped += 1
-                elif theirs is not None:
-                    waiting.append((i, theirs))
-                    self.deduped += 1
-                else:
-                    entry = _InFlight()
-                    self._inflight[key] = entry
-                    owned[key] = entry
-                    pending.append(i)
-        with self._lock:
-            self.misses += len(pending)
+            j = first.setdefault(spec.key(), i)
+            if j == i:
+                pending.append(i)
+            else:
+                dups.append((i, j))
+        cached_here = total - len(pending) - len(dups)
+        self.hits += cached_here
+        self.misses += len(pending)
+        self.deduped += len(dups)
         pool_starts = {"forked": 0, "spawned": 0}
-        try:
-            if pending:
-                if self.executor == "process" and len(pending) > 1:
-                    pool_starts = self._run_pooled(batch, pending, results,
-                                                   on_result)
-                else:
-                    self._run_serial(batch, pending, results, on_result)
-        finally:
-            # release any claims left unresolved by an executor failure
-            # so waiters (here and in other threads) never deadlock.
-            with self._lock:
-                for key, entry in owned.items():
-                    if not entry.event.is_set():
-                        self._inflight.pop(key, None)
-                        entry.event.set()
-        for i, entry in waiting:
-            results[i] = self._await_shared(batch[i], entry)
-            self._report(i, total, batch[i], 0.0, "dedup", on_result,
-                         results[i])
+        if pending:
+            if self.executor == "process" and len(pending) > 1:
+                pool_starts = self._run_pooled(batch, pending, results)
+            else:
+                self._run_serial(batch, pending, results)
+        for i, j in dups:
+            results[i] = results[j]
+            self._report(i, total, batch[i], 0.0, "dedup")
         wall = time.perf_counter() - t0
         self.wall_time += wall
         self._last_run_stats = {
             "cells": total,
             "sim": len(pending),
             "cache": cached_here,
-            "dedup": len(waiting),
-            "hot_hits": (self.cache.hot_hits - hot_before
-                         if self.cache is not None else 0),
+            "dedup": len(dups),
+            "hot_hits": (cache.hot_hits - hot_before
+                         if cache is not None else 0),
             "wall_time": wall,
-            "sim_time": sum(
-                results[i].wall_time for i in pending
-                if results[i] is not None
-            ),
+            "sim_time": sum(results[i].wall_time  # type: ignore[union-attr]
+                            for i in pending),
             "executor": ("serial" if self.executor == "serial"
                          or len(pending) <= 1 else "process"),
             "pool": pool_starts,
@@ -328,9 +267,7 @@ class SweepEngine:
         ``hot_hits`` how many cache hits never touched disk.  ``pool``
         counts the worker starts the run caused by method, ``{"forked":
         n, "spawned": m}``; it reads zeros for a serial run or a warm
-        pool.  On an engine shared by concurrent threads the digest
-        describes whichever run finished last, and ``pool`` counts
-        every start the shared pool made during it.
+        pool.
         """
         return self._last_run_stats
 
@@ -338,39 +275,14 @@ class SweepEngine:
         """Single-cell convenience wrapper over :meth:`run`."""
         return self.run([spec])[0]
 
-    def _await_shared(self, spec: RunSpec, entry: _InFlight) -> RunResult:
-        """Block on another submission's execution of an equal spec.
-
-        If the owner failed (event set, no result), fall back to
-        executing the cell ourselves -- correctness over economy in a
-        path that only a crashed sibling submission can reach.
-        """
-        entry.event.wait()
-        if entry.result is not None:
-            return entry.result
-        cached = self.cache.get(spec) if self.cache is not None else None
-        if cached is not None:
-            return cached
-        t0 = time.perf_counter()
-        stats = execute_spec(spec, self._warm)
-        result = RunResult(
-            spec=spec, stats=stats,
-            wall_time=time.perf_counter() - t0, from_cache=False,
-        )
-        if self.cache is not None:
-            self.cache.put(result)
-        return result
-
     # ------------------------------------------------------------------
 
-    def _run_serial(self, batch, pending, results, hook) -> None:
+    def _run_serial(self, batch, pending, results) -> None:
         for i in pending:
             t0 = time.perf_counter()
             stats = execute_spec(batch[i], self._warm)
-            self._complete(
-                batch, i, len(batch), stats, time.perf_counter() - t0,
-                results, hook,
-            )
+            self._complete(batch, i, stats, time.perf_counter() - t0,
+                           results)
 
     def _cost_order(self, batch, pending: Sequence[int]) -> list[int]:
         """Pending indices, most expensive estimated cell first.
@@ -382,7 +294,7 @@ class SweepEngine:
 
         return sorted(pending, key=lambda i: (-estimate_cost(batch[i]), i))
 
-    def _run_pooled(self, batch, pending, results, hook) -> dict:
+    def _run_pooled(self, batch, pending, results) -> dict:
         """Dynamic scheduling on the long-lived shared worker pool.
 
         The whole pending batch goes to the pool in one call, which
@@ -404,43 +316,25 @@ class SweepEngine:
             payload = fut.result()  # worker errors surface here
             i = futures[fut]
             stats = MachineStats.from_dict(payload["stats"])
-            self._complete(
-                batch, i, len(batch), stats, payload["wall_time"],
-                results, hook,
-            )
+            self._complete(batch, i, stats, payload["wall_time"], results)
         return {"forked": pool.forked - forked,
                 "spawned": pool.spawned - spawned}
 
-    def _complete(self, batch, i, total, stats, wall_time, results,
-                  hook) -> None:
+    def _complete(self, batch, i, stats, wall_time, results) -> None:
         result = RunResult(
             spec=batch[i], stats=stats, wall_time=wall_time, from_cache=False
         )
         if self.cache is not None:
             self.cache.put(result)
         results[i] = result
-        # publish to in-flight waiters before reporting progress, so a
-        # hook that inspects the engine sees the claim already released.
-        key = batch[i].key()
-        with self._lock:
-            entry = self._inflight.pop(key, None)
-        if entry is not None:
-            entry.result = result
-            entry.event.set()
-        self._report(i, total, batch[i], wall_time, "sim", hook, result)
+        self._report(i, len(batch), batch[i], wall_time, "sim")
 
-    def _report(self, i, total, spec, wall_time, source, hook=None,
-                result=None) -> None:
-        if self.on_result is None and hook is None:
-            return
-        event = ProgressEvent(
-            index=i, total=total, spec=spec,
-            wall_time=wall_time, source=source, result=result,
-        )
+    def _report(self, i, total, spec, wall_time, source) -> None:
         if self.on_result is not None:
-            self.on_result(event)
-        if hook is not None:
-            hook(event)
+            self.on_result(ProgressEvent(
+                index=i, total=total, spec=spec,
+                wall_time=wall_time, source=source,
+            ))
 
     # ------------------------------------------------------------------
 
@@ -452,19 +346,6 @@ class SweepEngine:
             f"invalidated={self.invalidated} "
             f"executor={self.executor} wall={self.wall_time:.2f}s"
         )
-
-    def counters(self) -> dict:
-        """JSON-able counter digest (served at /v1/health)."""
-        return {
-            "cells": self.cells,
-            "hits": self.hits,
-            "misses": self.misses,
-            "deduped": self.deduped,
-            "invalidated": self.invalidated,
-            "in_flight": len(self._inflight),
-            "executor": self.executor,
-            "wall_time": self.wall_time,
-        }
 
 
 def run_spec(spec: RunSpec, engine: SweepEngine | None = None) -> RunResult:

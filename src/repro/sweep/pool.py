@@ -6,15 +6,15 @@ a cost-ordered shared task queue.  It differs from a per-``run()``
 *throughput*:
 
 * **Started once, reused forever.**  Workers are started on the first
-  submission and survive across ``SweepEngine.run()`` calls and HTTP
-  service jobs, so the start cost is paid once per process lifetime
+  submission and survive across ``SweepEngine.run()`` calls and
+  engines, so the start cost is paid once per process lifetime
   instead of once per sweep.
 * **Forked when that is safe, spawned otherwise.**  On Linux, a worker
   started by the only thread of the process is forked from the
   parent (milliseconds), which imports the simulator first, so the
-  worker inherits it.  Anywhere else -- macOS and
-  Windows, the HTTP service's request threads, crash respawns made by
-  the dispatcher thread -- it is spawned as a fresh interpreter that
+  worker inherits it.  Anywhere else -- macOS and Windows, a
+  submitting thread with a second thread alive, crash respawns made
+  by the dispatcher thread -- it is spawned as a fresh interpreter that
   imports ``repro`` itself (hundreds of milliseconds).  A forked worker
   closes every pool pipe end it inherited and drops inherited profile
   and trace hooks before it serves a task, so it behaves like a
@@ -23,7 +23,8 @@ a cost-ordered shared task queue.  It differs from a per-``run()``
   submit_batch` starts the workers a batch needs, then queues the batch,
   hands idle workers their first tasks and starts the dispatcher
   thread.  The dispatcher only assigns tasks as workers free up and
-  replaces crashed workers.
+  replaces crashed workers.  It resolves futures without callbacks, so
+  the engine and the cache only ever run on the submitting thread.
 * **Warm state.**  Each worker keeps a
   :class:`~repro.sweep.engine.WarmContext`: built workload streams are
   memoized by workload identity, so repeated cells (the same
@@ -40,7 +41,7 @@ a cost-ordered shared task queue.  It differs from a per-``run()``
 Lifecycle: pools shut down cleanly via :meth:`close` (idempotent) and
 an ``atexit`` hook.  Most callers should use :func:`shared_pool`,
 which maintains one process-wide pool that grows to the largest
-requested worker count -- one service process or one test session then
+requested worker count -- one driver process or one test session then
 holds one set of workers, however many engines it builds.
 """
 
@@ -124,8 +125,9 @@ def _fork_is_safe() -> bool:
 
     Forking a multi-threaded process can copy a lock another thread
     holds (CPython 3.12 warns on it), so any second thread -- a
-    Python one, including this pool's dispatcher, or a native one,
-    which only ``/proc`` shows -- means spawn.
+    Python one, including this pool's dispatcher or one the caller
+    started, or a native one, which only ``/proc`` shows -- means
+    spawn.
     """
     if not sys.platform.startswith("linux") or threading.active_count() != 1:
         return False
@@ -523,7 +525,7 @@ class PersistentPool:
     # -- introspection --------------------------------------------------
 
     def counters(self) -> dict:
-        """JSON-able digest (folded into engine/service counters).
+        """JSON-able digest of the pool's workers, tasks and warm state.
 
         ``forked`` and ``spawned`` count worker starts by method over
         the pool's lifetime; every start, crash respawns included,
@@ -557,8 +559,8 @@ def shared_pool(max_workers: int | None = None) -> PersistentPool:
     """The process-wide pool, created on first use.
 
     Grows (never shrinks) to the largest worker count any caller has
-    requested, so every engine in one process -- every service job,
-    every test -- shares one set of warm workers.
+    requested, so every engine in one process -- every driver, every
+    test -- shares one set of warm workers.
     """
     global _shared_pool
     with _shared_lock:

@@ -18,8 +18,8 @@ and bookkeeping (wall time, cache provenance).  Unlike the historical
 :class:`~repro.system.System`, so it pickles cheaply and fits in the
 on-disk cache.
 
-Specs that leave the process -- cache files, service requests, thin
-clients -- travel as the *wire form*: the plain dict plus an explicit
+Specs that leave the process -- cache files, the golden spec-key
+file -- travel as the *wire form*: the plain dict plus an explicit
 ``"v"`` schema stamp (``to_wire``/``from_wire``, or ``to_json``/
 ``from_json`` for the serialized string).  Deserialization rejects
 unknown versions with :class:`SpecSchemaError` instead of guessing at
@@ -64,8 +64,8 @@ from repro.workloads import WORKLOADS
 #: (below), so the keys of v4 specs did not change with them.
 SPEC_SCHEMA_VERSION = 4
 
-#: the paper's seed; kept in one place so the API, the service layer
-#: and every experiment driver agree.
+#: the paper's seed; kept in one place so the API, the CLI and every
+#: experiment driver agree.
 DEFAULT_SEED = 1994
 
 
@@ -290,10 +290,10 @@ class RunSpec:
     # -- wire form (versioned) ------------------------------------------
 
     def to_wire(self) -> dict:
-        """The dict that crosses process/network boundaries.
+        """The dict that a spec is stored in outside the process.
 
         :meth:`to_dict` plus an explicit ``"v"`` schema stamp; the only
-        spec shape the cache files and the service API exchange.
+        spec shape the cache files hold.
         """
         return {"v": SPEC_SCHEMA_VERSION, **self.to_dict()}
 

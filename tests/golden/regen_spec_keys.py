@@ -5,9 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regen_spec_keys.py
 
 The snapshots pin ``RunSpec.key()`` (the result-cache address) and
-``RunSpec.to_json()`` (the wire form cache files and the service
-exchange) over every application x the eight protocol combinations
-under RC and the four feasible under SC (CW needs release
+``RunSpec.to_json()`` (the wire form cache files store) over every
+application x the eight protocol combinations under RC and the four feasible under SC (CW needs release
 consistency, so a spec refuses it under SC) x uniform/mesh network x
 the default and both section-5.4 cache configurations.  Every cell id keeps a ``full_map`` directory field:
 the ids date from when the directory organization was a spec option.  A changed key

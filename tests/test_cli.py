@@ -119,9 +119,9 @@ class TestCliChoices:
         ["--backend", "event"], ["--trace-dir", "traces"],
     ], ids=["pool", "hot-cache-entries", "backend", "trace-dir"])
     @pytest.mark.parametrize("argv", [
-        ["compare"], ["serve"], ["bench", "--suite", "sweep"], figure2,
-        ["run"], ["submit"], ["bench"], report, sensitivity,
-    ], ids=["compare", "serve", "bench", "figure2", "run", "submit",
+        ["compare"], ["bench", "--suite", "sweep"], figure2,
+        ["run"], ["bench"], report, sensitivity,
+    ], ids=["compare", "bench", "figure2", "run",
             "bench-cells", "report", "sensitivity"])
     def test_removed_orchestration_flags_rejected(self, argv, flag, capsys):
         """One pool, one hot-tier size and one execution tier: no CLI
@@ -134,6 +134,13 @@ class TestCliChoices:
         assert exc.value.code == 2          # argparse usage error
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_no_sweep_service_subcommands(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -62,33 +62,36 @@ class TestHotTier:
         cache = ResultCache(tmp_path, hot_entries=2)
         for seed in (1, 2, 3):
             cache.put(result_for_seed(seed))
-        assert cache.stats()["hot"]["entries"] == 2
+        assert cache.get(result_for_seed(3).spec) is not None
+        assert cache.get(result_for_seed(2).spec) is not None
+        assert cache.hot_hits == 2 and cache.hot_misses == 0
         # seed 1 was evicted from the tier but survives on disk
         assert cache.get(result_for_seed(1).spec) is not None
+        assert cache.hot_hits == 2 and cache.hot_misses == 1
 
     def test_disabled_by_default(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(result_for_seed(1))
         cache.get(result_for_seed(1).spec)
+        cache.get(result_for_seed(1).spec)
+        assert cache.hits == 2
         assert cache.hot_hits == 0 and cache.hot_misses == 0
-        assert cache.stats()["hot"]["entries"] == 0
 
     def test_stats_expose_the_tier(self, tmp_path):
         cache = ResultCache(tmp_path, hot_entries=4)
         cache.put(result_for_seed(1))
-        cache.get(result_for_seed(1).spec)
-        hot = cache.stats()["hot"]
-        assert hot["max_entries"] == 4
-        assert hot["entries"] == 1
-        assert hot["hits"] == 1
-        assert hot["bytes"] > 0  # size learned from the write
+        cache.get(result_for_seed(1).spec)     # stored by the put
+        cache.get(result_for_seed(2).spec)     # on no tier at all
+        assert cache.hot_entries == 4
+        assert cache.hot_hits == 1 and cache.hot_misses == 1
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_clear_drops_the_tier(self, tmp_path):
         cache = ResultCache(tmp_path, hot_entries=4)
         cache.put(result_for_seed(1))
         cache.clear()
-        assert cache.stats()["hot"]["entries"] == 0
         assert cache.get(result_for_seed(1).spec) is None
+        assert cache.hot_hits == 0 and cache.hot_misses == 1
 
 
 class TestBatchedWrites:
@@ -116,14 +119,6 @@ class TestEngineIntegration:
         assert digest["cache"] == 2
         assert digest["hot_hits"] == 2
 
-    def test_service_stats_carry_hot_counters(self, tmp_path):
-        pytest.importorskip("repro.service")
-        from repro.service import create_service
-
-        with create_service(cache_dir=str(tmp_path), jobs=1) as service:
-            payload = service.cache_stats_payload()
-            assert payload["cache"]["hot"]["max_entries"] == 512
-
 
 def _engine_from_cli(root):
     import argparse
@@ -141,13 +136,6 @@ def _make_engine(root):
     make_engine(cache_dir=str(root))
 
 
-def _create_service(root):
-    from repro.service import create_service
-
-    with create_service(cache_dir=str(root)):
-        pass
-
-
 def _sweep(root):
     from repro.sweep import sweep
 
@@ -159,8 +147,8 @@ class TestDriverPolicy:
     size over write-through puts."""
 
     @pytest.mark.parametrize("build", [
-        _engine_from_cli, _make_engine, _create_service, _sweep,
-    ], ids=["engine_from_args", "make_engine", "create_service", "sweep"])
+        _engine_from_cli, _make_engine, _sweep,
+    ], ids=["engine_from_args", "make_engine", "sweep"])
     def test_hot_tier_over_write_through(self, build, tmp_path, monkeypatch):
         from repro.sweep import HOT_ENTRIES
 

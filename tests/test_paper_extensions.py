@@ -18,7 +18,6 @@ from repro.config import (
     ProtocolConfig,
 )
 from repro.core.extensions import ExtensionInfo, UnknownExtensionError
-from repro.service import API_VERSION, ApiError, parse_sweep_request
 from repro.sweep import RunSpec, SpecSchemaError
 from repro.verify import registry_combos
 
@@ -42,14 +41,6 @@ def _wire_naming(protocol):
 def test_from_wire_refuses_pf():
     with pytest.raises(SpecSchemaError, match="'PF'"):
         RunSpec.from_wire(_wire_naming("PF+M"))
-
-
-def test_service_answers_422_naming_pf():
-    body = {"v": API_VERSION, "specs": [_wire_naming("PF")]}
-    with pytest.raises(ApiError) as err:
-        parse_sweep_request(body)
-    assert err.value.status == 422
-    assert "'PF'" in err.value.message
 
 
 def test_protocol_config_has_no_extra_field():

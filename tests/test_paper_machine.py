@@ -21,7 +21,6 @@ from repro.config import (
     PrefetchConfig,
     SystemConfig,
 )
-from repro.service import API_VERSION, ApiError, parse_sweep_request
 from repro.stats.counters import MachineStats
 from repro.sweep import (
     SPEC_SCHEMA_VERSION,
@@ -78,18 +77,11 @@ def test_for_run_refuses(kw, match):
 
 
 @pytest.mark.parametrize("option", sorted(REMOVED))
-def test_service_answers_422(option):
-    body = {"v": API_VERSION, "specs": [_wire_naming(option)]}
-    with pytest.raises(ApiError) as err:
-        parse_sweep_request(body)
-    assert err.value.status == 422
-    assert "specs[0]: invalid spec payload" in err.value.message
-
-
-@pytest.mark.parametrize("option", sorted(REMOVED))
 def test_cache_entry_naming_a_removed_option_is_invalid(tmp_path, option):
     """An entry written while the option existed sits under the key its
-    spec had then; reading it by that key drops it as invalid."""
+    spec had then.  No buildable spec hashes to that key (``from_wire``
+    refuses the stored spec), so ``get`` never returns it; ``clear``
+    collects it."""
     cache = ResultCache(tmp_path)
     spec = RunSpec.for_run("water", n_procs=2, scale=0.05)
     cache.put(RunResult(spec=spec, stats=MachineStats.for_nodes(2)))
@@ -105,8 +97,12 @@ def test_cache_entry_naming_a_removed_option_is_invalid(tmp_path, option):
     path.write_text(json.dumps(
         {**envelope, "spec_key": old_key, "spec": old_wire}
     ))
-    assert cache.get_by_key(old_key) is None
-    assert cache.invalidated == 1
-    assert not path.exists()
-    # the surviving entry is untouched
-    assert cache.get_by_key(spec.key()) is not None
+    assert old_key != spec.key()
+    with pytest.raises(SpecSchemaError):
+        RunSpec.from_wire(old_wire)
+    # the surviving spec reads its own entry, never the old one
+    got = cache.get(spec)
+    assert got is not None and got.spec == spec
+    assert (cache.hits, cache.misses, cache.invalidated) == (1, 0, 0)
+    assert path.exists()
+    assert cache.clear() == 2

@@ -3,9 +3,8 @@
 ``tests/golden/spec_keys.json`` holds ``key()`` and ``to_json()`` for
 every application x the eight protocol combinations under RC and the
 four feasible under SC x uniform/mesh x the three cache
-configurations.  A changed key silently orphans every cached result
-and every hash a service client holds, so the serialization must
-reproduce these bytes exactly.
+configurations.  A changed key silently orphans every cached result,
+so the serialization must reproduce these bytes exactly.
 
 Regenerate (only for an intentional spec change) with
 ``PYTHONPATH=src python tests/golden/regen_spec_keys.py``.
@@ -61,7 +60,7 @@ def test_int_and_float_scale_share_one_key():
     assert as_int.key() == as_float.key()
     assert as_int.to_json() == as_float.to_json()
     assert type(as_int.scale) is float
-    # a wire payload carrying an int scale, as a service client posts it
+    # a wire payload carrying an int scale, as a hand-written one may
     wire = as_float.to_wire()
     wire["scale"] = 1
     assert RunSpec.from_wire(wire).key() == as_float.key()

@@ -1,8 +1,8 @@
 """The result cache's columnar stats codec and its failure modes.
 
 ``MachineStats.to_columns``/``from_columns`` are the on-disk form of a
-cache entry's stats; ``to_dict``/``from_dict`` stay the worker-pool and
-API shape.  Both must carry every counter of every golden cell, and a
+cache entry's stats; ``to_dict``/``from_dict`` stay the worker-pool
+shape.  Both must carry every counter of every golden cell, and a
 damaged columnar payload must be rejected (never truncated), which the
 cache turns into one invalidation and one miss.
 """
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.service import ReproService, ServiceClient, ServiceError
 from repro.stats.counters import STATS_SCHEMA_VERSION, MachineStats
 from repro.sweep import (
     SPEC_SCHEMA_VERSION,
@@ -162,15 +160,6 @@ def test_bad_columns_invalidate_through_get(tmp_path, name):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("name", sorted(BAD_PAYLOADS))
-def test_bad_columns_invalidate_through_get_by_key(tmp_path, name):
-    cache = ResultCache(tmp_path)
-    path = _write_stats(cache, _damaged(name))
-    assert cache.get_by_key(SPEC.key()) is None
-    assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
-    assert not path.exists()
-
-
 def test_non_utf8_entry_is_invalidated(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(RunResult(spec=SPEC, stats=STATS, wall_time=0.5))
@@ -179,16 +168,6 @@ def test_non_utf8_entry_is_invalidated(tmp_path):
     assert cache.get(SPEC) is None
     assert (cache.invalidated, cache.misses) == (1, 1)
     assert not path.exists()
-
-
-def test_get_by_key_returns_to_dict_shaped_stats(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(RunResult(spec=SPEC, stats=STATS, wall_time=0.5))
-    payload = cache.get_by_key(SPEC.key())
-    assert payload["stats"] == STATS.to_dict()
-    # the file keeps its columns
-    on_disk = json.loads(cache.path_for(SPEC).read_text())
-    assert on_disk["stats"] == json.loads(json.dumps(STATS.to_columns()))
 
 
 def _write_schema1_entry(cache: ResultCache) -> Path:
@@ -231,26 +210,3 @@ def test_engine_resimulates_a_schema1_entry(tmp_path):
     assert result.stats == STATS
     assert engine.cache.invalidated == 1
     assert ResultCache(tmp_path).get(SPEC) is not None
-
-
-def test_hit_size_is_the_bytes_read(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(RunResult(spec=SPEC, stats=STATS, wall_time=0.5))
-    size = os.path.getsize(cache.path_for(SPEC))
-    cold = ResultCache(tmp_path, hot_entries=4)
-    assert cold.get(SPEC) is not None
-    assert cold.stats()["hot"]["bytes"] == size
-    writer = ResultCache(tmp_path / "w", hot_entries=4)
-    writer.put(RunResult(spec=SPEC, stats=STATS, wall_time=0.5))
-    assert writer.stats()["hot"]["bytes"] == size
-
-
-def test_undecodable_run_is_404_over_http(tmp_path):
-    cache = ResultCache(tmp_path)
-    _write_stats(cache, _damaged("ragged_long"))
-    with ReproService(SweepEngine(cache=cache)) as svc:
-        client = ServiceClient(svc.url, timeout=60.0)
-        with pytest.raises(ServiceError) as err:
-            client.run(SPEC.key())
-    assert err.value.status == 404
-    assert cache.invalidated == 1

@@ -1,10 +1,8 @@
 """Tests for the on-disk result cache."""
 
 import json
-import os
 
 from repro.sweep import (
-    SPEC_SCHEMA_VERSION,
     ResultCache,
     RunResult,
     RunSpec,
@@ -15,17 +13,12 @@ from repro.sweep.cache import CACHE_SCHEMA_VERSION
 SPEC = RunSpec.for_run("water", scale=0.2, n_procs=4)
 
 #: one real simulation, reused across distinct specs -- the cache only
-#: cares about the spec key, so LRU tests stay fast.
+#: cares about the spec key.
 _STATS = execute_spec(SPEC)
 
 
 def fresh_result() -> RunResult:
     return RunResult(spec=SPEC, stats=_STATS, wall_time=0.5)
-
-
-def result_for_seed(seed: int) -> RunResult:
-    spec = RunSpec.for_run("water", scale=0.2, n_procs=4, seed=seed)
-    return RunResult(spec=spec, stats=_STATS, wall_time=0.5)
 
 
 class TestPutGet:
@@ -105,113 +98,3 @@ class TestInvalidation:
         cache.put(fresh_result())
         assert cache.clear() == 1
         assert len(cache) == 0
-
-
-class TestBounds:
-    def test_max_entries_evicts_lru_insertion_order(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        results = [result_for_seed(s) for s in (1, 2, 3)]
-        for r in results:
-            cache.put(r)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        # seed 1 was least recently used, so it is the one gone
-        assert cache.get(results[0].spec) is None
-        assert cache.get(results[1].spec) is not None
-        assert cache.get(results[2].spec) is not None
-
-    def test_hit_refreshes_recency(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        a, b, c = (result_for_seed(s) for s in (1, 2, 3))
-        cache.put(a)
-        cache.put(b)
-        assert cache.get(a.spec) is not None  # a is now most recent
-        cache.put(c)                          # evicts b, not a
-        assert cache.get(b.spec) is None
-        assert cache.get(a.spec) is not None
-        assert cache.get(c.spec) is not None
-        assert cache.evictions == 1
-
-    def test_max_bytes_accounting(self, tmp_path):
-        probe = ResultCache(tmp_path)
-        probe.put(result_for_seed(1))
-        entry_bytes = probe.total_bytes()
-        probe.clear()
-
-        # room for exactly two entries, not three
-        cache = ResultCache(tmp_path, max_bytes=2 * entry_bytes)
-        for s in (1, 2, 3):
-            cache.put(result_for_seed(s))
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.total_bytes() <= 2 * entry_bytes
-        on_disk = sum(
-            p.stat().st_size for p in cache.root.glob("*/*.json")
-        )
-        assert cache.total_bytes() == on_disk
-
-    def test_bounds_apply_to_preexisting_entries(self, tmp_path):
-        old = ResultCache(tmp_path)
-        for s in (1, 2, 3):
-            old.put(result_for_seed(s))
-            # stagger mtimes so the LRU rebuild has a definite order
-            path = old.path_for(result_for_seed(s).spec)
-            os.utime(path, (s, s))
-        cache = ResultCache(tmp_path, max_entries=1)
-        assert len(cache) == 1
-        assert cache.evictions == 2
-        # the freshest mtime (seed 3) survives
-        assert cache.get(result_for_seed(3).spec) is not None
-
-    def test_invalidation_updates_index(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=10)
-        cache.put(result_for_seed(1))
-        cache.path_for(result_for_seed(1).spec).write_text("not json{")
-        assert cache.get(result_for_seed(1).spec) is None
-        assert len(cache) == 0
-        assert cache.total_bytes() == 0
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for s in range(5):
-            cache.put(result_for_seed(s))
-        assert len(cache) == 5
-        assert cache.evictions == 0
-        assert not cache.bounded
-
-
-class TestStats:
-    def test_stats_reports_counters_and_sizes(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        a, b, c = (result_for_seed(s) for s in (1, 2, 3))
-        cache.put(a)
-        cache.put(b)
-        cache.get(a.spec)                       # hit
-        cache.get(result_for_seed(9).spec)      # miss
-        cache.put(c)                            # evicts b
-        s = cache.stats()
-        assert s["entries"] == 2
-        assert s["bytes"] == cache.total_bytes() > 0
-        assert s["hits"] == 1
-        assert s["misses"] == 1
-        assert s["evictions"] == 1
-        assert s["max_entries"] == 2
-        assert s["max_bytes"] is None
-
-
-class TestGetByKey:
-    def test_round_trip_by_bare_hash(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = fresh_result()
-        cache.put(result)
-        payload = cache.get_by_key(SPEC.key())
-        assert payload is not None
-        assert payload["spec_key"] == SPEC.key()
-        assert payload["spec"]["v"] == SPEC_SCHEMA_VERSION
-        assert RunSpec.from_wire(payload["spec"]) == SPEC
-        assert payload["stats"] == result.stats.to_dict()
-
-    def test_unknown_key_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get_by_key("0" * 64) is None
-        assert cache.misses == 1

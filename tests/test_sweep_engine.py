@@ -134,50 +134,24 @@ class TestProgress:
 
 
 class TestInFlightDedup:
-    def _slow_counting_execute(self, monkeypatch, delay=0.2):
-        """Wrap execute_spec with a call counter and an overlap window."""
-        import threading
-        import time
+    """Equal specs in one batch are simulated once."""
 
+    def _counting_execute(self, monkeypatch):
+        """Wrap execute_spec with a call counter."""
         from repro.sweep import engine as engine_mod
 
         calls = []
-        lock = threading.Lock()
         real = engine_mod.execute_spec
 
         def counting(spec, warm=None):
-            with lock:
-                calls.append(spec.key())
-            time.sleep(delay)
+            calls.append(spec.key())
             return real(spec, warm)
 
         monkeypatch.setattr(engine_mod, "execute_spec", counting)
         return calls
 
-    def test_concurrent_identical_submissions_run_once(self, monkeypatch):
-        import threading
-
-        calls = self._slow_counting_execute(monkeypatch)
-        engine = SweepEngine()
-        spec = MATRIX[0]
-        results = [None, None]
-
-        def submit(slot):
-            results[slot] = engine.run_one(spec)
-
-        threads = [
-            threading.Thread(target=submit, args=(i,)) for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1, "duplicate submission must share execution"
-        assert engine.deduped == 1
-        assert results[0].stats == results[1].stats
-
     def test_duplicates_within_one_batch_collapse(self, monkeypatch):
-        calls = self._slow_counting_execute(monkeypatch, delay=0.0)
+        calls = self._counting_execute(monkeypatch)
         engine = SweepEngine()
         spec = MATRIX[0]
         results = engine.run([spec, spec, spec])
@@ -186,30 +160,36 @@ class TestInFlightDedup:
         assert results[0].stats == results[1].stats == results[2].stats
 
     def test_dedup_reports_progress_source(self, monkeypatch):
-        self._slow_counting_execute(monkeypatch, delay=0.0)
+        self._counting_execute(monkeypatch)
         events = []
-        engine = SweepEngine()
-        engine.run([MATRIX[0], MATRIX[0]], on_result=events.append)
+        engine = SweepEngine(on_result=events.append)
+        engine.run([MATRIX[0], MATRIX[0]])
         assert sorted(e.source for e in events) == ["dedup", "sim"]
-        assert all(e.result is not None for e in events)
+        assert [e.index for e in events] == [0, 1]
+        assert engine.last_run_stats()["dedup"] == 1
 
     def test_distinct_specs_unaffected(self, monkeypatch):
-        calls = self._slow_counting_execute(monkeypatch, delay=0.0)
+        calls = self._counting_execute(monkeypatch)
         engine = SweepEngine()
         engine.run(MATRIX)
         assert len(calls) == len(MATRIX)
         assert engine.deduped == 0
 
-
-class TestPerCallHook:
-    def test_per_call_hook_fires_alongside_engine_hook(self):
-        engine_events, call_events = [], []
-        engine = SweepEngine(on_result=engine_events.append)
-        engine.run(MATRIX[:1], on_result=call_events.append)
-        assert len(engine_events) == len(call_events) == 1
-        assert call_events[0].source == "sim"
-        assert call_events[0].result is not None
-        assert call_events[0].result.execution_time > 0
+    def test_pooled_batch_ships_each_key_once(self):
+        a, b = MATRIX[0], MATRIX[1]
+        events = []
+        engine = SweepEngine(max_workers=2, on_result=events.append)
+        pool = engine._get_pool()
+        completed = pool.counters()["completed"]
+        results = engine.run([a, a, b])
+        assert engine.last_run_stats()["executor"] == "process"
+        assert pool.counters()["completed"] - completed == 2
+        assert engine.deduped == 1
+        assert sorted(e.source for e in events) == ["dedup", "sim", "sim"]
+        serial = SweepEngine().run([a, a, b])
+        assert [r.spec for r in results] == [a, a, b]
+        assert [r.stats.to_dict() for r in results] \
+            == [r.stats.to_dict() for r in serial]
 
 
 class TestRemovedShim:
