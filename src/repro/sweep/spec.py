@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -177,7 +178,15 @@ class RunSpec:
         require_ints(self, "n_procs", "seed")
         # 1 and 1.0 compare and hash equal, so they must share one key
         # (and one cache entry) too
-        object.__setattr__(self, "scale", float(self.scale))
+        scale = float(self.scale)
+        # a workload's size floor runs every scale <= 0 as the same
+        # machine under different keys, and nan or inf fail only when
+        # the workload is built -- in a pool worker for a batch
+        if not 0.0 < scale < math.inf:
+            raise ValueError(
+                f"RunSpec.scale must be finite and > 0, got {self.scale!r}"
+            )
+        object.__setattr__(self, "scale", scale)
         # canonicalize the protocol name ("CW+P" -> "P+CW")
         protocol = ProtocolConfig.from_name(self.protocol)
         object.__setattr__(self, "protocol", protocol.name)

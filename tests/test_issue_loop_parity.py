@@ -64,7 +64,7 @@ class WindowedSimulator(Simulator):
 
     def run(self, until=None, max_events=None):
         self.overshoots = []
-        while self._heap:
+        while self.pending_events:
             horizon = self.now + WINDOW
             super().run(until=horizon)
             if self.now != horizon:

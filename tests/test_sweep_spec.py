@@ -132,6 +132,32 @@ class TestUnbuildableMachines:
                                 consistency=consistency).to_config()
 
 
+class TestScale:
+    """A scale that is not finite and > 0 is refused before it is keyed.
+
+    Every scale <= 0 hits a workload's size floor, so 0 and -1 would
+    run one machine under two keys; nan and inf would be keyed and
+    fail only when the workload is built.
+    """
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, 0, float("nan"),
+                                       float("inf"), float("-inf")],
+                             ids=str)
+    def test_refused_when_built(self, scale):
+        with pytest.raises(ValueError, match="RunSpec.scale must be finite"):
+            RunSpec.for_run("mp3d", scale=scale)
+        with pytest.raises(ValueError, match="RunSpec.scale must be finite"):
+            RunSpec(app="mp3d", scale=scale)
+        wire = RunSpec.for_run("mp3d").to_wire()
+        wire["scale"] = scale
+        with pytest.raises(SpecSchemaError, match="RunSpec.scale"):
+            RunSpec.from_wire(wire)
+
+    @pytest.mark.parametrize("scale", [1e-9, 0.05, 1, 3.5])
+    def test_finite_positive_scale_builds(self, scale):
+        assert RunSpec.for_run("mp3d", scale=scale).scale == float(scale)
+
+
 class TestHashing:
     def test_equal_specs_equal_keys(self):
         a = RunSpec.for_run("water", protocol="P+CW", scale=0.5, seed=7)
