@@ -5,7 +5,8 @@ each node") and on mesh links (§5.3) is modelled with a *next-free-time*
 reservation discipline: a request that becomes ready at time ``t`` and
 occupies the resource for ``d`` cycles starts at ``max(t, free)`` and
 pushes ``free`` to ``start + d``.  Because all requests flow through the
-deterministic event heap, reservation order equals arrival order.
+deterministic event queue, which fires events in time order and, within
+one time, in push order, reservation order equals arrival order.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Drive a real ``System`` through the model checker's op alphabet.
 
-The checker never snapshots simulator state (the event heap, FCFS
+The checker never snapshots simulator state (the event queue, FCFS
 ledgers and extension closures make that fragile); instead every
 explored state is *reconstructed* by replaying its operation sequence
 on a fresh :class:`~repro.system.System` through this stepper.  Each
 operation is issued against one node's :class:`CacheController` public
-API -- no :class:`Processor` objects -- and the event heap is then run
+API -- no :class:`Processor` objects -- and the event queue is then run
 to empty one event at a time, asserting the mid-flight-safe invariant
 subset (:func:`~repro.core.invariants.check_safety`) between events
 and the full battery (:func:`~repro.core.invariants.check_all`) at the
@@ -57,7 +57,7 @@ Op = tuple
 
 
 class VerifyDeadlock(AssertionError):
-    """An operation failed to complete although the event heap drained."""
+    """An operation failed to complete although the event queue drained."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class Stepper:
         check_all(self.system)
 
     def _settle(self, op: Op) -> None:
-        """Run the heap dry, checking safety between every two events."""
+        """Run the queue dry, checking safety between every two events."""
         sim = self.system.sim
         budget = self.cfg.events_per_op
         fired = 0
