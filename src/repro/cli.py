@@ -30,7 +30,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.experiments.formats import render_table
-from repro.experiments.runner import add_sweep_args
+from repro.experiments.runner import add_sweep_args, scale_arg
 from repro.workloads import ALL_APP_NAMES
 
 
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, protocol=True, multi=False):
         p.add_argument("--app", choices=ALL_APP_NAMES, default="mp3d")
-        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--scale", type=scale_arg, default=1.0)
         p.add_argument("--procs", type=int, default=16)
         if protocol:
             p.add_argument("--protocol", choices=ALL_PROTOCOLS, default="BASIC")
@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
             "figure4", "sensitivity", "report",
         ),
     )
-    p_ex.add_argument("--scale", type=float, default=1.0)
+    p_ex.add_argument("--scale", type=scale_arg, default=1.0)
     add_sweep_args(p_ex)
     p_ex.set_defaults(fn=cmd_experiments)
 

@@ -45,6 +45,30 @@ from repro.stats.counters import CacheStats
 SendFn = Callable[[Message, int], None]
 DoneFn = Callable[[], None]
 
+# The enum members the per-event code below reads, bound once: under
+# CPython 3.11 every ``Enum.X`` read goes through ``EnumType``'s
+# Python-level ``__getattr__`` hook, a module global does not (see
+# "Performance notes" in docs/internals.md).
+_SHARED = CacheState.SHARED
+_DIRTY = CacheState.DIRTY
+_MIG_CLEAN = CacheState.MIG_CLEAN
+_RD_REQ = MsgType.RD_REQ
+_RDX_REQ = MsgType.RDX_REQ
+_OWN_REQ = MsgType.OWN_REQ
+_WB = MsgType.WB
+_REPL = MsgType.REPL
+_LOCK_REQ = MsgType.LOCK_REQ
+_LOCK_REL = MsgType.LOCK_REL
+_BAR_ARRIVE = MsgType.BAR_ARRIVE
+_RD_RPL = MsgType.RD_RPL
+_RDX_RPL = MsgType.RDX_RPL
+_FETCH_INV = MsgType.FETCH_INV
+_INV_ACK = MsgType.INV_ACK
+_XFER_ACK = MsgType.XFER_ACK
+_SLWB_READ = SlwbKind.READ
+_SLWB_OWNERSHIP = SlwbKind.OWNERSHIP
+_SLWB_PREFETCH = SlwbKind.PREFETCH
+
 
 @dataclass(slots=True)
 class _PendingRead:
@@ -290,7 +314,18 @@ class CacheController:
         if writes > flwb.peak_occupancy:
             flwb.peak_occupancy = writes
         self._flwb_fifo.append(FlwbEntry(addr, t))
-        self._pump_drain(t)
+        if not self._draining:
+            # start the drain (``_pump_drain`` inlined: the FIFO was
+            # just pushed, so only the draining flag is tested)
+            self._draining = True
+            occ = self._slc_access
+            res = self._slc_res
+            free = res._free_at
+            t1 = (t if t > free else free) + occ
+            res._free_at = t1
+            res.busy_cycles += occ
+            res.reservations += 1
+            self.sim.at(t1, self._drain_head)
 
     def buffer_write(self, addr: int) -> None:
         """RC write path: enqueue in the FLWB and keep going."""
@@ -302,8 +337,9 @@ class CacheController:
 
     def write_blocking_at(self, addr: int, on_done: DoneFn, t: int) -> None:
         """SC write path issued at ``t``; ``on_done`` when performed."""
-        t1 = self._slc_res.finish_time(t, self._slc_access)
-        self.sim.at(t1, self._write_blocking_at_slc, addr, on_done)
+        self.sim.at(
+            self.slc_finish(t), self._write_blocking_at_slc, addr, on_done
+        )
 
     def write_blocking(self, addr: int, on_done: DoneFn) -> None:
         """SC write path: ``on_done`` when globally performed."""
@@ -313,7 +349,7 @@ class CacheController:
         """Acquire a lock at time ``t``; ``on_done`` on LOCK_GRANT."""
         block = self._amap.block_of(addr)
         self._lock_waiters.setdefault(block, deque()).append(on_done)
-        self.send_home(MsgType.LOCK_REQ, block, t=t)
+        self.send_home(_LOCK_REQ, block, t=t)
 
     def acquire(self, addr: int, on_done: DoneFn) -> None:
         """Acquire a lock; ``on_done`` on LOCK_GRANT."""
@@ -355,8 +391,18 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def slc_finish(self, t: int) -> int:
-        """Completion time of an SLC access starting at ``t``."""
-        return self._slc_res.finish_time(t, self._slc_access)
+        """Reserve the SLC pipeline for an access ready at ``t``;
+        returns its completion time."""
+        # FcfsResource.finish_time, inlined (one call per handler, not
+        # two; ``read_at`` and the FLWB drain inline this too)
+        occ = self._slc_access
+        res = self._slc_res
+        free = res._free_at
+        end = (t if t > free else free) + occ
+        res._free_at = end
+        res.busy_cycles += occ
+        res.reservations += 1
+        return end
 
     def has_pending(self, block: int) -> bool:
         """A read or ownership request for ``block`` is in flight."""
@@ -375,11 +421,11 @@ class CacheController:
 
         The caller must have checked :meth:`Slwb.has_room`.
         """
-        eid = self.slwb.alloc(SlwbKind.PREFETCH)
+        eid = self.slwb.alloc(_SLWB_PREFETCH)
         self._pending_reads[block] = _PendingRead(
             block=block, slwb_id=eid, is_prefetch=True, start=self.sim.now
         )
-        self.send_home(MsgType.RD_REQ, block, prefetch=True)
+        self.send_home(_RD_REQ, block, prefetch=True)
         self.stats.prefetches_issued += 1
 
     def hold_marker(self, eid: int, marker: SyncMarker) -> None:
@@ -393,7 +439,7 @@ class CacheController:
     def relinquish_ownership(self, block: int) -> None:
         """Give an (unwanted) exclusive grant straight back to the home."""
         self._victims[block] = False
-        self.send_home(MsgType.WB, block)
+        self.send_home(_WB, block)
 
     # ------------------------------------------------------------------
     # read path
@@ -436,7 +482,8 @@ class CacheController:
             self.stats.replacement_misses += 1
         if self._exts:
             self.extensions.on_demand_miss(self, block)
-        if self.slwb.has_room():
+        slwb = self.slwb
+        if len(slwb._entries) < slwb.capacity:  # Slwb.has_room, inlined
             # common case: issue straight away, no waiter closure
             self._issue_demand(block, on_done, t0)
         else:
@@ -459,13 +506,13 @@ class CacheController:
             return
         if self._exts and self.extensions.defers_read(self, block, on_done, t0):
             return
-        eid = self.slwb.alloc(SlwbKind.READ)
+        eid = self.slwb.alloc(_SLWB_READ)
         entry = _PendingRead(
             block=block, slwb_id=eid, is_prefetch=False,
             start=t0, demand_waiters=[on_done],
         )
         self._pending_reads[block] = entry
-        self.send_home(MsgType.RD_REQ, block)
+        self.send_home(_RD_REQ, block)
         if self._exts:
             self.extensions.on_miss_issued(self, block)
 
@@ -474,6 +521,7 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def _pump_drain(self, t: int) -> None:
+        # ``buffer_write_at`` inlines this for the write path
         if self._draining or not self._flwb_fifo:
             return
         self._draining = True
@@ -491,6 +539,7 @@ class CacheController:
         times = sim._times
         flwb = self.flwb
         fifo = self._flwb_fifo
+        space_waiters = self._flwb_space_waiters
         occ = self._slc_access
         res = self._slc_res
         while True:
@@ -498,12 +547,16 @@ class CacheController:
                 self._draining = False
                 return
             head = fifo[0]
+            # ``Flwb.pop`` and ``_notify_flwb_space``, inlined: a
+            # marker holds no buffer entry, a write frees one
             if head.marker is not None:
-                flwb.pop()
+                fifo.popleft()
                 self._arm_marker(head.marker)
             elif self._apply_write(head.addr):
-                flwb.pop()
-                self._notify_flwb_space()
+                fifo.popleft()
+                flwb._writes -= 1
+                while space_waiters and flwb._writes < flwb.capacity:
+                    space_waiters.popleft()()
             else:
                 # SLWB full: retry when an entry retires.  The waiter
                 # runs synchronously from ``release_slwb`` -- mid-event
@@ -558,10 +611,10 @@ class CacheController:
             self._draining = False
             return
         sim = self.sim
-        sim.at(self._slc_res.finish_time(sim.now, self._slc_access),
-               self._drain_head)
+        sim.at(self.slc_finish(sim.now), self._drain_head)
 
     def _notify_flwb_space(self) -> None:
+        # ``_drain_head`` inlines this
         while self._flwb_space_waiters and not self.flwb.full:
             self._flwb_space_waiters.popleft()()
 
@@ -571,13 +624,15 @@ class CacheController:
         block = addr // bs
         word = (addr % bs) // WORD_SIZE
         line = self.slc.lookup(block)
-        if line is not None and line.state is CacheState.DIRTY:
-            line.modified_since_update = True
-            return True
-        if line is not None and line.state is CacheState.MIG_CLEAN:
-            line.state = CacheState.DIRTY
-            line.modified_since_update = True
-            return True
+        if line is not None:
+            state = line.state
+            if state is _DIRTY:
+                line.modified_since_update = True
+                return True
+            if state is _MIG_CLEAN:
+                line.state = _DIRTY
+                line.modified_since_update = True
+                return True
         if self._exts:
             handled = self.extensions.on_write(self, block, word, line)
             if handled is not None:
@@ -585,7 +640,8 @@ class CacheController:
         # base write-invalidate ownership path
         if block in self._pending_writes:
             return True  # covered by the in-flight ownership request
-        if not self.slwb.has_room():
+        slwb = self.slwb
+        if len(slwb._entries) >= slwb.capacity:  # Slwb.has_room, inlined
             return False
         self._issue_ownership(block, line, sc_waiter=None)
         return True
@@ -593,25 +649,25 @@ class CacheController:
     def _issue_ownership(
         self, block: int, line: CacheLine | None, sc_waiter: DoneFn | None
     ) -> None:
-        eid = self.slwb.alloc(SlwbKind.OWNERSHIP)
+        eid = self.slwb.alloc(_SLWB_OWNERSHIP)
         self.stats.ownership_requests += 1
         self._pending_writes[block] = _PendingWrite(
             block=block, slwb_id=eid, start=self.sim.now, sc_waiter=sc_waiter
         )
         if line is not None or block in self._pending_reads:
-            self.send_home(MsgType.OWN_REQ, block)
+            self.send_home(_OWN_REQ, block)
         else:
-            self.send_home(MsgType.RDX_REQ, block)
+            self.send_home(_RDX_REQ, block)
 
     def _write_blocking_at_slc(self, addr: int, on_done: DoneFn) -> None:
         """SC write: stall until ownership is granted."""
         block = self._amap.block_of(addr)
         line = self.slc.lookup(block)
-        if line is not None and line.state is CacheState.DIRTY:
+        if line is not None and line.state is _DIRTY:
             on_done()
             return
-        if line is not None and line.state is CacheState.MIG_CLEAN:
-            line.state = CacheState.DIRTY
+        if line is not None and line.state is _MIG_CLEAN:
+            line.state = _DIRTY
             line.modified_since_update = True
             on_done()
             return
@@ -626,11 +682,11 @@ class CacheController:
 
         def issue() -> None:
             ln = self.slc.lookup(block)
-            if ln is not None and ln.state is CacheState.DIRTY:
+            if ln is not None and ln.state is _DIRTY:
                 self.sim.after(0, on_done)
                 return
-            if ln is not None and ln.state is CacheState.MIG_CLEAN:
-                ln.state = CacheState.DIRTY
+            if ln is not None and ln.state is _MIG_CLEAN:
+                ln.state = _DIRTY
                 ln.modified_since_update = True
                 self.sim.after(0, on_done)
                 return
@@ -662,7 +718,7 @@ class CacheController:
                 self._release_acks.setdefault(marker.target, deque()).append(
                     marker.on_done
                 )
-            self.send_home(MsgType.LOCK_REL, marker.target)
+            self.send_home(_LOCK_REL, marker.target)
         else:
             self._barrier_waiters[marker.target] = marker.on_done or (lambda: None)
             self._send_barrier_arrive(marker.target, marker.expected)
@@ -724,7 +780,7 @@ class CacheController:
         dst = bar_id % self.cfg.n_procs
         self._send(
             Message(
-                MsgType.BAR_ARRIVE, src=self.node_id, dst=dst,
+                _BAR_ARRIVE, src=self.node_id, dst=dst,
                 block=bar_id, tag=expected,
             ),
             self.sim.now,
@@ -746,15 +802,16 @@ class CacheController:
     def _evict(self, victim: CacheLine) -> None:
         self.classifier.on_eviction(victim.block)
         self.flc.invalidate(victim.block)  # inclusion
-        if victim.state in (CacheState.DIRTY, CacheState.MIG_CLEAN):
+        state = victim.state
+        if state is _DIRTY or state is _MIG_CLEAN:
             self.stats.writebacks += 1
-            self._victims[victim.block] = victim.state is CacheState.DIRTY
-            self.send_home(MsgType.WB, victim.block)
+            self._victims[victim.block] = state is _DIRTY
+            self.send_home(_WB, victim.block)
         elif victim.block not in self._pending_writes:
             # no hint for a shared copy an ownership upgrade is already
             # replacing: queued at the home behind a later transaction,
             # the hint would drop the copy that transaction left here
-            self.send_home(MsgType.REPL, victim.block)
+            self.send_home(_REPL, victim.block)
 
     # ------------------------------------------------------------------
     # network delivery
@@ -779,9 +836,9 @@ class CacheController:
         if pr is None:
             raise SimulationError(f"stray RD_RPL for block {block}")
         t1 = self.slc_finish(t)
-        state = CacheState.MIG_CLEAN if msg.grant == "MC" else CacheState.SHARED
+        state = _MIG_CLEAN if msg.grant == "MC" else _SHARED
         demand = bool(pr.demand_waiters) or pr.merged_prefetch
-        if pr.invalidated and state is not CacheState.MIG_CLEAN:
+        if pr.invalidated and state is not _MIG_CLEAN:
             # An invalidation raced the (shared) data: bind the value
             # to the waiting read but keep no line.  Whether the INV
             # was serialized before or after our read, ending up
@@ -816,9 +873,9 @@ class CacheController:
         t1 = self.slc_finish(t)
         line = self.slc.lookup(block)
         if line is None:
-            line = self._fill(block, CacheState.DIRTY)
+            line = self._fill(block, _DIRTY)
         else:
-            line.state = CacheState.DIRTY
+            line.state = _DIRTY
         line.modified_since_update = True
         line.prefetched = False
         if pw.read_waiters:
@@ -843,7 +900,7 @@ class CacheController:
         if pr is not None:
             pr.invalidated = True
         t1 = self.slc_finish(t)
-        self.reply(MsgType.INV_ACK, msg.src, block, t1, words=words)
+        self.reply(_INV_ACK, msg.src, block, t1, words=words)
 
     def _on_fetch(self, msg: Message, t: int) -> None:
         block = msg.block
@@ -867,15 +924,15 @@ class CacheController:
                 return
         t1 = self.slc_finish(t)
         if line is not None and block not in self._victims:
-            was_modified = line.state is CacheState.DIRTY
+            was_modified = line.state is _DIRTY
             dropped = False
-            if msg.mtype is MsgType.FETCH_INV:
+            if msg.mtype is _FETCH_INV:
                 self.slc.invalidate(block)
                 self.flc.invalidate(block)
                 self.classifier.on_coherence_loss(block)
                 dropped = True
             else:
-                line.state = CacheState.SHARED
+                line.state = _SHARED
                 line.modified_since_update = False
         elif block in self._victims:
             was_modified = self._victims[block]
@@ -885,14 +942,12 @@ class CacheController:
                 f"cache {self.node_id}: FETCH for absent block {block}"
             )
         if msg.requester >= 0:
-            reply = (
-                MsgType.RDX_RPL if msg.grant == "X" else MsgType.RD_RPL
-            )
+            reply = _RDX_RPL if msg.grant == "X" else _RD_RPL
             self.reply(
                 reply, msg.requester, block, t1, grant=msg.grant
             )
         self.reply(
-            MsgType.XFER_ACK, msg.src, block, t1,
+            _XFER_ACK, msg.src, block, t1,
             was_modified=was_modified, drop=dropped,
         )
 
@@ -926,7 +981,8 @@ class CacheController:
 
     def when_slwb_room(self, cb: Callable[[], None]) -> None:
         """Run ``cb`` now if the SLWB has room, else when it does."""
-        if self.slwb.has_room():
+        slwb = self.slwb
+        if len(slwb._entries) < slwb.capacity:  # Slwb.has_room, inlined
             cb()
         else:
             self._slwb_waiters.append(cb)

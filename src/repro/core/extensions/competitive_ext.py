@@ -49,6 +49,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.home import HomeController
     from repro.mem.slc import CacheLine
 
+# The enum members the per-event code below reads, bound once (see the
+# enum rule in "Performance notes", docs/internals.md).
+_DIRTY = CacheState.DIRTY
+_CLEAN = MemoryState.CLEAN
+_MODIFIED = MemoryState.MODIFIED
+_WC_FLUSH = MsgType.WC_FLUSH
+_WC_ACK = MsgType.WC_ACK
+_UPD_PROP = MsgType.UPD_PROP
+_UPD_ACK = MsgType.UPD_ACK
+_MIG_QUERY = MsgType.MIG_QUERY
+_MIG_RPL = MsgType.MIG_RPL
+_FETCH = MsgType.FETCH
+_SLWB_WC_FLUSH = SlwbKind.WC_FLUSH
+
 
 class CompetitiveExtension(ProtocolExtension):
     """Competitive update with a per-node write cache."""
@@ -86,6 +100,10 @@ class CompetitiveExtension(ProtocolExtension):
         }
 
     def _flush_in_flight(self, block: int) -> bool:
+        """A flush of ``block`` awaits its WC_ACK or an SLWB slot.
+
+        ``defers_read``, the per-miss caller, inlines this rule.
+        """
         if block in self._pending_flushes:
             return True
         if not self._flush_queue:
@@ -102,7 +120,12 @@ class CompetitiveExtension(ProtocolExtension):
         return self.wcache.lookup(block) is not None
 
     def defers_read(self, ctrl, block, on_done, t0) -> bool:
-        if not self._flush_in_flight(block):
+        # ``_flush_in_flight``, inlined: the flush queue is nearly
+        # always empty, so a miss with no pending flush returns here
+        if block not in self._pending_flushes and not (
+            self._flush_queue
+            and any(entry.block == block for entry, _m in self._flush_queue)
+        ):
             return False
         # wait for the write-cache flush to settle: its WC_ACK may
         # grant (or force relinquishing) exclusivity, which must be
@@ -113,15 +136,12 @@ class CompetitiveExtension(ProtocolExtension):
     # -- writes ---------------------------------------------------------
 
     def on_write(self, ctrl, block, word, line) -> bool | None:
-        self._touch(line)
-        victim = self.wcache.write(block, word, had_copy=line is not None)
-        if victim is not None:
-            self._queue_flush(victim, markers=[])
-        return True
-
-    def _touch(self, line: "CacheLine | None") -> None:
         if line is not None:
             self.policy.on_local_access(line, modifying=True)
+        victim = self.wcache.write(block, word, line is not None)
+        if victim is not None:
+            self._queue_flush(victim, [])
+        return True
 
     def on_fill(self, ctrl: "CacheController", line: "CacheLine") -> None:
         self.policy.on_fill(line)
@@ -133,12 +153,12 @@ class CompetitiveExtension(ProtocolExtension):
     # -- flushes --------------------------------------------------------
 
     def _queue_flush(self, entry: WriteCacheEntry, markers: list) -> None:
-        ctrl = self._ctrl
-        if ctrl.slwb.has_room():
+        slwb = self._ctrl.slwb
+        if len(slwb._entries) < slwb.capacity:  # Slwb.has_room, inlined
             self._issue_flush(entry, markers)
         else:
             self._flush_queue.append((entry, markers))
-            ctrl.when_slwb_room(self._drain_flush_queue)
+            self._ctrl.when_slwb_room(self._drain_flush_queue)
 
     def _drain_flush_queue(self) -> None:
         while self._flush_queue and self._ctrl.slwb.has_room():
@@ -147,14 +167,16 @@ class CompetitiveExtension(ProtocolExtension):
 
     def _issue_flush(self, entry: WriteCacheEntry, markers: list) -> None:
         ctrl = self._ctrl
-        eid = ctrl.slwb.alloc(SlwbKind.WC_FLUSH)
+        block = entry.block
+        eid = ctrl.slwb.alloc(_SLWB_WC_FLUSH)
         ctrl.stats.write_cache_flushes += 1
-        self._pending_flushes.setdefault(entry.block, deque()).append(eid)
+        fifo = self._pending_flushes.get(block)
+        if fifo is None:
+            fifo = self._pending_flushes[block] = deque()
+        fifo.append(eid)
         for marker in markers:
             ctrl.hold_marker(eid, marker)
-        ctrl.send_home(
-            MsgType.WC_FLUSH, entry.block, words=len(entry.dirty_words)
-        )
+        ctrl.send_home(_WC_FLUSH, block, words=len(entry.dirty_words))
 
     # -- synchronization ------------------------------------------------
 
@@ -198,7 +220,7 @@ class CompetitiveExtension(ProtocolExtension):
                 ctrl.slc.invalidate(block)
                 ctrl.classifier.on_coherence_loss(block)
                 ctrl.stats.updates_dropped += 1
-        ctrl.reply(MsgType.UPD_ACK, msg.src, block, t1, drop=drop)
+        ctrl.reply(_UPD_ACK, msg.src, block, t1, drop=drop)
 
     def _on_mig_query(self, msg: Message, t: int) -> None:
         ctrl = self._ctrl
@@ -224,7 +246,7 @@ class CompetitiveExtension(ProtocolExtension):
         else:
             give_up = False
         ctrl.reply(
-            MsgType.MIG_RPL, msg.src, block, t1, give_up=give_up, words=words
+            _MIG_RPL, msg.src, block, t1, give_up=give_up, words=words
         )
 
     def _on_wc_ack(self, msg: Message, t: int) -> None:
@@ -239,15 +261,16 @@ class CompetitiveExtension(ProtocolExtension):
         if msg.exclusive:
             line = ctrl.slc.lookup(block)
             if line is not None:
-                line.state = CacheState.DIRTY
+                line.state = _DIRTY
                 line.modified_since_update = True
             else:
                 # the SLC copy was victimized while the flush was in
                 # flight: relinquish the surprise ownership right away
                 ctrl.relinquish_ownership(block)
         ctrl.release_slwb(eid)
-        if not self._flush_in_flight(block):
-            for cb, t0 in self._read_waiters.pop(block, []):
+        # parked reads are rare: test for them before the flush scan
+        if block in self._read_waiters and not self._flush_in_flight(block):
+            for cb, t0 in self._read_waiters.pop(block):
                 ctrl.retry_read(block, cb, t0)
 
     # ==================================================================
@@ -271,11 +294,11 @@ class CompetitiveExtension(ProtocolExtension):
         home = self._home
         src = msg.src
         block = msg.block
-        if entry.state is MemoryState.MODIFIED:
+        if entry.state is _MODIFIED:
             if entry.owner == src:
                 # flusher already owns the block exclusively
                 home.reply(
-                    MsgType.WC_ACK, src, block,
+                    _WC_ACK, src, block,
                     home.mem_access(t, block), exclusive=True,
                 )
                 return
@@ -285,7 +308,7 @@ class CompetitiveExtension(ProtocolExtension):
                 block, Xact(kind="fetch_flush", orig=msg, old_owner=entry.owner)
             )
             # requester=-1: demote and ack home, no data forwarding
-            home.reply(MsgType.FETCH, entry.owner, block, t2, requester=-1)
+            home.reply(_FETCH, entry.owner, block, t2, requester=-1)
             return
         t2 = home.mem_access(t, block)
         others = entry.sharers - {src}
@@ -299,7 +322,7 @@ class CompetitiveExtension(ProtocolExtension):
                      targets=set(others)),
             )
             for node in sorted(others):
-                home.reply(MsgType.MIG_QUERY, node, block, t2)
+                home.reply(_MIG_QUERY, node, block, t2)
             return
         if not others:
             self._finish_flush_sole(home, msg, entry, t2)
@@ -310,7 +333,7 @@ class CompetitiveExtension(ProtocolExtension):
                  targets=set(others)),
         )
         for node in sorted(others):
-            home.reply(MsgType.UPD_PROP, node, block, t2, words=msg.words)
+            home.reply(_UPD_PROP, node, block, t2, words=msg.words)
 
     def _on_upd_ack(
         self, msg: Message, xact: Xact, entry: "DirectoryEntry", t: int
@@ -349,7 +372,7 @@ class CompetitiveExtension(ProtocolExtension):
         home = self._home
         if msg.was_modified:
             t = home.mem_access(t, msg.block)  # absorb the writeback
-        entry.state = MemoryState.CLEAN
+        entry.state = _CLEAN
         entry.owner = None
         entry.reset_sharers()
         if not msg.drop and xact.old_owner is not None:
@@ -388,7 +411,7 @@ class CompetitiveExtension(ProtocolExtension):
         xact.targets = set(remaining)
         xact.droppers = set()
         for node in sorted(remaining):
-            home.reply(MsgType.UPD_PROP, node, block, t, words=xact.orig.words)
+            home.reply(_UPD_PROP, node, block, t, words=xact.orig.words)
 
     def _finish_flush_sole_or_shared(
         self, home: "HomeController", block: int, xact: Xact,
@@ -399,7 +422,7 @@ class CompetitiveExtension(ProtocolExtension):
         if not others:
             self._finish_flush_sole(home, xact.orig, entry, t)
         else:
-            home.reply(MsgType.WC_ACK, src, block, t, exclusive=False)
+            home.reply(_WC_ACK, src, block, t, exclusive=False)
         home.close_xact(block)
         home.drain_pending(block)
 
@@ -415,11 +438,11 @@ class CompetitiveExtension(ProtocolExtension):
         src = msg.src
         exclusive = competitive.grants_exclusivity_on_flush(entry, src)
         if exclusive:
-            entry.state = MemoryState.MODIFIED
+            entry.state = _MODIFIED
             entry.owner = src
             entry.sharers.clear()
             entry.last_writer = src
-        home.reply(MsgType.WC_ACK, src, msg.block, t, exclusive=exclusive)
+        home.reply(_WC_ACK, src, msg.block, t, exclusive=exclusive)
 
     # -- reporting ------------------------------------------------------
 

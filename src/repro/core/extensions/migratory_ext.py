@@ -37,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.home import HomeController
     from repro.core.messages import Message
 
+#: bound once (see the enum rule in "Performance notes",
+#: docs/internals.md)
+_CLEAN = MemoryState.CLEAN
+
 
 class MigratoryExtension(ProtocolExtension):
     """Migratory detection, exclusive read grants and reversion."""
@@ -55,7 +59,7 @@ class MigratoryExtension(ProtocolExtension):
     ) -> bool:
         if not migratory.grants_exclusive_read(self._protocol, entry):
             return False
-        if entry.state is MemoryState.CLEAN and migratory.reverts_on_second_reader(
+        if entry.state is _CLEAN and migratory.reverts_on_second_reader(
             entry, msg.src
         ):
             # a second reader on a clean migratory block: the pattern

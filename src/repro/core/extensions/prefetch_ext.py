@@ -67,12 +67,13 @@ class PrefetchExtension(ProtocolExtension):
         engine = self.engine
         if not engine.enabled:
             return
+        slwb = ctrl.slwb
         for cand in engine.candidates(block):
             if ctrl.slc.lookup(cand) is not None:
                 continue
             if ctrl.has_pending(cand):
                 continue
-            if not ctrl.slwb.has_room():
+            if len(slwb._entries) >= slwb.capacity:  # Slwb.has_room, inlined
                 break  # prefetches are hints: drop under pressure
             ctrl.issue_prefetch(cand)
             engine.on_prefetch_issued()

@@ -43,6 +43,22 @@ SendFn = Callable[[Message, int], None]
 #: historical name, kept for importers.
 _Xact = Xact
 
+# The enum members the per-request code below reads, bound once (see
+# the enum rule in "Performance notes", docs/internals.md).
+_CLEAN = MemoryState.CLEAN
+_MODIFIED = MemoryState.MODIFIED
+_RDX_REQ = MsgType.RDX_REQ
+_RD_RPL = MsgType.RD_RPL
+_RDX_RPL = MsgType.RDX_RPL
+_OWN_ACK = MsgType.OWN_ACK
+_INV = MsgType.INV
+_FETCH = MsgType.FETCH
+_FETCH_INV = MsgType.FETCH_INV
+_WB_ACK = MsgType.WB_ACK
+_LOCK_GRANT = MsgType.LOCK_GRANT
+_LOCK_REL_ACK = MsgType.LOCK_REL_ACK
+_BAR_WAKE = MsgType.BAR_WAKE
+
 
 class HomeController:
     """Directory, lock and barrier controller for one node's memory."""
@@ -212,23 +228,23 @@ class HomeController:
 
     def _handle_read(self, msg: Message, entry: DirectoryEntry, t: int) -> None:
         req = msg.src
-        if entry.state is MemoryState.CLEAN:
+        if entry.state is _CLEAN:
             t2 = self.mem_access(t, msg.block)
             if self._exts and self.extensions.grants_exclusive_read(
                 self, entry, msg
             ):
                 # exclusive grant straight from memory (§3.2)
-                entry.state = MemoryState.MODIFIED
+                entry.state = _MODIFIED
                 entry.owner = req
                 entry.sharers.clear()
                 self.reply(
-                    MsgType.RD_RPL, req, msg.block, t2,
+                    _RD_RPL, req, msg.block, t2,
                     grant="MC", prefetch=msg.prefetch,
                 )
                 return
             entry.sharers.add(req)
             self.reply(
-                MsgType.RD_RPL, req, msg.block, t2,
+                _RD_RPL, req, msg.block, t2,
                 grant="S", prefetch=msg.prefetch,
             )
             return
@@ -248,23 +264,23 @@ class HomeController:
                 msg.block, Xact(kind="fetchinv_read", orig=msg, old_owner=owner)
             )
             self.reply(
-                MsgType.FETCH_INV, owner, msg.block, t2,
+                _FETCH_INV, owner, msg.block, t2,
                 requester=req, grant="MC", prefetch=msg.prefetch,
             )
         else:
             self.open_xact(
                 msg.block, Xact(kind="fetch_read", orig=msg, old_owner=owner)
             )
-            self.reply(MsgType.FETCH, owner, msg.block, t2, requester=req)
+            self.reply(_FETCH, owner, msg.block, t2, requester=req)
 
     def _handle_write(self, msg: Message, entry: DirectoryEntry, t: int) -> None:
         req = msg.src
-        if entry.state is MemoryState.MODIFIED:
+        if entry.state is _MODIFIED:
             owner = entry.owner
             if owner == req:
                 # stale upgrade after an exclusivity grant raced it
                 self.reply(
-                    MsgType.OWN_ACK, req, msg.block, self.mem_access(t, msg.block)
+                    _OWN_ACK, req, msg.block, self.mem_access(t, msg.block)
                 )
                 return
             t2 = self.mem_access(t, msg.block)
@@ -272,14 +288,14 @@ class HomeController:
                 msg.block, Xact(kind="fetchinv_write", orig=msg, old_owner=owner)
             )
             self.reply(
-                MsgType.FETCH_INV, owner, msg.block, t2, requester=req, grant="X"
+                _FETCH_INV, owner, msg.block, t2, requester=req, grant="X"
             )
             return
         # CLEAN
         others = entry.sharers - {req}
         if self._exts:
             self.extensions.on_ownership_requested(self, entry, msg)
-        needs_data = msg.mtype is MsgType.RDX_REQ or req not in entry.sharers
+        needs_data = msg.mtype is _RDX_REQ or req not in entry.sharers
         t2 = self.mem_access(t, msg.block)
         if others:
             self.open_xact(
@@ -290,30 +306,30 @@ class HomeController:
                 ),
             )
             for node in sorted(others):
-                self.reply(MsgType.INV, node, msg.block, t2, requester=req)
+                self.reply(_INV, node, msg.block, t2, requester=req)
             return
         self._grant_ownership(msg.block, entry, req, needs_data, t2)
 
     def _grant_ownership(
         self, block: int, entry: DirectoryEntry, req: int, needs_data: bool, t: int
     ) -> None:
-        entry.state = MemoryState.MODIFIED
+        entry.state = _MODIFIED
         entry.owner = req
         entry.sharers.clear()
         entry.last_writer = req
         if needs_data:
-            self.reply(MsgType.RDX_RPL, req, block, t)
+            self.reply(_RDX_RPL, req, block, t)
         else:
-            self.reply(MsgType.OWN_ACK, req, block, t)
+            self.reply(_OWN_ACK, req, block, t)
 
     def _handle_writeback(self, msg: Message, entry: DirectoryEntry, t: int) -> None:
         t2 = self.mem_access(t, msg.block)
-        if entry.state is MemoryState.MODIFIED and entry.owner == msg.src:
-            entry.state = MemoryState.CLEAN
+        if entry.state is _MODIFIED and entry.owner == msg.src:
+            entry.state = _CLEAN
             entry.owner = None
         # stale writebacks (the block was fetched away first) still
         # update memory harmlessly.
-        self.reply(MsgType.WB_ACK, msg.src, msg.block, t2)
+        self.reply(_WB_ACK, msg.src, msg.block, t2)
 
     def _handle_replacement(
         self, msg: Message, entry: DirectoryEntry, t: int
@@ -325,21 +341,21 @@ class HomeController:
     def _handle_lock_req(self, msg: Message, t: int) -> None:
         t2 = self.mem_access(t, msg.block)
         if self.locks.request(msg.block, msg.src):
-            self.reply(MsgType.LOCK_GRANT, msg.src, msg.block, t2)
+            self.reply(_LOCK_GRANT, msg.src, msg.block, t2)
 
     def _handle_lock_rel(self, msg: Message, t: int) -> None:
         t2 = self.mem_access(t, msg.block)
         nxt = self.locks.release(msg.block, msg.src)
         if nxt is not None:
-            self.reply(MsgType.LOCK_GRANT, nxt, msg.block, t2)
-        self.reply(MsgType.LOCK_REL_ACK, msg.src, msg.block, t2)
+            self.reply(_LOCK_GRANT, nxt, msg.block, t2)
+        self.reply(_LOCK_REL_ACK, msg.src, msg.block, t2)
 
     def _handle_barrier(self, msg: Message, t: int) -> None:
         t2 = self.mem_access(t, msg.block)
         wake = self.barriers.arrive(msg.block, msg.src, msg.tag)
         if wake is not None:
             for node in wake:
-                self.reply(MsgType.BAR_WAKE, node, msg.block, t2)
+                self.reply(_BAR_WAKE, node, msg.block, t2)
 
     # -- transaction completion -------------------------------------------
 
@@ -374,7 +390,7 @@ class HomeController:
         req = xact.orig.src
         block = msg.block
         if xact.kind == "fetch_read":
-            entry.state = MemoryState.CLEAN
+            entry.state = _CLEAN
             entry.owner = None
             entry.reset_sharers((req,))
             if not msg.drop and xact.old_owner is not None:

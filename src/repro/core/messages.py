@@ -91,7 +91,7 @@ _BLOCK_CARRIERS = frozenset(
 
 #: per-type message size, indexed by ``int(mtype)``; -1 marks the
 #: kinds whose size depends on the payload (dirty-word count, carried
-#: writeback) and must go through the ``size_bytes`` property.  The
+#: writeback), which the ``size_bytes`` property computes.  The
 #: transport hot path reads this table directly.
 _VARIABLE_SIZE = frozenset(
     {MsgType.WC_FLUSH, MsgType.UPD_PROP, MsgType.XFER_ACK, MsgType.INV_ACK}
@@ -109,15 +109,18 @@ for _mt in MsgType:
         SIZE_BY_TYPE[_mt] = HEADER_BYTES + BLOCK_BYTES
 del _mt
 
+#: bound once: ``size_bytes`` reads it per message (see the enum rule
+#: in "Performance notes", docs/internals.md)
+_XFER_ACK = MsgType.XFER_ACK
+
 
 @dataclass(slots=True)
 class Message:
     """One protocol message in flight.
 
-    ``size_bytes`` involves a couple of set-membership tests; the
-    transport layer (``System._send``) evaluates it once per message
-    and threads the value through, so keep new hot paths doing the
-    same.
+    For the bus occupancy the transport (``System._send``) reads
+    :data:`SIZE_BY_TYPE` and inlines the variable-size rule of
+    ``size_bytes``, so a change to that rule is made in both places.
     """
 
     mtype: MsgType
@@ -149,7 +152,7 @@ class Message:
         size = SIZE_BY_TYPE[self.mtype]
         if size >= 0:
             return size
-        if self.mtype is MsgType.XFER_ACK:
+        if self.mtype is _XFER_ACK:
             return (
                 HEADER_BYTES + BLOCK_BYTES if self.was_modified else HEADER_BYTES
             )

@@ -31,6 +31,10 @@ from repro.config import ProtocolConfig
 from repro.core.directory import DirectoryEntry
 from repro.core.messages import Message, MsgType
 
+#: bound once (see the enum rule in "Performance notes",
+#: docs/internals.md): the home applies these rules per request
+_OWN_REQ = MsgType.OWN_REQ
+
 
 def detects_on_ownership(
     protocol: ProtocolConfig, entry: DirectoryEntry, msg: Message
@@ -42,7 +46,7 @@ def detects_on_ownership(
     """
     if not protocol.migratory or protocol.competitive_update:
         return False
-    if msg.mtype is not MsgType.OWN_REQ:
+    if msg.mtype is not _OWN_REQ:
         return False  # a write miss is not a read/write *sequence*
     others = entry.sharers - {msg.src}
     return len(others) == 1 and entry.last_writer in others

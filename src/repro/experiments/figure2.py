@@ -26,6 +26,7 @@ from repro.experiments.runner import (
     engine_from_args,
     execute,
     print_sweep_summary,
+    scale_arg,
 )
 from repro.workloads import APP_NAMES
 
@@ -86,7 +87,7 @@ def csv_rows(data: dict) -> tuple[tuple[str, ...], list[tuple]]:
 def main(argv: list[str] | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.figure2 [--scale S]``."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--apps", nargs="*", default=list(APP_NAMES))
     parser.add_argument("--csv", help="also write the series to this CSV file")
     add_sweep_args(parser)

@@ -26,6 +26,7 @@ from repro.experiments.runner import (
     engine_from_args,
     execute,
     print_sweep_summary,
+    scale_arg,
 )
 from repro.workloads import APP_NAMES
 
@@ -80,7 +81,7 @@ def render(data: dict) -> str:
 def main(argv: list[str] | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.figure3 [--scale S]``."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     add_sweep_args(parser)
     args = parser.parse_args(argv)
     engine = engine_from_args(args)

@@ -21,6 +21,7 @@ from repro.experiments.runner import (
     engine_from_args,
     execute,
     print_sweep_summary,
+    scale_arg,
 )
 from repro.workloads import APP_NAMES
 
@@ -78,7 +79,7 @@ def csv_rows(data: dict) -> tuple[tuple[str, ...], list[tuple]]:
 def main(argv: list[str] | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.figure4 [--scale S]``."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--csv", help="also write the rows to this CSV file")
     add_sweep_args(parser)
     args = parser.parse_args(argv)

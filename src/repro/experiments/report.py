@@ -27,6 +27,7 @@ from repro.experiments.runner import (
     add_sweep_args,
     engine_from_args,
     print_sweep_summary,
+    scale_arg,
 )
 
 #: the paper's headline claims, checked against the measured data.
@@ -206,7 +207,7 @@ def generate(scale: float = 1.0, engine: SweepEngine | None = None,
 def main(argv: list[str] | None = None) -> None:
     """CLI entry: regenerate EXPERIMENTS.md."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     add_sweep_args(parser)
     args = parser.parse_args(argv)

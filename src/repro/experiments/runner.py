@@ -11,7 +11,7 @@ processes (``--jobs``) and memoizes completed cells on disk
   :func:`mesh_network`, :func:`small_buffer_cache`,
   :func:`limited_slc_cache`),
 * the argparse plumbing every driver CLI shares
-  (:func:`add_sweep_args`, :func:`engine_from_args`,
+  (:func:`scale_arg`, :func:`add_sweep_args`, :func:`engine_from_args`,
   :func:`print_sweep_summary`).
 
 ``run_once`` finished its deprecation cycle and is gone; calling it
@@ -21,6 +21,7 @@ raises with a migration recipe (see ``docs/sweeps.md``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Iterable
 
@@ -53,6 +54,7 @@ __all__ = [
     "make_config",
     "mesh_network",
     "print_sweep_summary",
+    "scale_arg",
     "small_buffer_cache",
 ]
 
@@ -121,11 +123,44 @@ def limited_slc_cache(size: int = 16 * 1024) -> CacheConfig:
 # CLI plumbing shared by every experiment driver
 # ----------------------------------------------------------------------
 
+def scale_arg(text: str) -> float:
+    """argparse type of every ``--scale``: a finite number > 0.
+
+    :class:`~repro.sweep.RunSpec` refuses any other scale; checking it
+    at parse time turns a bad value into a usage error (exit code 2)
+    instead of a traceback.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text!r}"
+        )
+    return value
+
+
+def _jobs_arg(text: str) -> int:
+    """argparse type of ``--jobs``: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     """Install the engine's ``--jobs/--cache-dir/--no-cache/--seed``."""
     group = parser.add_argument_group("sweep engine")
     group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_jobs_arg, default=1, metavar="N",
         help="worker processes for the sweep (1 = serial, the default)",
     )
     group.add_argument(

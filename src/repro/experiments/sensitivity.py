@@ -26,6 +26,7 @@ from repro.experiments.runner import (
     execute,
     limited_slc_cache,
     print_sweep_summary,
+    scale_arg,
     small_buffer_cache,
 )
 from repro.workloads import APP_NAMES
@@ -122,7 +123,7 @@ def render_limited_slc(data: dict) -> str:
 def main(argv: list[str] | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.sensitivity [--scale S]``."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument(
         "--study", choices=("buffers", "slc", "both"), default="both"
     )

@@ -22,6 +22,7 @@ from repro.experiments.runner import (
     execute,
     mesh_network,
     print_sweep_summary,
+    scale_arg,
 )
 from repro.workloads import APP_NAMES
 
@@ -91,7 +92,7 @@ def render(data: dict) -> str:
 def main(argv: list[str] | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.table3 [--scale S]``."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     add_sweep_args(parser)
     args = parser.parse_args(argv)
     engine = engine_from_args(args)

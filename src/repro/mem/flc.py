@@ -19,23 +19,24 @@ class FirstLevelCache:
         #: set index -> resident block number
         self._sets: dict[int, int] = {}
 
-    def _index(self, block: int) -> int:
-        return block % self._n_sets
+    # The set index ``block % self._n_sets`` is computed in place:
+    # ``fill`` runs on every SLC hit, and the cache controller and the
+    # issue loop probe ``_sets`` the same way.
 
     def lookup(self, block: int) -> bool:
         """True if ``block`` is resident."""
-        return self._sets.get(self._index(block)) == block
+        return self._sets.get(block % self._n_sets) == block
 
     def fill(self, block: int) -> int | None:
         """Install ``block``; returns the evicted block, if any."""
-        idx = self._index(block)
+        idx = block % self._n_sets
         victim = self._sets.get(idx)
         self._sets[idx] = block
         return victim if victim is not None and victim != block else None
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if resident; returns True if it was."""
-        idx = self._index(block)
+        idx = block % self._n_sets
         if self._sets.get(idx) == block:
             del self._sets[idx]
             return True

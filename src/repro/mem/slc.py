@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 from repro.core.states import CacheState
 
+#: bound once: per-event code reads no ``Enum.X`` (see "Performance
+#: notes" in docs/internals.md)
+_INVALID = CacheState.INVALID
+
 
 @dataclass(slots=True)
 class CacheLine:
@@ -57,8 +61,8 @@ class SecondLevelCache:
         """True for the paper's default infinite SLC."""
         return self._infinite
 
-    def _key(self, block: int) -> int:
-        return block if self._infinite else block % self._n_sets
+    # The line key -- the block number (infinite) or its set index --
+    # is computed in place in each method below.
 
     def lookup(self, block: int) -> CacheLine | None:
         """The valid line holding ``block``, or None."""
@@ -68,18 +72,18 @@ class SecondLevelCache:
         if (
             line is not None
             and line.block == block
-            and line.state is not CacheState.INVALID
+            and line.state is not _INVALID
         ):
             return line
         return None
 
     def insert(self, block: int, state: CacheState) -> tuple[CacheLine, CacheLine | None]:
         """Install ``block``; returns (new line, evicted valid line or None)."""
-        if not state.is_valid:
+        if state is _INVALID:
             raise ValueError("cannot insert an INVALID line")
-        key = self._key(block)
+        key = block if self._infinite else block % self._n_sets
         victim = self._lines.get(key)
-        if victim is not None and (victim.block == block or not victim.state.is_valid):
+        if victim is not None and (victim.block == block or victim.state is _INVALID):
             victim = None
         line = CacheLine(block=block, state=state)
         self._lines[key] = line
@@ -87,16 +91,16 @@ class SecondLevelCache:
 
     def invalidate(self, block: int) -> CacheLine | None:
         """Invalidate ``block`` if present; returns the old line."""
-        key = self._key(block)
+        key = block if self._infinite else block % self._n_sets
         line = self._lines.get(key)
-        if line is not None and line.block == block and line.state.is_valid:
+        if line is not None and line.block == block and line.state is not _INVALID:
             del self._lines[key]
             return line
         return None
 
     def resident_lines(self) -> list[CacheLine]:
         """All valid lines (for invariant checks and statistics)."""
-        return [ln for ln in self._lines.values() if ln.state.is_valid]
+        return [ln for ln in self._lines.values() if ln.state is not _INVALID]
 
     def __len__(self) -> int:
         return len(self.resident_lines())

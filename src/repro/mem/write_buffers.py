@@ -70,7 +70,10 @@ class Flwb:
         self._fifo.append(entry)
 
     def pop(self) -> FlwbEntry:
-        """Remove and return the oldest entry."""
+        """Remove and return the oldest entry.
+
+        ``CacheController._drain_head`` inlines this on the drain path.
+        """
         entry = self._fifo.popleft()
         if entry.marker is None:
             self._writes -= 1
@@ -115,7 +118,12 @@ class Slwb:
         return len(self._entries) >= self.capacity
 
     def has_room(self, n: int = 1) -> bool:
-        """True when at least ``n`` entries are free."""
+        """True when at least ``n`` entries are free.
+
+        The per-event callers (the cache controller, the P and CW
+        extensions) inline the ``n == 1`` test, each marked
+        ``Slwb.has_room, inlined``.
+        """
         return len(self._entries) + n <= self.capacity
 
     def alloc(self, kind: SlwbKind) -> int:

@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteCacheEntry:
-    """One write-cache block with per-word dirty bits."""
+    """One write-cache block with per-word dirty bits.
+
+    :meth:`WriteCache.write` passes the first dirty word's set itself,
+    so the default factory runs only for entries built elsewhere.
+    """
 
     block: int
     dirty_words: set[int] = field(default_factory=set)
@@ -34,12 +38,12 @@ class WriteCache:
         self.writes_combined = 0
         self.allocations = 0
 
-    def _index(self, block: int) -> int:
-        return block % self._n_blocks
+    # The direct-mapped index ``block % self._n_blocks`` is computed in
+    # place: ``write`` runs on every CW write that drains from the FLWB.
 
     def lookup(self, block: int) -> WriteCacheEntry | None:
         """The entry for ``block`` if resident."""
-        entry = self._entries.get(self._index(block))
+        entry = self._entries.get(block % self._n_blocks)
         if entry is not None and entry.block == block:
             return entry
         return None
@@ -50,25 +54,28 @@ class WriteCache:
         If ``block`` conflicts with a resident entry, that entry is
         removed and returned so the controller can flush it.
         """
-        idx = self._index(block)
-        entry = self._entries.get(idx)
-        victim = None
-        if entry is not None and entry.block != block:
+        idx = block % self._n_blocks
+        entries = self._entries
+        entry = entries.get(idx)
+        if entry is not None:
+            if entry.block == block:
+                self.writes_combined += 1
+                entry.dirty_words.add(word)
+                return None
+            # conflict: the resident entry is the victim.  Deleting it
+            # (not overwriting in place) moves the new entry to the end
+            # of the dict, the order ``drain`` flushes in.
             victim = entry
-            entry = None
-            del self._entries[idx]
-        if entry is None:
-            entry = WriteCacheEntry(block=block, had_copy=had_copy)
-            self._entries[idx] = entry
-            self.allocations += 1
+            del entries[idx]
         else:
-            self.writes_combined += 1
-        entry.dirty_words.add(word)
+            victim = None
+        entries[idx] = WriteCacheEntry(block, {word}, had_copy)
+        self.allocations += 1
         return victim
 
     def remove(self, block: int) -> WriteCacheEntry | None:
         """Remove the entry for ``block`` (flush or invalidation)."""
-        idx = self._index(block)
+        idx = block % self._n_blocks
         entry = self._entries.get(idx)
         if entry is not None and entry.block == block:
             del self._entries[idx]

@@ -165,6 +165,10 @@ class SweepEngine:
         cache: ResultCache | None = None,
         on_result: ProgressHook | None = None,
     ) -> None:
+        if max_workers < 1:
+            raise ValueError(
+                f"SweepEngine max_workers must be >= 1, got {max_workers!r}"
+            )
         self.max_workers = max_workers
         self.cache = cache
         self.on_result = on_result

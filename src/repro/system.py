@@ -13,11 +13,14 @@ from typing import Iterable
 
 from repro.config import SystemConfig
 from repro.core.messages import (
+    BLOCK_BYTES,
     HEADER_BYTES,
     HOME_BOUND,
     MSG_NAMES,
     SIZE_BY_TYPE,
+    WORD_BYTES,
     Message,
+    MsgType,
 )
 from repro.mem.addrmap import AddressMap
 from repro.network import build_network
@@ -26,6 +29,10 @@ from repro.node.node import Node
 from repro.node.processor import Op, Processor
 from repro.sim.engine import SimulationError, Simulator
 from repro.stats.counters import MachineStats
+
+#: bound once (see the enum rule in "Performance notes",
+#: docs/internals.md)
+_XFER_ACK = MsgType.XFER_ACK
 
 
 class System:
@@ -115,9 +122,18 @@ class System:
         src, dst, mtype = msg.src, msg.dst, msg.mtype
         occ = self._occ_by_type[mtype]
         if occ < 0:
+            # the variable-size kinds (Message.size_bytes, inlined): an
+            # XFER_ACK carries the block back when the owner modified
+            # it, the others carry their dirty words
+            if mtype is _XFER_ACK:
+                size = (
+                    HEADER_BYTES + BLOCK_BYTES if msg.was_modified
+                    else HEADER_BYTES
+                )
+            else:
+                size = HEADER_BYTES + WORD_BYTES * msg.words
             # (SplitTransactionBus.cycles_for, inlined: a message is at
             # least a header, so it takes at least one cycle)
-            size = msg.size_bytes
             occ = -(-size // self._bus_width) * self._bus_cycle
             if src != dst:
                 self._var_bytes += size

@@ -3,7 +3,16 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import figure2, report, sensitivity
+from repro.experiments import (
+    figure2,
+    figure3,
+    figure4,
+    report,
+    sensitivity,
+    table2,
+    table3,
+)
+from repro.sweep import SweepEngine
 
 
 class TestParser:
@@ -141,6 +150,72 @@ class TestCliChoices:
             main([command])
         assert exc.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+#: every parser that takes ``--scale``: the seven experiment drivers,
+#: the subcommands built by ``cli.py``'s ``common()`` and ``experiments``
+SCALE_PARSERS = {
+    "figure2": figure2, "figure3": figure3, "figure4": figure4,
+    "table2": table2, "table3": table3, "sensitivity": sensitivity,
+    "report": report,
+    "run": ["run"], "compare": ["compare"], "analyze": ["analyze"],
+    "trace": ["trace"], "experiments": ["experiments", "figure2"],
+}
+#: every parser that takes ``--jobs`` (``add_sweep_args``)
+JOBS_PARSERS = {
+    "figure2": figure2, "figure3": figure3, "figure4": figure4,
+    "table2": table2, "table3": table3, "sensitivity": sensitivity,
+    "report": report, "compare": ["compare"],
+    "experiments": ["experiments", "figure2"],
+}
+
+
+def _usage_error(argv, extra, capsys) -> str:
+    """Parse ``extra`` with one parser; it must exit 2 with a usage
+    line and no traceback.  Returns stderr."""
+    with pytest.raises(SystemExit) as exc:
+        if isinstance(argv, list):
+            main([*argv, *extra])
+        else:
+            argv.main(extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
+    return err
+
+
+class TestBadNumbers:
+    """A bad ``--scale`` or ``--jobs`` is a usage error, never a
+    traceback or a silent fallback."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("name", sorted(SCALE_PARSERS))
+    def test_bad_scale_is_a_usage_error(self, name, value, capsys):
+        # ``=`` keeps argparse from reading "-1" as an option
+        err = _usage_error(SCALE_PARSERS[name], [f"--scale={value}"], capsys)
+        assert "argument --scale: must be finite and > 0" in err
+
+    def test_non_number_scale_is_a_usage_error(self, capsys):
+        err = _usage_error(figure2, ["--scale", "big"], capsys)
+        assert "argument --scale: invalid float value: 'big'" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("name", sorted(JOBS_PARSERS))
+    def test_jobs_below_one_is_a_usage_error(self, name, value, capsys):
+        err = _usage_error(JOBS_PARSERS[name], [f"--jobs={value}"], capsys)
+        assert "argument --jobs: must be >= 1" in err
+
+    def test_good_values_still_parse(self):
+        args = build_parser().parse_args(
+            ["experiments", "figure2", "--scale", "0.05", "--jobs", "2"]
+        )
+        assert (args.scale, args.jobs) == (0.05, 2)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_engine_refuses_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            SweepEngine(max_workers=workers)
 
 
 class TestVerify:
