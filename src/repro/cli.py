@@ -30,7 +30,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.experiments.formats import render_table
-from repro.experiments.runner import add_sweep_args, scale_arg
+from repro.experiments.runner import add_sweep_args, positive_int_arg, scale_arg
 from repro.workloads import ALL_APP_NAMES
 
 
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, protocol=True, multi=False):
         p.add_argument("--app", choices=ALL_APP_NAMES, default="mp3d")
         p.add_argument("--scale", type=scale_arg, default=1.0)
-        p.add_argument("--procs", type=int, default=16)
+        p.add_argument("--procs", type=positive_int_arg, default=16)
         if protocol:
             p.add_argument("--protocol", choices=ALL_PROTOCOLS, default="BASIC")
             p.add_argument(

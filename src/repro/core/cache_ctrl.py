@@ -237,8 +237,6 @@ class CacheController:
         free = res._free_at
         t1 = (ready if ready > free else free) + occ
         res._free_at = t1
-        res.busy_cycles += occ
-        res.reservations += 1
         times = sim._times
         if (times and times[0] <= t1) or t1 > sim._until:
             entry = (self._slc_read, (block, on_done, t))
@@ -311,9 +309,7 @@ class CacheController:
         if writes > flwb.capacity:
             raise OverflowError("FLWB overflow")
         flwb._writes = writes
-        if writes > flwb.peak_occupancy:
-            flwb.peak_occupancy = writes
-        self._flwb_fifo.append(FlwbEntry(addr, t))
+        self._flwb_fifo.append(FlwbEntry(addr))
         if not self._draining:
             # start the drain (``_pump_drain`` inlined: the FIFO was
             # just pushed, so only the draining flag is tested)
@@ -323,8 +319,6 @@ class CacheController:
             free = res._free_at
             t1 = (t if t > free else free) + occ
             res._free_at = t1
-            res.busy_cycles += occ
-            res.reservations += 1
             self.sim.at(t1, self._drain_head)
 
     def buffer_write(self, addr: int) -> None:
@@ -365,7 +359,7 @@ class CacheController:
         """
         block = self._amap.block_of(addr)
         marker = SyncMarker(kind="release", target=block, on_done=on_performed)
-        self.flwb.push(FlwbEntry(addr=-1, issue_time=t, marker=marker))
+        self.flwb.push(FlwbEntry(addr=-1, marker=marker))
         self._pump_drain(t)
 
     def release(self, addr: int, on_performed: DoneFn | None = None) -> None:
@@ -379,7 +373,7 @@ class CacheController:
         marker = SyncMarker(
             kind="barrier", target=bar_id, expected=expected, on_done=on_done
         )
-        self.flwb.push(FlwbEntry(addr=-1, issue_time=t, marker=marker))
+        self.flwb.push(FlwbEntry(addr=-1, marker=marker))
         self._pump_drain(t)
 
     def barrier(self, bar_id: int, expected: int, on_done: DoneFn) -> None:
@@ -400,8 +394,6 @@ class CacheController:
         free = res._free_at
         end = (t if t > free else free) + occ
         res._free_at = end
-        res.busy_cycles += occ
-        res.reservations += 1
         return end
 
     def has_pending(self, block: int) -> bool:
@@ -484,15 +476,17 @@ class CacheController:
             self.extensions.on_demand_miss(self, block)
         slwb = self.slwb
         if len(slwb._entries) < slwb.capacity:  # Slwb.has_room, inlined
-            # common case: issue straight away, no waiter closure
-            self._issue_demand(block, on_done, t0)
+            # common case: the caller made ``_issue_demand``'s checks in
+            # this same event and ``on_demand_miss`` moves no block
+            # state, so send straight away
+            self._send_demand(block, on_done, t0)
         else:
             self._slwb_waiters.append(
                 lambda: self._issue_demand(block, on_done, t0)
             )
 
     def _issue_demand(self, block: int, on_done: DoneFn, t0: int) -> None:
-        # the state may have moved while we waited for SLWB room
+        """SLWB-waiter path: the state may have moved while it waited."""
         if self.slc.lookup(block) is not None:
             self.sim.after(0, on_done)
             return
@@ -506,12 +500,14 @@ class CacheController:
             return
         if self._exts and self.extensions.defers_read(self, block, on_done, t0):
             return
+        self._send_demand(block, on_done, t0)
+
+    def _send_demand(self, block: int, on_done: DoneFn, t0: int) -> None:
         eid = self.slwb.alloc(_SLWB_READ)
-        entry = _PendingRead(
+        self._pending_reads[block] = _PendingRead(
             block=block, slwb_id=eid, is_prefetch=False,
             start=t0, demand_waiters=[on_done],
         )
-        self._pending_reads[block] = entry
         self.send_home(_RD_REQ, block)
         if self._exts:
             self.extensions.on_miss_issued(self, block)
@@ -530,8 +526,6 @@ class CacheController:
         free = res._free_at
         t1 = (t if t > free else free) + occ
         res._free_at = t1
-        res.busy_cycles += occ
-        res.reservations += 1
         self.sim.at(t1, self._drain_head)
 
     def _drain_head(self) -> None:
@@ -575,8 +569,6 @@ class CacheController:
             free = res._free_at
             t1 = (now if now > free else free) + occ
             res._free_at = t1
-            res.busy_cycles += occ
-            res.reservations += 1
             if (times and times[0] <= t1) or t1 > sim._until:
                 sim.at(t1, self._drain_head)
                 return

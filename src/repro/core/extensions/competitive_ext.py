@@ -31,11 +31,10 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from repro.config import CompetitiveConfig, ProtocolConfig
+from repro.config import ProtocolConfig
 from repro.core import competitive, migratory
 from repro.core.competitive import CompetitivePolicy
 from repro.core.extensions.base import ProtocolExtension
-from repro.core.extensions.registry import ExtensionInfo, register_extension
 from repro.core.messages import Message, MsgType
 from repro.core.states import CacheState, MemoryState
 from repro.core.transactions import Xact
@@ -329,8 +328,7 @@ class CompetitiveExtension(ProtocolExtension):
             return
         home.open_xact(
             block,
-            Xact(kind="upd", orig=msg, acks_left=len(others),
-                 targets=set(others)),
+            Xact(kind="upd", orig=msg, acks_left=len(others)),
         )
         for node in sorted(others):
             home.reply(_UPD_PROP, node, block, t2, words=msg.words)
@@ -408,7 +406,6 @@ class CompetitiveExtension(ProtocolExtension):
         # not migratory: continue as a normal update propagation
         xact.kind = "upd"
         xact.acks_left = len(remaining)
-        xact.targets = set(remaining)
         xact.droppers = set()
         for node in sorted(remaining):
             home.reply(_UPD_PROP, node, block, t, words=xact.orig.words)
@@ -453,16 +450,3 @@ class CompetitiveExtension(ProtocolExtension):
             ),
             "queued_flushes": len(self._flush_queue),
         }
-
-
-register_extension(
-    ExtensionInfo(
-        name="CW",
-        order=20,
-        description="competitive update + write cache (paper §3.3/§3.4)",
-        factory=CompetitiveExtension,
-        enabled=lambda proto: proto.competitive_update,
-        config_cls=CompetitiveConfig,
-        traits=frozenset({"requires_rc", "sync_sensitive"}),
-    )
-)

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 from repro.config import ProtocolConfig
 from repro.core import migratory
 from repro.core.extensions.base import ProtocolExtension
-from repro.core.extensions.registry import ExtensionInfo, register_extension
 from repro.core.states import MemoryState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,14 +92,3 @@ class MigratoryExtension(ProtocolExtension):
             "detections": self._home.migratory_detections,
             "reversions": self._home.migratory_reversions,
         }
-
-
-register_extension(
-    ExtensionInfo(
-        name="M",
-        order=30,
-        description="migratory-sharing optimization (paper §3.2/§3.4)",
-        factory=MigratoryExtension,
-        enabled=lambda proto: proto.migratory,
-    )
-)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.config import PrefetchConfig
+from repro.config import ProtocolConfig
 from repro.core.extensions.base import ProtocolExtension
-from repro.core.extensions.registry import ExtensionInfo, register_extension
 from repro.core.prefetch import AdaptivePrefetcher
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,8 +33,8 @@ class PrefetchExtension(ProtocolExtension):
 
     name = "P"
 
-    def __init__(self, params: PrefetchConfig) -> None:
-        self.params = params
+    def __init__(self, protocol: ProtocolConfig) -> None:
+        self.params = protocol.prefetch_params
         #: the adaptation engine; built per cache in :meth:`attach_cache`.
         self.engine: AdaptivePrefetcher | None = None
 
@@ -88,16 +87,3 @@ class PrefetchExtension(ProtocolExtension):
             "degree_increases": self.engine.degree_increases,
             "degree_decreases": self.engine.degree_decreases,
         }
-
-
-register_extension(
-    ExtensionInfo(
-        name="P",
-        order=10,
-        description="adaptive sequential prefetching (paper §3.1)",
-        factory=lambda proto: PrefetchExtension(proto.prefetch_params),
-        enabled=lambda proto: proto.prefetch,
-        config_cls=PrefetchConfig,
-        traits=frozenset({"prefetch", "speculative_reads"}),
-    )
-)

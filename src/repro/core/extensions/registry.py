@@ -11,23 +11,31 @@ is the single source of truth for
 * parsing/canonicalizing user-facing combination strings such as
   ``"p,cw,m"`` or ``"P+CW+M"`` (``resolve_names``).
 
-Adding a new extension is a one-file affair: subclass
-:class:`~repro.core.extensions.base.ProtocolExtension`, call
-:func:`register_extension` at import time, and import the module from
-:mod:`repro.core.extensions`.  ``ProtocolConfig.from_name``, the CLI
-``--extensions`` flag, ``RunSpec`` hashing and ``api.compare_protocols``
-all pick it up from here.
+Adding a new extension: subclass
+:class:`~repro.core.extensions.base.ProtocolExtension` in its own
+module and register its metadata with :func:`register_extension` in
+:mod:`repro.core.extensions`, naming the class as a ``"module:Class"``
+factory.  Registering imports none of the extension's code: the
+class loads on the first :func:`build_pipeline` that enables it, so
+parsing a protocol name loads no simulator module.
+``ProtocolConfig.from_name``, the CLI ``--extensions`` flag,
+``RunSpec`` hashing and ``api.compare_protocols`` all pick it up from
+here.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.extensions.base import ExtensionPipeline, ProtocolExtension
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids cycles
     from repro.config import ProtocolConfig
+
+Factory = Callable[["ProtocolConfig"], ProtocolExtension]
 
 
 class UnknownExtensionError(ValueError):
@@ -73,8 +81,10 @@ class ExtensionInfo:
     order: int
     #: one-line human description for ``repro list-extensions``.
     description: str
-    #: builds one per-node extension instance for a machine config.
-    factory: Callable[["ProtocolConfig"], ProtocolExtension]
+    #: builds one per-node extension instance for a machine config:
+    #: a callable, or a ``"module:attr"`` string naming one, which
+    #: :attr:`build` imports on first use.
+    factory: Factory | str
     #: is the extension enabled under this protocol config?
     enabled: Callable[["ProtocolConfig"], bool]
     #: dataclass holding the extension's tunables (None when none).
@@ -83,6 +93,14 @@ class ExtensionInfo:
     #: ``"prefetch"`` (uses the deeper SLWB) or ``"requires_rc"``
     #: (invalid under sequential consistency).
     traits: frozenset[str] = field(default_factory=frozenset)
+
+    @cached_property
+    def build(self) -> Factory:
+        """:attr:`factory`, its implementation imported on first use."""
+        if not isinstance(self.factory, str):
+            return self.factory
+        module, _, attr = self.factory.partition(":")
+        return getattr(importlib.import_module(module), attr)
 
 
 _REGISTRY: dict[str, ExtensionInfo] = {}
@@ -176,7 +194,7 @@ def build_pipeline(protocol: "ProtocolConfig") -> ExtensionPipeline:
     """
     return ExtensionPipeline(
         tuple(
-            info.factory(protocol)
+            info.build(protocol)
             for info in registered_extensions()
             if info.enabled(protocol)
         )

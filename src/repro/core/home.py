@@ -123,7 +123,6 @@ class HomeController:
         )
         self._xacts: dict[int, Xact] = {}
         self._pending: dict[int, deque[Message]] = {}
-        self.memory_accesses = 0
         self.migratory_detections = 0
         self.migratory_reversions = 0
 
@@ -137,15 +136,12 @@ class HomeController:
         banks keep serving in parallel.  (InterleavedMemory.access,
         inlined: every directory operation pays this.)
         """
-        self.memory_accesses += 1
         occ = self._mem_occ
         res = self._banks[block % self._n_banks]
         free = res._free_at
         start = t if t > free else free
         end = start + occ
         res._free_at = end
-        res.busy_cycles += occ
-        res.reservations += 1
         return end
 
     def reply(
@@ -302,7 +298,7 @@ class HomeController:
                 msg.block,
                 Xact(
                     kind="inv", orig=msg, acks_left=len(others),
-                    needs_data=needs_data, targets=set(others),
+                    needs_data=needs_data,
                 ),
             )
             for node in sorted(others):

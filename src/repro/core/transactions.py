@@ -26,6 +26,9 @@ class Xact:
     acks_left: int = 0
     needs_data: bool = False
     old_owner: int | None = None
+    #: 'upd': sharers that dropped their copy
     droppers: set[int] = field(default_factory=set)
+    #: 'migq': interrogated holders that gave up their copy
     give_ups: set[int] = field(default_factory=set)
+    #: 'migq': the interrogated holders
     targets: set[int] = field(default_factory=set)

@@ -143,8 +143,8 @@ def scale_arg(text: str) -> float:
     return value
 
 
-def _jobs_arg(text: str) -> int:
-    """argparse type of ``--jobs``: a whole number >= 1."""
+def positive_int_arg(text: str) -> int:
+    """argparse type of ``--jobs`` and ``--procs``: a whole number >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -160,7 +160,7 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     """Install the engine's ``--jobs/--cache-dir/--no-cache/--seed``."""
     group = parser.add_argument_group("sweep engine")
     group.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N",
+        "--jobs", type=positive_int_arg, default=1, metavar="N",
         help="worker processes for the sweep (1 = serial, the default)",
     )
     group.add_argument(

@@ -37,10 +37,6 @@ class AddressMap:
         """Number of 4-byte words per block."""
         return self.block_size // WORD_SIZE
 
-    def page_of(self, addr: int) -> int:
-        """Virtual page number of ``addr``."""
-        return addr // self.page_size
-
     def home_of_block(self, block: int) -> int:
         """Home node of a block: round-robin page placement (§4)."""
         return (self.block_base(block) // self.page_size) % self.n_nodes

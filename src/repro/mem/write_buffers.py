@@ -38,7 +38,6 @@ class FlwbEntry:
     """
 
     addr: int
-    issue_time: int
     marker: Any = None
 
 
@@ -51,8 +50,6 @@ class Flwb:
         self.capacity = capacity
         self._fifo: deque[FlwbEntry] = deque()
         self._writes = 0
-        self.peak_occupancy = 0
-        self.full_stalls = 0
 
     @property
     def full(self) -> bool:
@@ -65,8 +62,6 @@ class Flwb:
             if self.full:
                 raise OverflowError("FLWB overflow")
             self._writes += 1
-            if self._writes > self.peak_occupancy:
-                self.peak_occupancy = self._writes
         self._fifo.append(entry)
 
     def pop(self) -> FlwbEntry:
@@ -109,8 +104,6 @@ class Slwb:
         self.capacity = capacity
         self._entries: dict[int, SlwbKind] = {}
         self._next_id = 0
-        self.peak_occupancy = 0
-        self.full_rejections = 0
 
     @property
     def full(self) -> bool:
@@ -130,14 +123,10 @@ class Slwb:
         """Allocate an entry; returns its id.  Caller checks room first."""
         entries = self._entries
         if len(entries) >= self.capacity:
-            self.full_rejections += 1
             raise OverflowError("SLWB overflow")
         eid = self._next_id
         self._next_id = eid + 1
         entries[eid] = kind
-        occupancy = len(entries)
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
         return eid
 
     def release(self, eid: int) -> SlwbKind:

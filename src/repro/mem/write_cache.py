@@ -35,8 +35,6 @@ class WriteCache:
             raise ValueError("write cache needs at least one block")
         self._n_blocks = n_blocks
         self._entries: dict[int, WriteCacheEntry] = {}
-        self.writes_combined = 0
-        self.allocations = 0
 
     # The direct-mapped index ``block % self._n_blocks`` is computed in
     # place: ``write`` runs on every CW write that drains from the FLWB.
@@ -59,7 +57,6 @@ class WriteCache:
         entry = entries.get(idx)
         if entry is not None:
             if entry.block == block:
-                self.writes_combined += 1
                 entry.dirty_words.add(word)
                 return None
             # conflict: the resident entry is the victim.  Deleting it
@@ -70,7 +67,6 @@ class WriteCache:
         else:
             victim = None
         entries[idx] = WriteCacheEntry(block, {word}, had_copy)
-        self.allocations += 1
         return victim
 
     def remove(self, block: int) -> WriteCacheEntry | None:

@@ -38,13 +38,27 @@ def mesh_dims(n_nodes: int) -> tuple[int, int]:
 
 
 class MeshNetwork:
-    """Dimension-order wormhole mesh with per-link FCFS contention."""
+    """Dimension-order wormhole mesh with per-link FCFS contention.
+
+    Each (src, dst) pair's route is built once, on its first message,
+    as the tuple of its links' FCFS ledgers; a message then reserves
+    the hops inline.  Link busy time is kept per path (one addition
+    per message, not one per hop) and summed onto the links only when
+    :meth:`max_link_utilization` asks for it.
+    """
 
     def __init__(self, cfg: NetworkConfig, n_nodes: int) -> None:
         self._dims = mesh_dims(n_nodes)
         self._width = self._dims[0]
+        self._n = n_nodes
         self._cfg = cfg
+        self._link_bits = cfg.link_width_bits
+        self._hop = cfg.hop_cycles
         self._links: dict[tuple[int, int], FcfsResource] = {}
+        #: ``src * n + dst`` -> the route's link ledgers (built on first
+        #: use), and the flits sent along it
+        self._paths: list[tuple[FcfsResource, ...] | None] = [None] * n_nodes**2
+        self._path_flits = [0] * n_nodes**2
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -74,28 +88,47 @@ class MeshNetwork:
 
     def flits(self, size_bytes: int) -> int:
         """Serialization length of a message in link cycles."""
-        return max(1, math.ceil(size_bytes * 8 / self._cfg.link_width_bits))
+        return max(1, -(-size_bytes * 8 // self._link_bits))
 
-    def _link(self, edge: tuple[int, int]) -> FcfsResource:
-        res = self._links.get(edge)
-        if res is None:
-            res = FcfsResource(name=f"link{edge[0]}->{edge[1]}")
-            self._links[edge] = res
-        return res
+    def _build_path(self, src: int, dst: int) -> tuple[FcfsResource, ...]:
+        path = self._paths[src * self._n + dst] = tuple(
+            self._links.setdefault(edge, FcfsResource(f"link{edge[0]}->{edge[1]}"))
+            for edge in self.route(src, dst)
+        )
+        return path
 
     def arrival_time(self, src: int, dst: int, size_bytes: int, ready: int) -> int:
         """Head-flit propagation with per-link body occupancy."""
         if src == dst:
             return ready
-        flits = self.flits(size_bytes)
+        # flits(), inlined: a message is at least a header, so at
+        # least one flit
+        flits = -(-size_bytes * 8 // self._link_bits)
+        idx = src * self._n + dst
+        path = self._paths[idx]
+        if path is None:
+            path = self._build_path(src, dst)
+        self._path_flits[idx] += flits
+        hop = self._hop
         t = ready
-        for edge in self.route(src, dst):
-            start = self._link(edge).reserve(t, flits)
-            t = start + self._cfg.hop_cycles
+        for res in path:
+            # FcfsResource.reserve, inlined: the head waits for the
+            # link, the body holds it for ``flits`` cycles
+            free = res._free_at
+            if free > t:
+                t = free
+            res._free_at = t + flits
+            t += hop
         return t + flits
 
     def max_link_utilization(self, elapsed: int) -> float:
         """Peak link utilization -- saturation indicator for §5.3."""
-        if not self._links:
+        busy: dict[tuple[int, int], int] = {}
+        n = self._n
+        for idx, flits in enumerate(self._path_flits):
+            if flits:
+                for edge in self.route(idx // n, idx % n):
+                    busy[edge] = busy.get(edge, 0) + flits
+        if not busy or elapsed <= 0:
             return 0.0
-        return max(link.utilization(elapsed) for link in self._links.values())
+        return min(1.0, max(busy.values()) / elapsed)

@@ -37,33 +37,10 @@ class SplitTransactionBus:
         return max(1, -(-size_bytes // self.width_bytes))
 
     def access(self, ready: int, size_bytes: int) -> int:
-        """Reserve the bus for one transaction; returns completion time."""
-        cycles = -(-size_bytes // self.width_bytes)
-        if cycles < 1:
-            cycles = 1
-        occ = cycles * self.cycle_pclocks
-        # FcfsResource.finish_time, inlined: every message crossing a
-        # node pays this twice (out-bus + in-bus), making it the single
-        # hottest reservation site in the simulator.
-        res = self._res
-        free = res._free_at
-        start = ready if ready > free else free
-        end = start + occ
-        res._free_at = end
-        res.busy_cycles += occ
-        res.reservations += 1
-        return end
+        """Reserve the bus for one transaction; returns completion time.
 
-    @property
-    def reservations(self) -> int:
-        """Transactions carried so far."""
-        return self._res.reservations
-
-    @property
-    def busy_cycles(self) -> int:
-        """Total pclocks the bus has been occupied."""
-        return self._res.busy_cycles
-
-    def utilization(self, elapsed: int) -> float:
-        """Fraction of ``elapsed`` pclocks the bus was busy."""
-        return self._res.utilization(elapsed)
+        The reference rule: ``System._send`` and ``_deliver_remote``
+        inline it for every message.
+        """
+        occ = self.cycles_for(size_bytes) * self.cycle_pclocks
+        return self._res.finish_time(ready, occ)

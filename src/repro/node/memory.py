@@ -37,24 +37,10 @@ class InterleavedMemory:
         return block % self.n_banks
 
     def access(self, ready: int, block: int) -> int:
-        """Serve one access to ``block``; returns completion time."""
-        occ = self.access_pclocks
-        # FcfsResource.finish_time, inlined (hot: one access per
-        # directory/memory operation at every home node).
-        res = self._banks[block % self.n_banks]
-        free = res._free_at
-        start = ready if ready > free else free
-        end = start + occ
-        res._free_at = end
-        res.busy_cycles += occ
-        res.reservations += 1
-        return end
+        """Serve one access to ``block``; returns completion time.
 
-    @property
-    def accesses(self) -> int:
-        """Total accesses served."""
-        return sum(b.reservations for b in self._banks)
-
-    def peak_bank_utilization(self, elapsed: int) -> float:
-        """Utilization of the busiest bank (hot-spot indicator)."""
-        return max(b.utilization(elapsed) for b in self._banks)
+        The reference rule: ``HomeController.mem_access`` inlines it
+        for every directory/memory operation.
+        """
+        bank = self._banks[self.bank_of(block)]
+        return bank.finish_time(ready, self.access_pclocks)

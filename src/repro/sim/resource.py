@@ -7,11 +7,16 @@ occupies the resource for ``d`` cycles starts at ``max(t, free)`` and
 pushes ``free`` to ``start + d``.  Because all requests flow through the
 deterministic event queue, which fires events in time order and, within
 one time, in push order, reservation order equals arrival order.
+
+A ledger keeps only its free time: no result reads a node resource's
+busy time or reservation count, so the hot reservation sites (inlined
+throughout the simulator) pay for nothing else.  The mesh counts its
+links' busy time itself (``MeshNetwork.max_link_utilization``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -20,8 +25,6 @@ class FcfsResource:
 
     name: str
     _free_at: int = 0
-    busy_cycles: int = field(default=0, repr=False)
-    reservations: int = field(default=0, repr=False)
 
     def reserve(self, ready: int, occupancy: int) -> int:
         """Reserve the resource; returns the start time of service.
@@ -34,8 +37,6 @@ class FcfsResource:
         free = self._free_at
         start = ready if ready > free else free
         self._free_at = start + occupancy
-        self.busy_cycles += occupancy
-        self.reservations += 1
         return start
 
     def finish_time(self, ready: int, occupancy: int) -> int:
@@ -46,17 +47,9 @@ class FcfsResource:
         start = ready if ready > free else free
         end = start + occupancy
         self._free_at = end
-        self.busy_cycles += occupancy
-        self.reservations += 1
         return end
 
     @property
     def free_at(self) -> int:
         """Time at which the resource next becomes idle."""
         return self._free_at
-
-    def utilization(self, elapsed: int) -> float:
-        """Fraction of ``elapsed`` cycles the resource was busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / elapsed)

@@ -116,7 +116,11 @@ def _load_simulator() -> None:
     """
     import repro.sweep.engine  # noqa: F401
     import repro.system  # noqa: F401
-    import repro.workloads  # noqa: F401
+    from repro.core.extensions import registered_extensions
+    from repro.workloads import WORKLOADS  # noqa: F401  (every generator)
+
+    for info in registered_extensions():
+        info.build  # noqa: B018  (imports the implementation)
 
 
 def _fork_is_safe() -> bool:

@@ -49,10 +49,11 @@ from repro.config import (
 )
 # The extension registry, which ProtocolConfig.from_name parses names
 # with: every spec canonicalizes its protocol through it, so it loads
-# with this module rather than inside the first spec built.
+# with this module rather than inside the first spec built.  It holds
+# metadata only; no extension implementation loads with it.
 import repro.core.extensions  # noqa: F401
 from repro.stats.counters import MachineStats
-from repro.workloads import WORKLOADS
+from repro.workloads import ALL_APP_NAMES
 
 #: bump whenever the meaning of a spec field (or a simulator default it
 #: relies on) changes; every cached result keyed under an older version
@@ -166,9 +167,9 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         app = self.app
-        if not isinstance(app, str) or app.lower() not in WORKLOADS:
+        if not isinstance(app, str) or app.lower() not in ALL_APP_NAMES:
             raise ValueError(
-                f"unknown workload {app!r}; choose from {sorted(WORKLOADS)}"
+                f"unknown workload {app!r}; choose from {sorted(ALL_APP_NAMES)}"
             )
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)

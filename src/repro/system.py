@@ -145,8 +145,6 @@ class System:
         start = ready if ready > free else free
         t_out = start + occ
         res._free_at = t_out
-        res.busy_cycles += occ
-        res.reservations += 1
         fn = self._deliver_fns[dst][mtype]
         sim = self.sim
         if src == dst:
@@ -162,7 +160,10 @@ class System:
         self._msg_counts[mtype] += 1
         lat = self._flat_latency
         if lat is None:
-            arrive = self.network.arrival_time(src, dst, msg.size_bytes, t_out)
+            size = SIZE_BY_TYPE[mtype]
+            arrive = self.network.arrival_time(
+                src, dst, size if size >= 0 else msg.size_bytes, t_out
+            )
         else:
             arrive = t_out + lat
         # both buses are the same width, so the destination-bus
@@ -183,8 +184,6 @@ class System:
         start = now if now > free else free
         t_in = start + occ
         res._free_at = t_in
-        res.busy_cycles += occ
-        res.reservations += 1
         times = sim._times
         if (not times or times[0] > t_in) and t_in <= sim._until:
             # No event can fire before the destination bus hands the

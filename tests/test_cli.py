@@ -169,6 +169,12 @@ JOBS_PARSERS = {
     "experiments": ["experiments", "figure2"],
 }
 
+#: every parser that takes ``--procs`` (``cli.py``'s ``common()``)
+PROCS_PARSERS = {
+    "run": ["run"], "compare": ["compare"], "analyze": ["analyze"],
+    "trace": ["trace"],
+}
+
 
 def _usage_error(argv, extra, capsys) -> str:
     """Parse ``extra`` with one parser; it must exit 2 with a usage
@@ -186,8 +192,8 @@ def _usage_error(argv, extra, capsys) -> str:
 
 
 class TestBadNumbers:
-    """A bad ``--scale`` or ``--jobs`` is a usage error, never a
-    traceback or a silent fallback."""
+    """A bad ``--scale``, ``--jobs`` or ``--procs`` is a usage error,
+    never a traceback or a silent fallback."""
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("name", sorted(SCALE_PARSERS))
@@ -206,11 +212,18 @@ class TestBadNumbers:
         err = _usage_error(JOBS_PARSERS[name], [f"--jobs={value}"], capsys)
         assert "argument --jobs: must be >= 1" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("name", sorted(PROCS_PARSERS))
+    def test_procs_below_one_is_a_usage_error(self, name, value, capsys):
+        err = _usage_error(PROCS_PARSERS[name], [f"--procs={value}"], capsys)
+        assert "argument --procs: must be >= 1" in err
+
     def test_good_values_still_parse(self):
         args = build_parser().parse_args(
             ["experiments", "figure2", "--scale", "0.05", "--jobs", "2"]
         )
         assert (args.scale, args.jobs) == (0.05, 2)
+        assert build_parser().parse_args(["run", "--procs", "1"]).procs == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_engine_refuses_fewer_than_one_worker(self, workers):

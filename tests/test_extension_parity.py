@@ -6,7 +6,10 @@ cache/home controllers into :mod:`repro.core.extensions`.  Every cell
 pins ``MachineStats.to_dict()``, the total event count and the
 migratory detection/reversion counters for one (workload, protocol)
 pair, so any drift in hook placement, marker accounting or timing
-introduced by pipeline dispatch fails loudly here.
+introduced by pipeline dispatch fails loudly here.  The
+``mesh<width>/...`` cells (recorded before the mesh path table) run the
+§5.3 wormhole mesh, so link contention and ``peak_link_utilization``
+are pinned too.
 
 Regenerate (only for an intentional behaviour change) with
 ``PYTHONPATH=src python tests/golden/regen_extension_parity.py``.
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import NetworkConfig, NetworkKind, SystemConfig
 from repro.system import System
 from repro.workloads import build_workload
 
@@ -30,9 +33,14 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 @pytest.mark.parametrize("cell", sorted(GOLDEN), ids=str)
 def test_pipeline_matches_pre_refactor_golden(cell: str) -> None:
     expected = GOLDEN[cell]
-    cfg = SystemConfig(n_procs=expected["n_procs"]).with_protocol(
-        expected["protocol"]
+    width = expected.get("link_width_bits")
+    network = (
+        NetworkConfig() if width is None
+        else NetworkConfig(kind=NetworkKind.MESH, link_width_bits=width)
     )
+    cfg = SystemConfig(
+        n_procs=expected["n_procs"], network=network
+    ).with_protocol(expected["protocol"])
     streams = build_workload(expected["app"], cfg, scale=expected["scale"])
     system = System(cfg)
     stats = system.run(streams)

@@ -39,6 +39,21 @@ NOT_FOR_A_CACHED_RUN = (
     "logging", "socket", "subprocess", "pickle",
 )
 
+#: modules (and packages, with their submodules) that parsing a
+#: protocol or workload name never needs: the event engine, the memory
+#: hierarchy, the message types, the extension implementations and
+#: the workload generators.  ``import repro`` and a fully cached report
+#: load none of them.
+NOT_FOR_NAMES = (
+    "repro.sim", "repro.mem", "repro.core.messages",
+    "repro.core.extensions.prefetch_ext",
+    "repro.core.extensions.competitive_ext",
+    "repro.core.extensions.migratory_ext",
+    "repro.workloads.mp3d", "repro.workloads.cholesky",
+    "repro.workloads.water", "repro.workloads.lu", "repro.workloads.ocean",
+    "repro.workloads.hitpath",
+)
+
 #: every module of the experiment drivers' package.
 EXPERIMENT_MODULES = sorted(
     f"repro.experiments.{info.name}"
@@ -153,6 +168,51 @@ print(json.dumps({{
     assert report["hot_hits"] == 3
     assert report["unneeded"] == []
     assert report["new_repro"] == []
+
+
+#: defines ``loaded(prefixes)``: the loaded modules that fall under
+#: ``prefixes``.
+_PRINT_LOADED = """
+import sys
+def loaded(prefixes):
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+"""
+
+
+def test_import_repro_loads_no_simulator_module():
+    out = _python(_PRINT_LOADED + f"""
+import repro
+from repro.config import ProtocolConfig
+ProtocolConfig.from_name("p,cw,m")
+repro.RunSpec.for_run("ocean", protocol="P+CW+M")
+print(loaded({NOT_FOR_NAMES!r}))
+""")
+    assert out.strip() == "[]"
+
+
+def test_fully_cached_report_loads_no_simulator_module(tmp_path):
+    # fill the cache with a cold report, then read every cell back
+    _python(f"""
+from repro.experiments import report
+report.main(["--scale", "0.05", "--jobs", "2",
+             "--cache-dir", {str(tmp_path)!r},
+             "--out", {str(tmp_path / "cold.md")!r}])
+""")
+    out = _python(_PRINT_LOADED + f"""
+import argparse, json
+from repro.experiments import report
+from repro.experiments.runner import engine_from_args
+
+engine = engine_from_args(argparse.Namespace(
+    jobs=2, cache_dir={str(tmp_path)!r}, no_cache=False, progress=False))
+report.generate(scale=0.05, engine=engine)
+print(json.dumps({{"misses": engine.misses, "hits": engine.hits,
+                  "loaded": loaded({NOT_FOR_NAMES!r})}}))
+""")
+    result = json.loads(out)
+    assert result["misses"] == 0 and result["hits"] > 0
+    assert result["loaded"] == []
 
 
 def test_forked_workers_start_with_the_simulator_loaded():

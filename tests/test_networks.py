@@ -130,6 +130,22 @@ class TestMeshTiming:
         net.arrival_time(0, 1, 40, ready=0)
         assert net.max_link_utilization(100) > 0.0
 
+    def test_link_busy_time_sums_over_routes(self):
+        # 0->2 and 1->2 share link (1, 2): 2 x 20 flits on it
+        net = make_mesh(16)
+        net.arrival_time(0, 2, 40, ready=0)
+        net.arrival_time(1, 2, 40, ready=0)
+        assert net.max_link_utilization(100) == 0.4
+        assert net.max_link_utilization(30) == 1.0  # clamped
+        assert net.max_link_utilization(0) == 0.0
+
+    def test_routes_share_link_ledgers(self):
+        # 20 flits a message, 2 cycles a hop: the first holds link
+        # (1, 2) from 2 to 22, so the second's head leaves at 22
+        net = make_mesh(16)
+        assert net.arrival_time(0, 2, 40, ready=0) == 2 + 2 + 20
+        assert net.arrival_time(1, 2, 40, ready=0) == 22 + 2 + 20
+
 
 def test_build_network_dispatch():
     uni = build_network(NetworkConfig(), 16)

@@ -29,13 +29,6 @@ class TestSplitTransactionBus:
         bus = SplitTransactionBus("b")
         assert bus.access(0, 40) == 6
         assert bus.access(0, 8) == 9
-        assert bus.reservations == 2
-        assert bus.busy_cycles == 9
-
-    def test_utilization(self):
-        bus = SplitTransactionBus("b")
-        bus.access(0, 40)
-        assert bus.utilization(12) == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,17 +53,6 @@ class TestInterleavedMemory:
         mem = InterleavedMemory("m", n_banks=8, access_pclocks=24)
         assert mem.access(0, block=0) == 24
         assert mem.access(0, block=8) == 48
-
-    def test_access_counter(self):
-        mem = InterleavedMemory("m")
-        mem.access(0, 0)
-        mem.access(0, 1)
-        assert mem.accesses == 2
-
-    def test_peak_bank_utilization(self):
-        mem = InterleavedMemory("m", n_banks=2, access_pclocks=10)
-        mem.access(0, 0)
-        assert mem.peak_bank_utilization(20) == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

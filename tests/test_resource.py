@@ -40,15 +40,3 @@ def test_negative_occupancy_rejected():
     res = FcfsResource(name="x")
     with pytest.raises(ValueError):
         res.reserve(0, -1)
-
-
-def test_busy_accounting_and_utilization():
-    res = FcfsResource(name="link")
-    res.reserve(0, 30)
-    res.reserve(0, 30)
-    assert res.busy_cycles == 60
-    assert res.reservations == 2
-    assert res.utilization(120) == pytest.approx(0.5)
-    assert res.utilization(0) == 0.0
-    # utilization is clamped to 1.0
-    assert res.utilization(30) == 1.0

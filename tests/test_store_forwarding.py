@@ -9,18 +9,18 @@ from repro.mem.write_buffers import Flwb, FlwbEntry
 class TestFlwbLookup:
     def test_contains_write_to(self):
         flwb = Flwb(4)
-        flwb.push(FlwbEntry(addr=0x100, issue_time=0))
+        flwb.push(FlwbEntry(addr=0x100))
         assert flwb.contains_write_to(0x100)
         assert not flwb.contains_write_to(0x104)
 
     def test_markers_do_not_forward(self):
         flwb = Flwb(4)
-        flwb.push(FlwbEntry(addr=0x100, issue_time=0, marker=object()))
+        flwb.push(FlwbEntry(addr=0x100, marker=object()))
         assert not flwb.contains_write_to(0x100)
 
     def test_popped_writes_no_longer_forward(self):
         flwb = Flwb(4)
-        flwb.push(FlwbEntry(addr=0x100, issue_time=0))
+        flwb.push(FlwbEntry(addr=0x100))
         flwb.pop()
         assert not flwb.contains_write_to(0x100)
 

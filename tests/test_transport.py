@@ -58,13 +58,21 @@ class TestTrafficAccounting:
 
 class TestBusContention:
     def test_node_bus_serializes_traffic(self):
-        # many processors hammering one home node: its bus must have
-        # been reserved once per arriving/departing message
+        # three remote processors read distinct blocks (so distinct
+        # memory banks) of home node 1 at once: only that node's bus is
+        # shared, so each data reply (40 bytes, two bus cycles) queues
+        # behind the one before it
         a = 4096
-        streams = [[("read", a + p * 32)] for p in range(4)]
+        streams = [[("read", a + p * 32)] if p != 1 else [] for p in range(4)]
         system = run_streams(tiny_config(), streams)
-        assert system.nodes[1].bus.reservations > 0
-        assert system.nodes[1].memory.accesses >= 4
+        together = sorted(
+            p.read_stall for p in system.stats.procs if p.read_stall
+        )
+        alone = run_streams(
+            tiny_config(), pad_streams([[("read", a)]], 4)
+        ).stats.procs[0].read_stall
+        reply = 2 * tiny_config().timing.bus_transaction
+        assert together == [alone, alone + reply, alone + 2 * reply]
 
     def test_hot_home_is_slower_than_spread_homes(self):
         hot = [[("read", 4096 + p * 32), ("read", 4096 + (p + 8) * 32)]

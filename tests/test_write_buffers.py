@@ -10,31 +10,31 @@ class TestFlwb:
     def test_fifo_order(self):
         flwb = Flwb(4)
         for a in (1, 2, 3):
-            flwb.push(FlwbEntry(addr=a, issue_time=0))
+            flwb.push(FlwbEntry(addr=a))
         assert [flwb.pop().addr for _ in range(3)] == [1, 2, 3]
 
     def test_capacity_and_overflow(self):
         flwb = Flwb(2)
-        flwb.push(FlwbEntry(addr=1, issue_time=0))
-        flwb.push(FlwbEntry(addr=2, issue_time=0))
+        flwb.push(FlwbEntry(addr=1))
+        flwb.push(FlwbEntry(addr=2))
         assert flwb.full
         with pytest.raises(OverflowError):
-            flwb.push(FlwbEntry(addr=3, issue_time=0))
+            flwb.push(FlwbEntry(addr=3))
 
     def test_markers_do_not_consume_capacity(self):
         flwb = Flwb(1)
-        flwb.push(FlwbEntry(addr=1, issue_time=0))
+        flwb.push(FlwbEntry(addr=1))
         assert flwb.full
-        flwb.push(FlwbEntry(addr=-1, issue_time=0, marker=object()))
+        flwb.push(FlwbEntry(addr=-1, marker=object()))
         assert len(flwb) == 1  # still one *write*
         assert not flwb.empty
 
     def test_markers_keep_fifo_position(self):
         flwb = Flwb(4)
         marker = object()
-        flwb.push(FlwbEntry(addr=1, issue_time=0))
-        flwb.push(FlwbEntry(addr=-1, issue_time=0, marker=marker))
-        flwb.push(FlwbEntry(addr=2, issue_time=0))
+        flwb.push(FlwbEntry(addr=1))
+        flwb.push(FlwbEntry(addr=-1, marker=marker))
+        flwb.push(FlwbEntry(addr=2))
         assert flwb.pop().addr == 1
         assert flwb.pop().marker is marker
         assert flwb.pop().addr == 2
@@ -42,7 +42,7 @@ class TestFlwb:
 
     def test_peek(self):
         flwb = Flwb(2)
-        flwb.push(FlwbEntry(addr=9, issue_time=3))
+        flwb.push(FlwbEntry(addr=9))
         assert flwb.peek().addr == 9
         assert len(flwb) == 1
 
@@ -73,7 +73,6 @@ class TestSlwb:
         slwb.alloc(SlwbKind.READ)
         with pytest.raises(OverflowError):
             slwb.alloc(SlwbKind.READ)
-        assert slwb.full_rejections == 1
 
     def test_has_room(self):
         slwb = Slwb(2)
@@ -81,13 +80,6 @@ class TestSlwb:
         slwb.alloc(SlwbKind.READ)
         assert slwb.has_room(1)
         assert not slwb.has_room(2)
-
-    def test_peak_occupancy(self):
-        slwb = Slwb(4)
-        ids = [slwb.alloc(SlwbKind.READ) for _ in range(3)]
-        for i in ids:
-            slwb.release(i)
-        assert slwb.peak_occupancy == 3
 
 
 class TestWriteCache:
@@ -106,8 +98,7 @@ class TestWriteCache:
         wc.write(8, 1, had_copy=False)
         wc.write(8, 1, had_copy=False)
         assert wc.lookup(8).dirty_words == {0, 1}
-        assert wc.writes_combined == 2
-        assert wc.allocations == 1
+        assert len(wc) == 1
 
     def test_direct_mapped_victimization(self):
         wc = WriteCache(4)
