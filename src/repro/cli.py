@@ -396,6 +396,9 @@ def cmd_experiments(args) -> int:
             extra.append("--no-cache")
         if args.progress:
             extra.append("--progress")
+    if args.out is not None:
+        # only the report takes it; any other driver refuses it
+        extra += ["--out", args.out]
     driver.main(extra)
     return 0
 
@@ -581,6 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_ex.add_argument("--scale", type=scale_arg, default=1.0)
+    p_ex.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="report only: the file to write (required at a --scale or "
+             "--seed other than the committed EXPERIMENTS.md's)",
+    )
     add_sweep_args(p_ex)
     p_ex.set_defaults(fn=cmd_experiments)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import starmap
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 #: version of the ``MachineStats.to_dict`` and ``to_columns`` payloads.
 #: Bump whenever a counter is added, removed or changes meaning:
@@ -110,6 +110,13 @@ _CACHE_FIELDS, _cache_values = _fields_of(CacheStats)
 _NET_FIELDS, _net_values = _fields_of(NetworkStats)
 
 
+#: per class, for :func:`_rows`: the field-name set and one getter of
+#: every column in ``__init__`` order, built once rather than per payload
+_PROC_NAMES, _proc_columns = frozenset(_PROC_FIELDS), itemgetter(*_PROC_FIELDS)
+_CACHE_NAMES, _cache_columns = (frozenset(_CACHE_FIELDS),
+                                itemgetter(*_CACHE_FIELDS))
+
+
 def _columns(names: tuple[str, ...], getter: attrgetter, rows: list) -> dict:
     """One list per field across ``rows``."""
     if not rows:
@@ -117,21 +124,19 @@ def _columns(names: tuple[str, ...], getter: attrgetter, rows: list) -> dict:
     return dict(zip(names, map(list, zip(*map(getter, rows)))))
 
 
-def _rows(cls, names: tuple[str, ...], columns) -> list:
+def _rows(cls, names: frozenset[str], columns_of: itemgetter, columns) -> list:
     """Inverse of :func:`_columns`; ``ValueError`` unless ``columns``
-    holds exactly the fields of ``cls``, all of one length."""
+    holds exactly the fields of ``cls`` (``names``), all of one length."""
     if not isinstance(columns, dict):
         raise ValueError(
             f"{cls.__name__} columns must be an object, "
             f"got {type(columns).__name__}"
         )
-    if columns.keys() != set(names):
+    if columns.keys() != names:
         raise ValueError(
             f"{cls.__name__} columns {sorted(columns)} != {sorted(names)}"
         )
-    return list(starmap(
-        cls, zip(*[columns[name] for name in names], strict=True)
-    ))
+    return list(starmap(cls, zip(*columns_of(columns), strict=True)))
 
 
 @dataclass(slots=True)
@@ -280,8 +285,10 @@ class MachineStats:
         cls._check_version(d)
         try:
             return cls(
-                procs=_rows(ProcessorStats, _PROC_FIELDS, d["procs"]),
-                caches=_rows(CacheStats, _CACHE_FIELDS, d["caches"]),
+                procs=_rows(ProcessorStats, _PROC_NAMES, _proc_columns,
+                            d["procs"]),
+                caches=_rows(CacheStats, _CACHE_NAMES, _cache_columns,
+                             d["caches"]),
                 network=NetworkStats(**d["network"]),
                 execution_time=d["execution_time"],
             )

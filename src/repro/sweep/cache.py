@@ -153,10 +153,12 @@ class ResultCache:
     def _load(self, key: str) -> dict | None:
         """Read + envelope-check one entry (miss/invalidate accounting)."""
         # a plain string path and an explicit UTF-8 decode: cheaper
-        # than a ``Path`` and ``json.loads(bytes)``'s encoding sniffing
+        # than a ``Path`` and ``json.loads(bytes)``'s encoding sniffing.
+        # Unbuffered: no ``BufferedReader`` is built around the file,
+        # and ``read()`` is ``FileIO.readall``, one read sized by ``fstat``.
         path = f"{self._root_str}/{key[:2]}/{key}.json"
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb", buffering=0) as fh:
                 payload = json.loads(fh.read().decode())
         except FileNotFoundError:
             self.misses += 1

@@ -30,11 +30,13 @@ mis-deserializing into a subtly different machine.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from repro.config import (
@@ -116,6 +118,37 @@ _DEFAULT_NETWORK = NetworkConfig()
 _DEFAULT_CACHE = CacheConfig()
 _DEFAULT_NETWORK_DICT = _network_to_dict(_DEFAULT_NETWORK)
 _DEFAULT_CACHE_DICT = _cache_to_dict(_DEFAULT_CACHE)
+
+
+# -- the key's canonical fragments ------------------------------------
+#
+# ``RunSpec.key()`` hashes the canonical JSON of
+# ``{"schema": SPEC_SCHEMA_VERSION, "spec": _shared_dict()}`` without
+# running the encoder: it joins, in sorted-key order, fragments that
+# are each the canonical JSON of one value.  The fixed values and the
+# default sub-configs are encoded once here; any other sub-config once
+# per distinct value (they are frozen, and ``require_ints`` makes equal
+# values serialize alike); strings go through the encoder's own string
+# escaper, and the plain ints and the float scale through ``repr``,
+# which is what the encoder writes for them.  The tests hold the result
+# to the encoder's, byte for byte.
+
+_DEFAULT_NETWORK_JSON = _canonical_json(_DEFAULT_NETWORK_DICT)
+_DEFAULT_CACHE_JSON = _canonical_json(_DEFAULT_CACHE_DICT)
+_KEY_HEAD = '{"schema":%d,"spec":{"app":' % SPEC_SCHEMA_VERSION
+_KEY_DIRECTORY = ',"directory":%s,"n_procs":' % _canonical_json(_DIRECTORY_DICT)
+_KEY_PLACEMENT = (',"page_placement":%s,"protocol":'
+                  % _canonical_json(_PAGE_PLACEMENT))
+
+
+@functools.lru_cache(maxsize=256)
+def _network_json(net: NetworkConfig) -> str:
+    return _canonical_json(_network_to_dict(net))
+
+
+@functools.lru_cache(maxsize=256)
+def _cache_json(cache: CacheConfig) -> str:
+    return _canonical_json(_cache_to_dict(cache))
 
 
 def _network_from_dict(d: Mapping[str, Any]) -> NetworkConfig:
@@ -351,17 +384,29 @@ class RunSpec:
     def key(self) -> str:
         """Stable content hash of this spec (cache address).
 
-        Computed over the canonical JSON of :meth:`to_dict` plus
-        :data:`SPEC_SCHEMA_VERSION`; unlike :func:`hash`, identical in
-        every process and for every dict key order.  Memoized on the
-        instance (safe: the dataclass is frozen), since the engine and
-        the cache address every cell by key several times per run.
+        The sha256 of the canonical JSON of
+        ``{"schema": SPEC_SCHEMA_VERSION, "spec": self._shared_dict()}``,
+        assembled from its fragments (see ``_KEY_HEAD``); unlike
+        :func:`hash`, identical in every process and for every dict
+        key order.  Memoized on the instance (safe: the dataclass is
+        frozen), since the engine and the cache address every cell by
+        key several times per run.
         """
         memo = self.__dict__.get("_key")
         if memo is not None:
             return memo
-        payload = _canonical_json(
-            {"schema": SPEC_SCHEMA_VERSION, "spec": self._shared_dict()}
+        net, cache = self.network, self.cache
+        net_json = (_DEFAULT_NETWORK_JSON if net is _DEFAULT_NETWORK
+                    else _network_json(net))
+        cache_json = (_DEFAULT_CACHE_JSON if cache is _DEFAULT_CACHE
+                      else _cache_json(cache))
+        payload = (
+            f'{_KEY_HEAD}{_json_str(self.app)},"cache":{cache_json}'
+            f',"consistency":{_json_str(self.consistency)}'
+            f'{_KEY_DIRECTORY}{self.n_procs!r},"network":{net_json}'
+            f"{_KEY_PLACEMENT}{_json_str(self.protocol)}"
+            f',"scale":{self.scale!r},"seed":{self.seed!r}'
+            f',"workload_kw":{self._kw_json}}}}}'
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
         object.__setattr__(self, "_key", digest)

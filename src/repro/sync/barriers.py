@@ -1,8 +1,8 @@
-"""Centralized sense-reversing barriers.
+"""Centralized counter barriers.
 
 Each barrier id is served by a counter at a home node.  Arrivals
 accumulate; when the expected count is reached every waiter receives a
-wake-up message and the episode counter advances so the barrier can be
+wake-up message and the arrival list empties, so the barrier can be
 reused immediately.
 """
 
@@ -17,7 +17,6 @@ class BarrierState:
 
     expected: int
     arrived: list[int] = field(default_factory=list)
-    episode: int = 0
 
 
 class BarrierTable:
@@ -25,7 +24,6 @@ class BarrierTable:
 
     def __init__(self) -> None:
         self._barriers: dict[int, BarrierState] = {}
-        self.episodes_completed = 0
 
     def arrive(self, bar_id: int, node: int, expected: int) -> list[int] | None:
         """Register an arrival; returns the wake list when complete."""
@@ -42,8 +40,6 @@ class BarrierTable:
         if len(state.arrived) >= state.expected:
             wake = list(state.arrived)
             state.arrived.clear()
-            state.episode += 1
-            self.episodes_completed += 1
             return wake
         return None
 

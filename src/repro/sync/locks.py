@@ -27,8 +27,6 @@ class LockTable:
 
     def __init__(self) -> None:
         self._locks: dict[int, LockState] = {}
-        self.grants = 0
-        self.queued_requests = 0
 
     def _lock(self, addr: int) -> LockState:
         state = self._locks.get(addr)
@@ -43,10 +41,8 @@ class LockTable:
         if not lock.held:
             lock.held = True
             lock.holder = node
-            self.grants += 1
             return True
         lock.queue.append(node)
-        self.queued_requests += 1
         return False
 
     def release(self, addr: int, node: int) -> int | None:
@@ -59,7 +55,6 @@ class LockTable:
         if lock.queue:
             nxt = lock.queue.popleft()
             lock.holder = nxt
-            self.grants += 1
             return nxt
         lock.held = False
         lock.holder = None

@@ -231,6 +231,64 @@ class TestBadNumbers:
             SweepEngine(max_workers=workers)
 
 
+class TestReportOut:
+    """``EXPERIMENTS.md`` holds the report at scale 1.0 and the default
+    seed; a report at any other scale or seed must name its own file."""
+
+    @pytest.fixture
+    def stub_report(self, monkeypatch, tmp_path):
+        """Run in an empty directory, with a report that simulates
+        nothing; returns the scales the report was generated at."""
+        monkeypatch.chdir(tmp_path)
+        generated = []
+
+        def generate(scale=1.0, engine=None, seed=0):
+            generated.append(scale)
+            return f"report at {scale} seed {seed}\n"
+
+        monkeypatch.setattr(report, "generate", generate)
+        return generated
+
+    @pytest.mark.parametrize("argv", [
+        report, ["experiments", "report"],
+    ], ids=["report", "experiments-report"])
+    @pytest.mark.parametrize("extra", [
+        ["--scale", "0.05"], ["--seed", "7"], ["--scale", "2", "--seed", "7"],
+    ], ids=["scale", "seed", "both"])
+    def test_other_scale_or_seed_needs_out(self, argv, extra, stub_report,
+                                           tmp_path, capsys):
+        err = _usage_error(argv, [*extra, "--no-cache"], capsys)
+        assert "--out is required" in err
+        assert stub_report == []                    # no cell ran
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+
+    @pytest.mark.parametrize("argv", [
+        report, ["experiments", "report"],
+    ], ids=["report", "experiments-report"])
+    def test_out_is_written(self, argv, stub_report, tmp_path):
+        out = tmp_path / "quick.md"
+        extra = ["--scale", "0.05", "--no-cache", "--out", str(out)]
+        if isinstance(argv, list):
+            assert main([*argv, *extra]) == 0
+        else:
+            argv.main(extra)
+        assert out.read_text() == "report at 0.05 seed 1994\n"
+        assert stub_report == [0.05]
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+
+    def test_committed_scale_and_seed_default_to_experiments_md(
+            self, stub_report, tmp_path):
+        assert main(["experiments", "report", "--no-cache"]) == 0
+        assert (tmp_path / "EXPERIMENTS.md").read_text() == \
+            "report at 1.0 seed 1994\n"
+
+    @pytest.mark.parametrize("name", ["figure2", "table1"])
+    def test_other_drivers_refuse_out(self, name, tmp_path, capsys):
+        err = _usage_error(["experiments", name],
+                           ["--out", str(tmp_path / "x.md")], capsys)
+        assert "unrecognized arguments: --out" in err
+
+
 class TestVerify:
     def test_verify_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -63,6 +63,25 @@ class TestInvalidation:
         assert cache.invalidated == 1
         assert not cache.path_for(SPEC).exists()
 
+    def test_empty_file_is_dropped(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(fresh_result())
+        cache.path_for(SPEC).write_bytes(b"")
+        assert cache.get(SPEC) is None
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
+        assert not cache.path_for(SPEC).exists()
+
+    def test_directory_at_entry_path_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(SPEC)
+        (path / "inner").mkdir(parents=True)
+        assert cache.get(SPEC) is None
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
+        # the entry cannot be unlinked; each read counts it again
+        assert path.is_dir()
+        assert cache.get(SPEC) is None
+        assert (cache.invalidated, cache.misses) == (2, 2)
+
     def test_envelope_version_mismatch_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(fresh_result())

@@ -19,7 +19,7 @@ class TestLockTable:
         locks.request(1, 0)
         assert locks.request(1, 1) is False
         assert locks.request(1, 2) is False
-        assert locks.queued_requests == 2
+        assert locks.holder_of(1) == 0     # queued requests take nothing
 
     def test_release_grants_in_fifo_order(self):
         locks = LockTable()
@@ -82,14 +82,16 @@ class TestBarrierTable:
         wake = bars.arrive(0, 2, expected=3)
         assert sorted(wake) == [0, 1, 2]
         assert bars.waiting(0) == 0
-        assert bars.episodes_completed == 1
+        # the next arrival starts a new episode instead of waking anyone
+        assert bars.arrive(0, 1, expected=3) is None
+        assert bars.waiting(0) == 1
 
     def test_barrier_reusable(self):
         bars = BarrierTable()
         for _episode in range(3):
             assert bars.arrive(7, 0, expected=2) is None
-            assert bars.arrive(7, 1, expected=2) is not None
-        assert bars.episodes_completed == 3
+            assert bars.arrive(7, 1, expected=2) == [0, 1]
+            assert bars.waiting(7) == 0
 
     def test_mismatched_expected_count_rejected(self):
         bars = BarrierTable()

@@ -18,7 +18,12 @@ class TestLocks:
         system = run_streams(tiny_config(), streams)
         table = system.nodes[1].home.locks
         assert table.holder_of(LOCK // BLOCK) is None  # all released
-        assert table.grants == 4
+        assert [p.acquires for p in system.stats.procs] == [1, 1, 1, 1]
+        # node 1 is the lock's home and takes it without a message; each
+        # of the other three is granted it by exactly one LOCK_GRANT
+        by_type = system.stats.network.by_type
+        assert by_type["LOCK_REQ"] == by_type["LOCK_GRANT"] == 3
+        assert by_type["LOCK_REL"] == by_type["LOCK_REL_ACK"] == 3
 
     def test_contended_acquire_stalls(self):
         streams = pad_streams(
