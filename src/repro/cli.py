@@ -399,7 +399,8 @@ def cmd_experiments(args) -> int:
     if args.out is not None:
         # only the report takes it; any other driver refuses it
         extra += ["--out", args.out]
-    driver.main(extra)
+    # the driver's usage errors then name the command that was typed
+    driver.main(extra, prog=f"repro experiments {args.name}")
     return 0
 
 

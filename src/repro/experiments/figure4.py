@@ -76,9 +76,9 @@ def csv_rows(data: dict) -> tuple[tuple[str, ...], list[tuple]]:
     return headers, rows
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None, prog: str | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.figure4 [--scale S]``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog=prog, description=__doc__)
     parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--csv", help="also write the rows to this CSV file")
     add_sweep_args(parser)

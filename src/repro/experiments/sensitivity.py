@@ -120,9 +120,9 @@ def render_limited_slc(data: dict) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None, prog: str | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.sensitivity [--scale S]``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog=prog, description=__doc__)
     parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument(
         "--study", choices=("buffers", "slc", "both"), default="both"

@@ -54,9 +54,9 @@ def render(rows: list) -> str:
     return text
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None, prog: str | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.table1``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog=prog, description=__doc__)
     parser.add_argument("--procs", type=int, default=16)
     args = parser.parse_args(argv)
     print(render(run(n_procs=args.procs)))

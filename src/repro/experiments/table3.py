@@ -89,9 +89,9 @@ def render(data: dict) -> str:
     return "\n".join(chunks)
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None, prog: str | None = None) -> None:
     """CLI entry: ``python -m repro.experiments.table3 [--scale S]``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog=prog, description=__doc__)
     parser.add_argument("--scale", type=scale_arg, default=1.0)
     add_sweep_args(parser)
     args = parser.parse_args(argv)

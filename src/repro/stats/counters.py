@@ -4,13 +4,21 @@ The paper decomposes execution time into busy time, read stall, write
 stall, acquire stall and release stall (Figures 2 and 3), reports miss
 rates as percentages of shared references (Table 2), and network
 traffic in bytes normalized to BASIC (Figure 4).
+
+Those are machine-wide sums, so :class:`MachineStats` read back from
+the result cache stays columnar: :meth:`MachineStats.from_columns`
+keeps the validated columns, the aggregates sum them, and the
+per-node :class:`ProcessorStats`/:class:`CacheStats` records are
+built only when something reads ``procs`` or ``caches``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, fields
-from itertools import starmap
-from operator import attrgetter, itemgetter
+from itertools import repeat, starmap
+from operator import attrgetter
 
 #: version of the ``MachineStats.to_dict`` and ``to_columns`` payloads.
 #: Bump whenever a counter is added, removed or changes meaning:
@@ -109,44 +117,86 @@ _PROC_FIELDS, _proc_values = _fields_of(ProcessorStats)
 _CACHE_FIELDS, _cache_values = _fields_of(CacheStats)
 _NET_FIELDS, _net_values = _fields_of(NetworkStats)
 
+#: digest of the per-node counter names in column order.  A columnar
+#: payload stores its columns by position, so one written under another
+#: field order (a counter added, removed or moved) must not be read.
+COLUMNS_LAYOUT = hashlib.sha256(
+    json.dumps([_PROC_FIELDS, _CACHE_FIELDS]).encode()
+).hexdigest()[:12]
 
-#: per class, for :func:`_rows`: the field-name set and one getter of
-#: every column in ``__init__`` order, built once rather than per payload
-_PROC_NAMES, _proc_columns = frozenset(_PROC_FIELDS), itemgetter(*_PROC_FIELDS)
-_CACHE_NAMES, _cache_columns = (frozenset(_CACHE_FIELDS),
-                                itemgetter(*_CACHE_FIELDS))
+#: per-node counter name -> (column group, position): group 0 is
+#: ``procs``, group 1 ``caches``.
+_COUNTERS = {
+    **{name: (0, i) for i, name in enumerate(_PROC_FIELDS)},
+    **{name: (1, i) for i, name in enumerate(_CACHE_FIELDS)},
+}
 
-
-def _columns(names: tuple[str, ...], getter: attrgetter, rows: list) -> dict:
-    """One list per field across ``rows``."""
-    if not rows:
-        return {name: [] for name in names}
-    return dict(zip(names, map(list, zip(*map(getter, rows)))))
-
-
-def _rows(cls, names: frozenset[str], columns_of: itemgetter, columns) -> list:
-    """Inverse of :func:`_columns`; ``ValueError`` unless ``columns``
-    holds exactly the fields of ``cls`` (``names``), all of one length."""
-    if not isinstance(columns, dict):
-        raise ValueError(
-            f"{cls.__name__} columns must be an object, "
-            f"got {type(columns).__name__}"
-        )
-    if columns.keys() != names:
-        raise ValueError(
-            f"{cls.__name__} columns {sorted(columns)} != {sorted(names)}"
-        )
-    return list(starmap(cls, zip(*columns_of(columns), strict=True)))
+_MISS_COUNTERS = {
+    "cold": "cold_misses",
+    "replacement": "replacement_misses",
+    "coherence": "coherence_misses",
+    "total": "demand_read_misses",
+}
 
 
-@dataclass(slots=True)
+def _packed(rows, width: int) -> list:
+    """One column per counter across ``rows`` (value tuples, one per
+    node), each a list, or one int where every node has that int."""
+    columns: list[tuple] = list(zip(*rows)) or [()] * width
+    return [
+        col[0] if col and type(col[0]) is int and col.count(col[0]) == len(col)
+        else list(col)
+        for col in columns
+    ]
+
+
+def _checked(group: str, columns, width: int, nodes: int) -> list:
+    """``columns`` if it is ``width`` columns, each an int or a list of
+    ``nodes`` values; ``ValueError`` otherwise."""
+    if type(columns) is not list or len(columns) != width:
+        raise ValueError(f"{group} must be a list of {width} columns")
+    for col in columns:
+        if type(col) is list:
+            if len(col) != nodes:
+                raise ValueError(
+                    f"{group} column of {len(col)} values, not {nodes}"
+                )
+        elif type(col) is not int:
+            raise ValueError(
+                f"{group} column is a {type(col).__name__}, not an int "
+                "or a list"
+            )
+    return columns
+
+
 class MachineStats:
-    """All statistics for one simulation run."""
+    """All statistics for one simulation run.
 
-    procs: list[ProcessorStats]
-    caches: list[CacheStats]
-    network: NetworkStats = field(default_factory=NetworkStats)
-    execution_time: int = 0
+    The per-node counters are held in one of two forms.  A simulation
+    fills ``ProcessorStats``/``CacheStats`` objects (:meth:`for_nodes`,
+    or the constructor).  :meth:`from_columns` keeps the validated
+    columns instead: the aggregates read them directly, and
+    :attr:`procs`/:attr:`caches` are built from them on first access,
+    after which the columns are dropped.  Either way the values, and
+    ``==``, :meth:`to_dict` and :meth:`to_columns`, are the same.
+    """
+
+    __slots__ = ("_procs", "_caches", "_columns", "network", "execution_time")
+
+    def __init__(
+        self,
+        procs: list[ProcessorStats],
+        caches: list[CacheStats],
+        network: NetworkStats | None = None,
+        execution_time: int = 0,
+    ) -> None:
+        self._procs = procs
+        self._caches = caches
+        #: ``(nodes, proc columns, cache columns)``, or None once the
+        #: per-node objects exist
+        self._columns: tuple[int, list, list] | None = None
+        self.network = NetworkStats() if network is None else network
+        self.execution_time = execution_time
 
     @classmethod
     def for_nodes(cls, n: int) -> "MachineStats":
@@ -156,10 +206,56 @@ class MachineStats:
             caches=[CacheStats() for _ in range(n)],
         )
 
+    # -- per-node records ----------------------------------------------
+
+    @property
+    def procs(self) -> list[ProcessorStats]:
+        """One :class:`ProcessorStats` per node."""
+        if self._columns is not None:
+            self._materialize()
+        return self._procs
+
+    @property
+    def caches(self) -> list[CacheStats]:
+        """One :class:`CacheStats` per node."""
+        if self._columns is not None:
+            self._materialize()
+        return self._caches
+
+    def _node_values(self) -> tuple:
+        """Per group (procs, caches), one value tuple per node, in
+        field order, read from whichever form backs the stats."""
+        if self._columns is None:
+            return map(_proc_values, self._procs), map(_cache_values, self._caches)
+        n, *groups = self._columns
+        return tuple(
+            zip(*[repeat(col, n) if type(col) is int else col for col in cols])
+            for cols in groups
+        )
+
+    def _nodes(self) -> int:
+        return len(self._procs) if self._columns is None else self._columns[0]
+
+    def _materialize(self) -> None:
+        procs, caches = self._node_values()
+        self._procs = list(starmap(ProcessorStats, procs))
+        self._caches = list(starmap(CacheStats, caches))
+        self._columns = None
+
     # -- aggregates used by the experiment drivers ---------------------
 
-    def _mean(self, attr: str) -> float:
-        return sum(map(attrgetter(attr), self.procs)) / len(self.procs)
+    def _sum(self, name: str) -> int:
+        """Machine-wide sum of one per-node counter."""
+        group, index = _COUNTERS[name]
+        if self._columns is None:
+            rows = self._procs if group == 0 else self._caches
+            return sum(map(attrgetter(name), rows))
+        n, procs, caches = self._columns
+        col = (procs if group == 0 else caches)[index]
+        return col * n if type(col) is int else sum(col)
+
+    def _mean(self, name: str) -> float:
+        return self._sum(name) / self._nodes()
 
     @property
     def mean_busy(self) -> float:
@@ -189,7 +285,7 @@ class MachineStats:
     @property
     def total_shared_refs(self) -> int:
         """Machine-wide shared data references."""
-        return sum(p.shared_refs for p in self.procs)
+        return self._sum("shared_reads") + self._sum("shared_writes")
 
     def miss_rate(self, component: str) -> float:
         """Machine-wide miss-rate component in percent of shared refs.
@@ -200,13 +296,25 @@ class MachineStats:
         refs = self.total_shared_refs
         if not refs:
             return 0.0
-        key = {
-            "cold": "cold_misses",
-            "replacement": "replacement_misses",
-            "coherence": "coherence_misses",
-            "total": "demand_read_misses",
-        }[component]
-        return 100.0 * sum(map(attrgetter(key), self.caches)) / refs
+        return 100.0 * self._sum(_MISS_COUNTERS[component]) / refs
+
+    # -- value semantics -------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MachineStats):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like a dataclass
+
+    def __repr__(self) -> str:
+        procs, caches = self._node_values()
+        return (
+            f"MachineStats(procs={list(starmap(ProcessorStats, procs))!r}, "
+            f"caches={list(starmap(CacheStats, caches))!r}, "
+            f"network={self.network!r}, "
+            f"execution_time={self.execution_time!r})"
+        )
 
     # -- serialization (sweep cache, worker processes) -----------------
 
@@ -222,13 +330,12 @@ class MachineStats:
         lossless.  One dict per node: the shape of the worker-pool
         replies.
         """
+        procs, caches = self._node_values()
         return {
             "version": STATS_SCHEMA_VERSION,
             "execution_time": self.execution_time,
-            "procs": [dict(zip(_PROC_FIELDS, _proc_values(p)))
-                      for p in self.procs],
-            "caches": [dict(zip(_CACHE_FIELDS, _cache_values(c)))
-                       for c in self.caches],
+            "procs": [dict(zip(_PROC_FIELDS, p)) for p in procs],
+            "caches": [dict(zip(_CACHE_FIELDS, c)) for c in caches],
             "network": self._network_dict(),
         }
 
@@ -260,37 +367,61 @@ class MachineStats:
             raise ValueError(f"malformed MachineStats payload: {exc}") from exc
 
     def to_columns(self) -> dict:
-        """Columnar payload: one list per counter across the nodes.
+        """Columnar payload: the result cache's on-disk form.
 
-        The result cache's on-disk form: the same counters as
-        :meth:`to_dict`, but each counter name is written once instead
-        of once per node.  Inverse of :meth:`from_columns`.
+        ``procs`` and ``caches`` each hold one column per counter, in
+        field order, across the ``nodes``; a column whose value is the
+        same on every node is that one int.  ``layout`` stamps the
+        field order (:data:`COLUMNS_LAYOUT`).  Inverse of
+        :meth:`from_columns`.
         """
+        procs, caches = self._node_values()
         return {
             "version": STATS_SCHEMA_VERSION,
+            "layout": COLUMNS_LAYOUT,
+            "nodes": self._nodes(),
             "execution_time": self.execution_time,
-            "procs": _columns(_PROC_FIELDS, _proc_values, self.procs),
-            "caches": _columns(_CACHE_FIELDS, _cache_values, self.caches),
+            "procs": _packed(procs, len(_PROC_FIELDS)),
+            "caches": _packed(caches, len(_CACHE_FIELDS)),
             "network": self._network_dict(),
         }
 
     @classmethod
-    def from_columns(cls, d: dict) -> "MachineStats":
-        """Rebuild statistics from :meth:`to_columns` output.
+    def from_columns(cls, d: dict, nodes: int) -> "MachineStats":
+        """Statistics backed by the columns of :meth:`to_columns` output.
 
-        Raises :class:`ValueError` on a version mismatch, a missing or
-        extra column, columns of unequal length, or any other payload
-        that does not match the current counter schema.
+        Raises :class:`ValueError` on a version or layout mismatch, a
+        node count other than ``nodes``, a missing or extra column, a
+        column of the wrong length, a single-value column that is not
+        an int, or any other payload that does not match the current
+        counter schema.  The payload's column lists are kept, not
+        copied.
         """
         cls._check_version(d)
         try:
-            return cls(
-                procs=_rows(ProcessorStats, _PROC_NAMES, _proc_columns,
-                            d["procs"]),
-                caches=_rows(CacheStats, _CACHE_NAMES, _cache_columns,
-                             d["caches"]),
-                network=NetworkStats(**d["network"]),
-                execution_time=d["execution_time"],
+            n = d["nodes"]
+            if type(n) is not int or n != nodes:
+                raise ValueError(
+                    f"MachineStats payload for {n!r} nodes, not {nodes}"
+                )
+            if d["layout"] != COLUMNS_LAYOUT:
+                raise ValueError(
+                    f"MachineStats column layout {d['layout']!r} != "
+                    f"{COLUMNS_LAYOUT}"
+                )
+            columns = (
+                n,
+                _checked("procs", d["procs"], len(_PROC_FIELDS), n),
+                _checked("caches", d["caches"], len(_CACHE_FIELDS), n),
             )
+            network = NetworkStats(**d["network"])
+            execution_time = d["execution_time"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed MachineStats payload: {exc}") from exc
+        # ``_procs`` and ``_caches`` stay unset until ``_materialize``
+        # fills them: nothing reads them while columns back the stats
+        stats = cls.__new__(cls)
+        stats._columns = columns
+        stats.network = network
+        stats.execution_time = execution_time
+        return stats

@@ -13,28 +13,36 @@ spec JSON plus the spec schema version.  Each file holds::
      "stats": {...},               # MachineStats.to_columns() (versioned)
      "wall_time": 1.234}           # simulation seconds when first run
 
-``stats`` is columnar: one list per counter across the nodes
-(``{"procs": {"busy": [...], ...}, "caches": {...}, ...}``), so each
-counter name is stored once rather than once per node.  That is the
-only on-disk stats format.
+``stats`` is columnar: ``procs`` and ``caches`` are lists of columns
+in the counter classes' field order, one value per node, and a column
+whose value is the same on every node is stored as that one int.
+``nodes`` gives the node count and ``layout`` a digest of the field
+order (:data:`~repro.stats.counters.COLUMNS_LAYOUT`).  A hit hands the
+validated columns to the caller as they are: the machine-wide
+aggregates the drivers render read them directly, and per-node records
+are built only if something asks for them.
 
 Invalidation rules (each counted in :attr:`ResultCache.invalidated`
 and then treated as a miss):
 
-* unreadable / non-JSON file,
+* unreadable / non-JSON file (a directory at the entry's path is
+  unreadable),
 * ``schema`` != :data:`CACHE_SCHEMA_VERSION` (entries written before
-  the columnar schema 2 are invalidated this way),
+  schema 3 are invalidated this way),
 * ``spec_key`` mismatch (file renamed or copied between keys),
-* stats payload rejected by ``MachineStats.from_columns`` (its own
-  version stamp changed, or a column is missing, extra or of the
-  wrong length).
+* stats payload rejected by ``MachineStats.from_columns``: its own
+  version stamp or ``layout`` changed, ``nodes`` is not the spec's
+  ``n_procs``, or a column is missing, extra, of the wrong length or
+  a single value that is not an int.
 
 A spec-schema bump changes every key, so older entries are simply
 never looked up again; they can be garbage-collected with ``clear``.
 The same holds for an entry whose stored spec names a workload or
 machine option that no longer exists: no buildable spec hashes to its
 key.  Writes are atomic (tempfile + rename), so a crashed run never
-leaves a half-written entry behind.  The cache grows without bound.
+leaves a half-written entry behind.  A ``put`` over anything that is
+not a regular file (a directory, a link, a pipe) drops its temp file
+and leaves that path alone.  The cache grows without bound.
 
 Hot tier
 --------
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
@@ -69,7 +78,9 @@ from repro.sweep.spec import RunResult, RunSpec
 #: payload, and the layout of the stats payload); the stats counters
 #: carry their own version.
 #: v2: ``stats`` is columnar (``MachineStats.to_columns``).
-CACHE_SCHEMA_VERSION = 2
+#: v3: positional columns, single-int constant columns, ``nodes`` and
+#: ``layout``.
+CACHE_SCHEMA_VERSION = 3
 
 #: default cache location; overridable with $REPRO_CACHE_DIR or the
 #: ``--cache-dir`` CLI flag.
@@ -82,6 +93,14 @@ HOT_ENTRIES = 512
 def default_cache_dir() -> Path:
     """The cache root the CLI uses when none is given."""
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
+
+
+def _holds_a_non_file(path: Path) -> bool:
+    """Whether something other than a regular file sits at ``path``."""
+    try:
+        return not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        return False
 
 
 class ResultCache:
@@ -138,7 +157,7 @@ class ResultCache:
         if payload is None:
             return None
         try:
-            stats = MachineStats.from_columns(payload["stats"])
+            stats = MachineStats.from_columns(payload["stats"], spec.n_procs)
             wall_time = float(payload.get("wall_time", 0.0))
         except (KeyError, TypeError, ValueError):
             self._invalidate(key)
@@ -194,7 +213,8 @@ class ResultCache:
             # never alias stats the caller may still hold.
             self._hot_store(key, RunResult(
                 spec=result.spec,
-                stats=MachineStats.from_columns(payload["stats"]),
+                stats=MachineStats.from_columns(payload["stats"],
+                                                result.spec.n_procs),
                 wall_time=result.wall_time,
                 from_cache=True,
             ))
@@ -209,6 +229,10 @@ class ResultCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+            if _holds_a_non_file(path):
+                # not ours to replace; the caller keeps its result
+                os.unlink(tmp)
+                return
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -204,6 +204,9 @@ class RunSpec:
             raise ValueError(
                 f"unknown workload {app!r}; choose from {sorted(ALL_APP_NAMES)}"
             )
+        # one spelling per workload: "MP3D" and "mp3d" build the same
+        # run, so they must be one spec with one key
+        object.__setattr__(self, "app", app.lower())
         if isinstance(self.consistency, Consistency):
             object.__setattr__(self, "consistency", self.consistency.value)
         consistency = Consistency(self.consistency)  # validate early

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -287,6 +292,30 @@ class TestReportOut:
         err = _usage_error(["experiments", name],
                            ["--out", str(tmp_path / "x.md")], capsys)
         assert "unrecognized arguments: --out" in err
+
+    @pytest.mark.parametrize("name, extra", [
+        ("report", ["--scale", "0.05", "--no-cache"]),
+        ("figure2", ["--out", "x"]),
+    ], ids=["report-without-out", "figure2-with-out"])
+    def test_driver_usage_names_the_typed_command(self, name, extra,
+                                                  stub_report, capsys):
+        err = _usage_error(["experiments", name], extra, capsys)
+        assert err.startswith(f"usage: repro experiments {name} ")
+        assert f"repro experiments {name}: error:" in err
+        assert stub_report == []
+
+    def test_driver_usage_through_python_m_repro(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "experiments", "report",
+             "--scale", "0.05"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: repro experiments report ")
+        assert "__main__" not in proc.stderr
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
 
 
 class TestVerify:

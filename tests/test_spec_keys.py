@@ -120,7 +120,7 @@ def _spellings(name: str):
     return st.sampled_from([name, name.upper(), name.title(), name.lower()])
 
 
-#: app names as a user may spell them (they are kept as spelled)
+#: app names as a user may spell them (stored lower-cased)
 apps = st.sampled_from(sorted(ALL_APP_NAMES)).flatmap(_spellings)
 
 

@@ -6,6 +6,7 @@ from repro.sweep import (
     ResultCache,
     RunResult,
     RunSpec,
+    SweepEngine,
     execute_spec,
 )
 from repro.sweep.cache import CACHE_SCHEMA_VERSION
@@ -81,6 +82,38 @@ class TestInvalidation:
         assert path.is_dir()
         assert cache.get(SPEC) is None
         assert (cache.invalidated, cache.misses) == (2, 2)
+
+    def test_put_leaves_a_directory_at_entry_path_alone(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(SPEC)
+        (path / "inner").mkdir(parents=True)
+        cache.put(fresh_result())
+        assert path.is_dir() and (path / "inner").is_dir()
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+        assert cache.get(SPEC) is None
+        assert (cache.invalidated, cache.misses) == (1, 1)
+
+    def test_put_leaves_a_link_at_entry_path_alone(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        target = tmp_path / "elsewhere.json"
+        target.write_text("kept")
+        path = cache.path_for(SPEC)
+        path.parent.mkdir(parents=True)
+        path.symlink_to(target)
+        cache.put(fresh_result())
+        assert path.is_symlink() and target.read_text() == "kept"
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_sweep_over_a_directory_returns_the_simulated_result(
+            self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.path_for(SPEC).mkdir(parents=True)
+        engine = SweepEngine(cache=cache)
+        (result,) = engine.run([SPEC])
+        assert not result.from_cache
+        assert result.stats == SweepEngine().run([SPEC])[0].stats
+        assert cache.path_for(SPEC).is_dir()
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
 
     def test_envelope_version_mismatch_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -53,6 +53,14 @@ class TestCanonicalization:
         assert {s.protocol for s in specs} == {"P+CW"}
         assert len({s.key() for s in specs}) == 1
 
+    def test_app_spellings_are_one_spec(self):
+        specs = [RunSpec.for_run(app, n_procs=2)
+                 for app in ("MP3D", "Mp3d", "mp3d")]
+        assert {s.app for s in specs} == {"mp3d"}
+        assert specs[0] == specs[2] and hash(specs[0]) == hash(specs[2])
+        assert len({s.key() for s in specs}) == 1
+        assert RunSpec.from_json(specs[0].to_json()) == specs[2]
+
     def test_consistency_enum_becomes_value(self):
         spec = RunSpec.for_run("mp3d", consistency=Consistency.SC)
         assert spec.consistency == "SC"
