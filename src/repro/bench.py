@@ -180,7 +180,7 @@ def run_matrix(
 
 # -- sweep-orchestration suite ------------------------------------------
 #
-# Cells that measure the *sweep engine* (pool spawn/reuse, scheduling,
+# Cells that measure the *sweep engine* (worker start/reuse, scheduling,
 # result-cache tiers) in specs/sec rather than the simulator core in
 # events/sec.  They share the cell schema -- ``events`` counts specs,
 # the unit of work -- under ``backend: "sweep"`` so the identity used
@@ -227,9 +227,10 @@ def run_sweep_cell(
     spec objects instead: the hot tier starts empty and no key is
     memoized, so every timed hit computes its key, reads a file and
     decodes its stats -- a driver's first pass over a filled cache.
-    Each repeat uses a fresh cache directory; the persistent worker
-    pool, by design, stays warm across repeats -- that amortization is
-    exactly what the suite exists to measure.
+    Each repeat uses a fresh cache directory; the process-wide worker
+    executor (``repro.sweep.pool``), by design, stays warm across
+    repeats -- that amortization is exactly what the suite exists to
+    measure.
     """
     import dataclasses
     import shutil
@@ -277,8 +278,8 @@ def run_sweep_cell(
 def run_sweep_suite(repeat: int = 3, verbose: bool = False) -> dict:
     """Run the sweep-orchestration cells; return a result document.
 
-    The cells run the drivers' configuration (persistent pool, hot
-    tier, write-through cache).  The committed baseline was captured
+    The cells run the drivers' configuration (the process-wide worker
+    executor, hot tier, write-through cache).  The committed baseline was captured
     with the legacy per-batch pool and no hot tier, so ``--check``
     against it measures the orchestration overhaul itself.
     """
@@ -303,9 +304,9 @@ def run_sweep_suite(repeat: int = 3, verbose: bool = False) -> dict:
                 f"specs/s={cell['events_per_sec']:>8.1f}",
                 flush=True,
             )
-    from repro.sweep import shutdown_shared_pool
+    from repro.sweep import shutdown_pool
 
-    shutdown_shared_pool()
+    shutdown_pool()
     return _document(cells, repeat)
 
 

@@ -41,17 +41,12 @@ if TYPE_CHECKING:
     from repro.sweep.engine import (
         ProgressEvent,
         SweepEngine,
+        estimate_cost,
         execute_spec,
         run_spec,
         sweep,
     )
-    from repro.sweep.pool import (
-        PersistentPool,
-        WorkerCrashError,
-        estimate_cost,
-        shared_pool,
-        shutdown_shared_pool,
-    )
+    from repro.sweep.pool import shutdown_pool
 
 #: exports resolved on first use, by home module, so that naming a
 #: cell (``RunSpec``) does not import the engine, the pool and the
@@ -62,13 +57,10 @@ _LAZY = {
          "ResultCache", "default_cache_dir"),
         "repro.sweep.cache"),
     **dict.fromkeys(
-        ("ProgressEvent", "SweepEngine", "execute_spec",
+        ("ProgressEvent", "SweepEngine", "estimate_cost", "execute_spec",
          "run_spec", "sweep"),
         "repro.sweep.engine"),
-    **dict.fromkeys(
-        ("PersistentPool", "WorkerCrashError", "estimate_cost",
-         "shared_pool", "shutdown_shared_pool"),
-        "repro.sweep.pool"),
+    "shutdown_pool": "repro.sweep.pool",
 }
 
 
@@ -90,7 +82,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_SEED",
     "HOT_ENTRIES",
-    "PersistentPool",
     "ProgressEvent",
     "ResultCache",
     "RunResult",
@@ -98,12 +89,10 @@ __all__ = [
     "SPEC_SCHEMA_VERSION",
     "SpecSchemaError",
     "SweepEngine",
-    "WorkerCrashError",
     "default_cache_dir",
     "estimate_cost",
     "execute_spec",
     "run_spec",
-    "shared_pool",
-    "shutdown_shared_pool",
+    "shutdown_pool",
     "sweep",
 ]

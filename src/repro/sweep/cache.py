@@ -95,6 +95,15 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
+#: opens entries without blocking (Unix; Windows has no named pipes here).
+_O_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
+
+
+def _open_nonblocking(path: str, flags: int) -> int:
+    """``open``'s opener for entry reads: one ``os.open``, non-blocking."""
+    return os.open(path, flags | _O_NONBLOCK)
+
+
 def _holds_a_non_file(path: Path) -> bool:
     """Whether something other than a regular file sits at ``path``."""
     try:
@@ -175,14 +184,18 @@ class ResultCache:
         # than a ``Path`` and ``json.loads(bytes)``'s encoding sniffing.
         # Unbuffered: no ``BufferedReader`` is built around the file,
         # and ``read()`` is ``FileIO.readall``, one read sized by ``fstat``.
+        # O_NONBLOCK: a named pipe at the path opens at once and reads
+        # as empty (or None, with a writer attached) instead of
+        # blocking; on a regular file the flag changes nothing.
         path = f"{self._root_str}/{key[:2]}/{key}.json"
         try:
-            with open(path, "rb", buffering=0) as fh:
+            with open(path, "rb", buffering=0, opener=_open_nonblocking) as fh:
                 payload = json.loads(fh.read().decode())
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError):  # also bytes that are not UTF-8
+        # also bytes that are not UTF-8, and a pipe's None read
+        except (OSError, ValueError, AttributeError):
             self._invalidate(key)
             return None
         try:

@@ -7,17 +7,15 @@ order** regardless of completion order:
 
 * ``serial``  -- ``max_workers=1`` (the default): an in-process loop
   with zero overhead,
-* ``process`` -- ``max_workers>1``: fan the uncached cells out across
-  the persistent warm worker pool (:mod:`repro.sweep.pool`: started
-  once -- forked from a single-threaded parent on Linux, spawned
-  otherwise -- reused across ``run()`` calls and engines,
-  crash-respawned).
+* ``process`` -- ``max_workers>1``: fan the uncached cells out over the
+  process-wide ``ProcessPoolExecutor`` of :mod:`repro.sweep.pool`
+  (forked from a single-threaded parent on Linux, spawned otherwise,
+  reused across ``run()`` calls and engines).
 
-Uncached cells are dispatched most-expensive-first through a
-cost-ordered queue (:func:`repro.sweep.pool.estimate_cost`), so
-straggler cells start immediately and cheap cells backfill idle
-workers; completion order never leaks into the API -- results always
-come back in spec order.
+Uncached cells are submitted most expensive first
+(:func:`estimate_cost`), so straggler cells start immediately and
+cheap cells backfill idle workers; completion order never leaks into
+the API -- results always come back in spec order.
 
 Worker processes never see the cache: they receive spec dicts, return
 ``MachineStats.to_dict()`` payloads, and the parent writes the cache
@@ -31,8 +29,8 @@ the first copy's result (reported with progress source ``"dedup"``
 and counted in :attr:`SweepEngine.deduped`).
 
 An engine and its cache are used from one thread, the one that calls
-``run``; the pool resolves its futures without callbacks, so no engine
-or cache code ever runs on the pool's dispatcher thread.
+``run``; it reads the pool's futures through ``as_completed``, so no
+engine or cache code runs on an executor thread.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.stats.counters import MachineStats
 from repro.sweep.cache import HOT_ENTRIES, ResultCache
@@ -51,9 +49,7 @@ from repro.sweep.spec import RunResult, RunSpec
 
 # The simulator and the worker pool are imported where they run: a
 # fully cached sweep loads neither, and the pool loads the simulator
-# before it forks its first worker (see _load_simulator there).
-if TYPE_CHECKING:
-    from repro.sweep.pool import PersistentPool
+# before it builds its executor (see _load_simulator there).
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,13 @@ def _build_streams(spec: RunSpec, cfg):
 class WarmContext:
     """Per-process memo of built workload streams.
 
-    A long-lived worker (a persistent pool worker, an engine's serial
-    path) executes many specs that share a workload: the same
-    :func:`workload_key` under different protocols, directories or
-    timings.  Building the reference streams is deterministic in that
-    identity, and the simulator only *iterates* the frozen ``Op``
-    lists, so one built workload can safely drive any number of runs.
+    A long-lived executor (each pool worker, which builds one in its
+    initializer, and an engine's serial path) executes many specs that
+    share a workload: the same :func:`workload_key` under different
+    protocols, directories or timings.  Building the reference streams
+    is deterministic in that identity, and the simulator only
+    *iterates* the frozen ``Op`` lists, so one built workload can
+    safely drive any number of runs.
     The memo is LRU-bounded, since 256-proc stream lists are large.
     """
 
@@ -132,12 +129,17 @@ class WarmContext:
             self._workloads.popitem(last=False)
         return streams
 
-    def counters(self) -> dict:
-        """JSON-able hit/miss digest (folded into pool statistics)."""
-        return {
-            "workload_hits": self.workload_hits,
-            "workload_misses": self.workload_misses,
-        }
+
+def estimate_cost(spec: RunSpec) -> float:
+    """Estimated relative wall cost of one spec.
+
+    ``n_procs x scale``: processor count multiplies both the machine
+    size and (through weak scaling) the reference count, and ``scale``
+    is proportional to per-processor workload length.  This is a
+    scheduling heuristic, not a prediction -- it only has to start
+    stragglers first.
+    """
+    return float(spec.n_procs) * float(spec.scale)
 
 
 def execute_spec(spec: RunSpec, warm: WarmContext | None = None) -> MachineStats:
@@ -184,7 +186,6 @@ class SweepEngine:
         self.wall_time = 0.0
         #: warm state of the in-process (serial) execution path.
         self._warm = WarmContext()
-        self._pool: PersistentPool | None = None
         self._last_run_stats: dict | None = None
 
     @property
@@ -196,14 +197,6 @@ class SweepEngine:
     def invalidated(self) -> int:
         """Stale cache entries dropped on this engine's behalf."""
         return self.cache.invalidated if self.cache is not None else 0
-
-    def _get_pool(self) -> PersistentPool:
-        """The persistent pool (the process-wide shared one)."""
-        if self._pool is None or self._pool.closed:
-            from repro.sweep.pool import shared_pool
-
-            self._pool = shared_pool(self.max_workers)
-        return self._pool
 
     # ------------------------------------------------------------------
 
@@ -294,35 +287,39 @@ class SweepEngine:
         Ties keep submission order, so scheduling is deterministic for
         a given batch; results are reassembled by index either way.
         """
-        from repro.sweep.pool import estimate_cost
-
         return sorted(pending, key=lambda i: (-estimate_cost(batch[i]), i))
 
     def _run_pooled(self, batch, pending, results) -> dict:
-        """Dynamic scheduling on the long-lived shared worker pool.
+        """Run the pending cells on the process-wide executor.
 
-        The whole pending batch goes to the pool in one call, which
-        starts any workers it needs on this thread.  Returns the worker
-        starts made meanwhile, by method.
+        Returns the worker starts the submissions caused, by method.  A
+        worker crash raises ``BrokenProcessPool`` and discards the
+        executor, so the next run builds a fresh one; any error cancels
+        the cells not yet started.
         """
         from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
-        from repro.sweep.pool import estimate_cost
+        from repro.sweep import pool
 
-        pool = self._get_pool()
-        pool.resize(self.max_workers)
-        forked, spawned = pool.forked, pool.spawned
         order = self._cost_order(batch, pending)
-        futures = dict(zip(pool.submit_batch(
-            [(batch[i].to_dict(), estimate_cost(batch[i])) for i in order]
-        ), order))
-        for fut in as_completed(futures):
-            payload = fut.result()  # worker errors surface here
-            i = futures[fut]
-            stats = MachineStats.from_dict(payload["stats"])
-            self._complete(batch, i, stats, payload["wall_time"], results)
-        return {"forked": pool.forked - forked,
-                "spawned": pool.spawned - spawned}
+        futures: list = []
+        try:
+            futures, starts = pool.submit(
+                self.max_workers, [batch[i].to_dict() for i in order])
+            index = dict(zip(futures, order))
+            for fut in as_completed(index):
+                payload = fut.result()  # worker errors surface here
+                stats = MachineStats.from_dict(payload["stats"])
+                self._complete(batch, index[fut], stats,
+                               payload["wall_time"], results)
+        except BaseException as exc:
+            for fut in futures:
+                fut.cancel()
+            if isinstance(exc, BrokenProcessPool):
+                pool.shutdown_pool()
+            raise
+        return starts
 
     def _complete(self, batch, i, stats, wall_time, results) -> None:
         result = RunResult(

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import signal
 import threading
 
-from repro.sweep import ResultCache, RunSpec, SweepEngine, shared_pool
+from repro.sweep import ResultCache, RunSpec, SweepEngine
 
 #: a small mixed matrix: two protocols, two machine sizes, two seeds.
 MATRIX = [
@@ -47,7 +48,7 @@ def main(argv: list[str] | None = None) -> None:
     release.set()
     print(json.dumps({
         "pool": engine.last_run_stats()["pool"],
-        "pids": shared_pool().worker_pids(),
+        "pids": [p.pid for p in multiprocessing.active_children()],
     }), flush=True)
     if args.kill_self:
         os.kill(os.getpid(), signal.SIGKILL)

@@ -1,6 +1,10 @@
 """Tests for the on-disk result cache."""
 
 import json
+import os
+import signal
+
+import pytest
 
 from repro.sweep import (
     ResultCache,
@@ -82,6 +86,33 @@ class TestInvalidation:
         assert path.is_dir()
         assert cache.get(SPEC) is None
         assert (cache.invalidated, cache.misses) == (2, 2)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("writer", [False, True],
+                             ids=["no-writer", "writer-attached"])
+    def test_named_pipe_at_entry_path_is_a_miss(self, tmp_path, writer):
+        """A FIFO at the entry's path reads as an invalid entry at
+        once; an alarm fails the test if ``get`` blocks on it."""
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(SPEC)
+        path.parent.mkdir(parents=True)
+        os.mkfifo(path)
+        fd = os.open(path, os.O_RDWR | os.O_NONBLOCK) if writer else None
+
+        def blocked(signum, frame):  # not an OSError, which get catches
+            pytest.fail("get blocked on a named pipe")
+
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(5)
+        try:
+            assert cache.get(SPEC) is None
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            if fd is not None:
+                os.close(fd)
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
+        assert not path.exists()
 
     def test_put_leaves_a_directory_at_entry_path_alone(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -96,8 +96,7 @@ class TestWarmContext:
         warm = WarmContext()
         streams = warm.streams_for(basic, basic.to_config())
         assert warm.streams_for(full, full.to_config()) is streams
-        assert warm.counters() == {"workload_hits": 1,
-                                   "workload_misses": 1}
+        assert (warm.workload_hits, warm.workload_misses) == (1, 1)
         # memoized streams change nothing in the result
         assert execute_spec(full, warm) == execute_spec(full)
 
@@ -179,13 +178,11 @@ class TestInFlightDedup:
         a, b = MATRIX[0], MATRIX[1]
         events = []
         engine = SweepEngine(max_workers=2, on_result=events.append)
-        pool = engine._get_pool()
-        completed = pool.counters()["completed"]
         results = engine.run([a, a, b])
         assert engine.last_run_stats()["executor"] == "process"
-        assert pool.counters()["completed"] - completed == 2
-        assert engine.deduped == 1
+        # each "sim" event is one cell the pool ran
         assert sorted(e.source for e in events) == ["dedup", "sim", "sim"]
+        assert engine.deduped == 1
         serial = SweepEngine().run([a, a, b])
         assert [r.spec for r in results] == [a, a, b]
         assert [r.stats.to_dict() for r in results] \

@@ -1,23 +1,26 @@
-"""Tests for the persistent worker pool and cost-aware scheduling.
+"""Tests for the process-wide worker pool and cost-aware scheduling.
 
-Covers the ordering-invariance guarantee (serial and persistent-pool
-sweeps of one shuffled batch produce bitwise-identical cache bytes),
-the two worker start methods (fork from a single-threaded parent,
-spawn otherwise) in fresh interpreters, orphaned workers exiting with
-a killed parent, crash recovery (a worker killed mid-sweep is
-respawned and the sweep still completes correctly), the cost model,
-and the engine's run digest.
+Covers the ordering-invariance guarantee (serial and pooled sweeps of
+one shuffled batch produce bitwise-identical cache bytes), the two
+worker start methods (fork from a single-threaded parent, spawn
+otherwise) in fresh interpreters, orphaned workers exiting with a
+killed parent under both, the crash policy (a worker killed mid-sweep
+breaks that run, and the next run completes on a fresh executor),
+the cost model, and the engine's run digest.
 """
 
 import contextlib
 import errno
 import json
+import multiprocessing
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,16 +29,13 @@ import pool_hold
 import repro
 from pool_batch import MATRIX
 from repro.sweep import (
-    PersistentPool,
     ResultCache,
     RunSpec,
     SweepEngine,
     estimate_cost,
-    shared_pool,
-    shutdown_shared_pool,
+    shutdown_pool,
 )
 from repro.sweep import pool as pool_mod
-from repro.sweep.pool import PoolClosedError, ensure_importable_by_workers
 from repro.system import System
 from repro.workloads import build_workload
 
@@ -192,6 +192,32 @@ def _exited(pid: int) -> bool:
         return True
 
 
+def _check_orphans_exit(tmp_path, *flags) -> None:
+    """Run ``pool_batch.py`` until it SIGKILLs itself, then wait for
+    both of its orphaned workers to exit."""
+    proc = _pool_batch(tmp_path / "cache", *flags)
+    pids: list[int] = []
+    try:
+        pids = json.loads(proc.stdout.readline())["pids"]
+        assert proc.wait(timeout=300) == -signal.SIGKILL
+        assert len(pids) == 2
+        deadline = time.monotonic() + 60.0
+        while not all(_exited(pid) for pid in pids):
+            assert time.monotonic() < deadline, \
+                f"orphaned workers still alive: {pids}"
+            time.sleep(0.05)
+    finally:
+        for pid in pids:
+            if not _exited(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        proc.stdout.close()
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 class TestStartMethods:
     """Each test runs its batch in a fresh interpreter, so the parent's
     thread count is the test's choice, in the full suite or alone."""
@@ -213,183 +239,132 @@ class TestStartMethods:
 
     @linux_only
     def test_workers_exit_after_parent_is_killed(self, tmp_path):
-        """A worker must not outlive a SIGKILLed parent: its pipe reads
-        EOF only once no process holds a copy of the parent's end."""
-        proc = _pool_batch(tmp_path / "cache", "--kill-self")
-        pids: list[int] = []
-        try:
-            pids = json.loads(proc.stdout.readline())["pids"]
-            assert proc.wait(timeout=300) == -signal.SIGKILL
-            assert len(pids) == 2
-            deadline = time.monotonic() + 60.0
-            while not all(_exited(pid) for pid in pids):
-                assert time.monotonic() < deadline, \
-                    f"orphaned workers still alive: {pids}"
-                time.sleep(0.05)
-        finally:
-            for pid in pids:
-                if not _exited(pid):
-                    with contextlib.suppress(ProcessLookupError):
-                        os.kill(pid, signal.SIGKILL)
-            proc.stdout.close()
+        """A forked worker must not outlive a SIGKILLed parent, although
+        every worker holds the call queue's write end, so the queue
+        never reads EOF: the worker's parent watch ends it."""
+        _check_orphans_exit(tmp_path, "--kill-self")
+
+    @linux_only
+    def test_spawned_workers_exit_after_parent_is_killed(self, tmp_path):
+        _check_orphans_exit(tmp_path, "--kill-self", "--extra-thread")
 
 
 class TestPersistentPool:
+    """The process-wide executor: one per process, reused by every
+    engine, rebuilt only to grow or after a crash."""
+
     def test_workers_survive_across_runs(self):
         engine = SweepEngine(max_workers=2)
         engine.run(MATRIX[:4])
-        pool = engine._get_pool()
-        pids_first = set(pool.worker_pids())
-        assert pids_first, "first run must have spawned workers"
+        pids_first = _worker_pids()
+        assert pids_first, "first run must have started workers"
         engine.run(MATRIX[4:])
-        assert set(pool.worker_pids()) == pids_first, \
+        assert _worker_pids() == pids_first, \
             "second run must reuse the same worker processes"
 
-    def test_demand_driven_spawn(self):
-        pool = PersistentPool(max_workers=8)
-        try:
-            fut = pool.submit(MATRIX[0].to_dict(),
-                              cost=estimate_cost(MATRIX[0]))
-            fut.result(timeout=120)
-            assert pool.n_workers < 8, \
-                "a one-cell batch must not spawn the full pool"
-        finally:
-            pool.close()
+    def test_results_come_back_by_index(self):
+        # cheapest first, so the pool runs them in the reverse order
+        batch = sorted(MATRIX, key=estimate_cost)
+        pooled = SweepEngine(max_workers=2).run(batch)
+        assert [r.spec for r in pooled] == batch
+        serial = SweepEngine().run(batch)
+        assert [r.stats.to_dict() for r in pooled] \
+            == [r.stats.to_dict() for r in serial]
 
     def test_warm_counters_accumulate(self):
-        pool = PersistentPool(max_workers=1)
-        try:
-            # same workload identity under two protocols: the second
-            # cell must reuse the worker's memoized streams.
-            a = RunSpec.for_run("water", protocol="BASIC", n_procs=2,
-                                scale=0.2)
-            b = RunSpec.for_run("water", protocol="P+CW", n_procs=2,
-                                scale=0.2)
-            pool.submit(a.to_dict()).result(timeout=120)
-            pool.submit(b.to_dict()).result(timeout=120)
-            warm = pool.counters()["warm"]
-            assert warm["workload_hits"] >= 1
-        finally:
-            pool.close()
+        # same workload identity under two protocols: the second cell
+        # must reuse the worker's memoized streams.
+        shutdown_pool()
+        a = RunSpec.for_run("water", protocol="BASIC", n_procs=2, scale=0.2)
+        b = RunSpec.for_run("water", protocol="P+CW", n_procs=2, scale=0.2)
+        for spec in (a, b):
+            (fut,), _ = pool_mod.submit(1, [spec.to_dict()])
+            fut.result(timeout=120)
+        ex = pool_mod.executor(1)
+        assert ex.submit(pool_hold.warm_counters).result(timeout=120) \
+            == (1, 1)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-    def test_worker_crash_respawns_and_completes(self, tmp_path,
-                                                 monkeypatch):
-        """Killing a worker mid-task must respawn it and still produce
-        the correct, complete result.
+    def test_worker_crash_breaks_the_run_and_the_next_run_completes(
+            self, tmp_path, monkeypatch):
+        """Killing the workers mid-sweep makes ``run`` raise, and the
+        next ``run`` completes on a fresh executor with correct results.
 
-        Workers start through :func:`pool_hold.held_worker_main`, which
-        blocks on a test-owned FIFO before serving.  ``submit`` starts
-        the held worker and hands it the task before it returns, so the
-        kill lands while the task is provably in flight, and the task
-        can only complete on the respawned worker once the test
-        releases it.  The respawn is made by the dispatcher thread, so
-        it is always spawned, whichever way the first worker started.
+        Every cell runs through :func:`pool_hold.held_run_cell`, which
+        blocks on a test-owned FIFO.  A second thread waits until a
+        worker has the FIFO open, so a cell is provably in flight, then
+        kills the workers while it keeps the FIFO's write end open: no
+        cell can finish before the kill, whatever the timing.  All of
+        them, because a spawning executor watches only the workers it
+        had when its manager thread last waited, and the one started by
+        a later ``submit`` may be missed until a result arrives.
         """
-        spec = RunSpec.for_run("water", n_procs=2, scale=0.2)
-        cfg = spec.to_config()
-        expected = System(cfg).run(build_workload(
-            spec.app, cfg, scale=spec.scale, seed=spec.seed,
-        ))
+        specs = MATRIX[:2]
+        expected = []
+        for spec in specs:
+            cfg = spec.to_config()
+            expected.append(System(cfg).run(build_workload(
+                spec.app, cfg, scale=spec.scale, seed=spec.seed,
+            )).to_dict())
         path = tmp_path / "hold.fifo"
         os.mkfifo(path)
-        # the spawned worker imports the helper and finds the FIFO
-        # through the environment it inherits
-        helper_dir = os.path.dirname(os.path.abspath(pool_hold.__file__))
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            p for p in (helper_dir, os.environ.get("PYTHONPATH")) if p
-        ))
         monkeypatch.setenv(pool_hold.HOLD_FIFO_ENV, str(path))
-        monkeypatch.setattr(pool_mod, "_worker_main",
-                            pool_hold.held_worker_main)
+        monkeypatch.setattr(pool_mod, "run_cell", pool_hold.held_run_cell)
+        shutdown_pool()
+        writer: list[int] = []
 
-        pool = PersistentPool(max_workers=1)
+        def kill_the_workers() -> None:
+            writer.append(_open_fifo_writer(path))
+            for pid in _worker_pids():
+                os.kill(pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_the_workers)
+        killer.start()
+        engine = SweepEngine(max_workers=2)
         try:
-            fut = pool.submit(spec.to_dict())
-            # a reader on the FIFO proves the worker has started, and
-            # the pool assigned it the task when it started it
-            stale_fd = _open_fifo_writer(path)
-            try:
-                # swap a fresh FIFO in under the same name: only the
-                # respawned worker can open it, whatever the timing
-                fresh = tmp_path / "fresh.fifo"
-                os.mkfifo(fresh)
-                os.replace(fresh, path)
-                victims = pool.worker_pids()
-                assert len(victims) == 1
-                os.kill(victims[0], signal.SIGKILL)
-            finally:
-                os.close(stale_fd)
-            fd = _open_fifo_writer(path)    # the respawned worker waits
-            try:
-                assert not fut.done(), "the killed task cannot finish"
-                assert pool.counters()["respawns"] == 1
-            finally:
-                os.close(fd)                # release the respawned worker
-            payload = fut.result(timeout=120)
-            counters = pool.counters()
-            assert counters["respawns"] == 1
-            assert counters["spawned"] >= 1, "respawns are spawned"
-            assert counters["forked"] + counters["spawned"] == 2
-            assert pool.worker_pids() != victims
-            # the respawned worker's result equals a direct System run
-            assert payload["stats"] == expected.to_dict()
+            with pytest.raises(BrokenProcessPool):
+                engine.run(specs)
         finally:
-            pool.close()
+            killer.join()
+            for fd in writer:
+                os.close(fd)
+        monkeypatch.undo()
+
+        results = engine.run(specs)
+        assert sum(engine.last_run_stats()["pool"].values()) == 2, \
+            "the next run must start a fresh executor's workers"
+        assert [r.stats.to_dict() for r in results] == expected
 
     def test_worker_error_does_not_kill_pool(self):
-        pool = PersistentPool(max_workers=1)
-        try:
-            bad = dict(MATRIX[0].to_dict())
-            bad["app"] = "no-such-app"
-            with pytest.raises(RuntimeError):
-                pool.submit(bad).result(timeout=120)
-            # pool still serves good specs on the same worker
-            ok = pool.submit(MATRIX[0].to_dict()).result(timeout=120)
-            assert ok["stats"]
-            assert pool.counters()["failed"] == 1
-        finally:
-            pool.close()
-
-    def test_submit_after_close_raises(self):
-        pool = PersistentPool(max_workers=1)
-        pool.close()
-        with pytest.raises(PoolClosedError):
-            pool.submit(MATRIX[0].to_dict())
+        bad = dict(MATRIX[0].to_dict())
+        bad["app"] = "no-such-app"
+        (fut,), _ = pool_mod.submit(1, [bad])
+        with pytest.raises(ValueError, match="no-such-app"):
+            fut.result(timeout=120)
+        # the executor still serves good specs
+        (ok,), _ = pool_mod.submit(1, [MATRIX[0].to_dict()])
+        assert ok.result(timeout=120)["stats"]
 
     def test_close_is_idempotent(self):
-        pool = PersistentPool(max_workers=1)
-        pool.submit(MATRIX[0].to_dict()).result(timeout=120)
-        pool.close()
-        pool.close()
-        assert pool.n_workers == 0
+        pool_mod.submit(1, [MATRIX[0].to_dict()])[0][0].result(timeout=120)
+        shutdown_pool()
+        shutdown_pool()
+        assert pool_mod._executor is None
+        assert not _worker_pids()
 
     def test_shared_pool_grows_and_is_reused(self):
-        a = shared_pool(1)
-        b = shared_pool(3)
-        assert a is b
-        assert b.max_workers >= 3
+        shutdown_pool()
+        a = pool_mod.executor(1)
+        b = pool_mod.executor(3)
+        assert a is not b and b._max_workers == 3
+        assert pool_mod.executor(2) is b, "a smaller request reuses it"
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            a.submit(int)
 
     def test_unknown_pool_mode_rejected(self):
         # there is one pool; the engine no longer takes a pool mode
         with pytest.raises(TypeError):
             SweepEngine(pool="forkbomb")
-
-
-class TestImportablePathFix:
-    def test_pythonpath_not_duplicated(self, monkeypatch):
-        import repro
-        from repro.sweep import pool as pool_mod
-
-        pkg_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))
-        )
-        monkeypatch.setattr(pool_mod, "_importable_ensured", False)
-        monkeypatch.setenv("PYTHONPATH", pkg_root)
-        ensure_importable_by_workers()
-        ensure_importable_by_workers()
-        entries = os.environ["PYTHONPATH"].split(os.pathsep)
-        assert entries.count(pkg_root) == 1
 
 
 class TestLastRunStats:
@@ -414,15 +389,13 @@ class TestLastRunStats:
         assert digest["pool"] == {"forked": 0, "spawned": 0}
 
     def test_pool_entry_counts_worker_starts(self):
-        shutdown_shared_pool()
+        shutdown_pool()
         engine = SweepEngine(max_workers=2)
         engine.run(MATRIX[:4])                       # cold pool
         cold = engine.last_run_stats()
         assert cold["executor"] == "process"
-        assert sum(cold["pool"].values()) == 2
-        counters = engine._get_pool().counters()
-        assert cold["pool"] == {"forked": counters["forked"],
-                                "spawned": counters["spawned"]}
+        method = "forked" if pool_mod._method == "fork" else "spawned"
+        assert cold["pool"] == {"forked": 0, "spawned": 0, method: 2}
 
         engine.run(MATRIX[4:])                       # warm pool
         assert engine.last_run_stats()["pool"] == {"forked": 0,
