@@ -6,8 +6,11 @@ rates as percentages of shared references (Table 2), and network
 traffic in bytes normalized to BASIC (Figure 4).
 
 Those are machine-wide sums, so :class:`MachineStats` read back from
-the result cache stays columnar: :meth:`MachineStats.from_columns`
-keeps the validated columns, the aggregates sum them, and the
+the result cache stays columnar.  The cache stores the per-node
+counters as one packed block of little-endian int64 values, one
+column per counter (:meth:`MachineStats.to_columns`);
+:meth:`MachineStats.from_columns` checks the block's length and keeps
+its columns in ``array('q')`` pieces, the aggregates sum them, and the
 per-node :class:`ProcessorStats`/:class:`CacheStats` records are
 built only when something reads ``procs`` or ``caches``.
 """
@@ -16,8 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field, fields
-from itertools import repeat, starmap
+from itertools import chain, starmap
 from operator import attrgetter
 
 #: version of the ``MachineStats.to_dict`` and ``to_columns`` payloads.
@@ -124,12 +129,17 @@ COLUMNS_LAYOUT = hashlib.sha256(
     json.dumps([_PROC_FIELDS, _CACHE_FIELDS]).encode()
 ).hexdigest()[:12]
 
-#: per-node counter name -> (column group, position): group 0 is
-#: ``procs``, group 1 ``caches``.
-_COUNTERS = {
-    **{name: (0, i) for i, name in enumerate(_PROC_FIELDS)},
-    **{name: (1, i) for i, name in enumerate(_CACHE_FIELDS)},
-}
+#: per-node counter name -> its column in the packed block: the
+#: ``ProcessorStats`` columns, then the ``CacheStats`` ones.
+_COLUMN = {name: i for i, name in enumerate(_PROC_FIELDS + _CACHE_FIELDS)}
+_PROC_WIDTH = len(_PROC_FIELDS)
+#: bytes per node in the packed block: one int64 per counter.
+_NODE_BYTES = len(_COLUMN) * 8
+#: the packed block is little-endian; a big-endian host swaps it.
+_SWAP = sys.byteorder == "big"
+#: most values a column-backed stats keeps in one array: 512 bytes, the
+#: largest request CPython's small-object allocator serves.
+_PIECE_VALUES = 64
 
 _MISS_COUNTERS = {
     "cold": "cold_misses",
@@ -139,43 +149,14 @@ _MISS_COUNTERS = {
 }
 
 
-def _packed(rows, width: int) -> list:
-    """One column per counter across ``rows`` (value tuples, one per
-    node), each a list, or one int where every node has that int."""
-    columns: list[tuple] = list(zip(*rows)) or [()] * width
-    return [
-        col[0] if col and type(col[0]) is int and col.count(col[0]) == len(col)
-        else list(col)
-        for col in columns
-    ]
-
-
-def _checked(group: str, columns, width: int, nodes: int) -> list:
-    """``columns`` if it is ``width`` columns, each an int or a list of
-    ``nodes`` values; ``ValueError`` otherwise."""
-    if type(columns) is not list or len(columns) != width:
-        raise ValueError(f"{group} must be a list of {width} columns")
-    for col in columns:
-        if type(col) is list:
-            if len(col) != nodes:
-                raise ValueError(
-                    f"{group} column of {len(col)} values, not {nodes}"
-                )
-        elif type(col) is not int:
-            raise ValueError(
-                f"{group} column is a {type(col).__name__}, not an int "
-                "or a list"
-            )
-    return columns
-
-
 class MachineStats:
     """All statistics for one simulation run.
 
     The per-node counters are held in one of two forms.  A simulation
     fills ``ProcessorStats``/``CacheStats`` objects (:meth:`for_nodes`,
-    or the constructor).  :meth:`from_columns` keeps the validated
-    columns instead: the aggregates read them directly, and
+    or the constructor).  :meth:`from_columns` keeps the counter
+    columns of a packed block instead, whole columns in arrays of at
+    most 64 values: the aggregates sum them, and
     :attr:`procs`/:attr:`caches` are built from them on first access,
     after which the columns are dropped.  Either way the values, and
     ``==``, :meth:`to_dict` and :meth:`to_columns`, are the same.
@@ -192,9 +173,9 @@ class MachineStats:
     ) -> None:
         self._procs = procs
         self._caches = caches
-        #: ``(nodes, proc columns, cache columns)``, or None once the
+        #: ``(nodes, columns per array, arrays)``, or None once the
         #: per-node objects exist
-        self._columns: tuple[int, list, list] | None = None
+        self._columns: tuple[int, int, list[array]] | None = None
         self.network = NetworkStats() if network is None else network
         self.execution_time = execution_time
 
@@ -227,11 +208,14 @@ class MachineStats:
         field order, read from whichever form backs the stats."""
         if self._columns is None:
             return map(_proc_values, self._procs), map(_cache_values, self._caches)
-        n, *groups = self._columns
-        return tuple(
-            zip(*[repeat(col, n) if type(col) is int else col for col in cols])
-            for cols in groups
-        )
+        cols = [self._column(i) for i in range(len(_COLUMN))]
+        return zip(*cols[:_PROC_WIDTH]), zip(*cols[_PROC_WIDTH:])
+
+    def _column(self, column: int) -> array:
+        """One counter's per-node values, from the column-backed form."""
+        n, per, pieces = self._columns
+        piece, at = divmod(column, per)
+        return pieces[piece][at * n:(at + 1) * n]
 
     def _nodes(self) -> int:
         return len(self._procs) if self._columns is None else self._columns[0]
@@ -246,13 +230,11 @@ class MachineStats:
 
     def _sum(self, name: str) -> int:
         """Machine-wide sum of one per-node counter."""
-        group, index = _COUNTERS[name]
+        column = _COLUMN[name]
         if self._columns is None:
-            rows = self._procs if group == 0 else self._caches
+            rows = self._procs if column < _PROC_WIDTH else self._caches
             return sum(map(attrgetter(name), rows))
-        n, procs, caches = self._columns
-        col = (procs if group == 0 else caches)[index]
-        return col * n if type(col) is int else sum(col)
+        return sum(self._column(column))
 
     def _mean(self, name: str) -> float:
         return self._sum(name) / self._nodes()
@@ -366,62 +348,84 @@ class MachineStats:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed MachineStats payload: {exc}") from exc
 
-    def to_columns(self) -> dict:
-        """Columnar payload: the result cache's on-disk form.
-
-        ``procs`` and ``caches`` each hold one column per counter, in
-        field order, across the ``nodes``; a column whose value is the
-        same on every node is that one int.  ``layout`` stamps the
-        field order (:data:`COLUMNS_LAYOUT`).  Inverse of
+    def to_columns(self) -> tuple[dict, bytes]:
+        """The result cache's on-disk form: a JSON-able head and one
+        packed block of per-node counters.  Inverse of
         :meth:`from_columns`.
+
+        The head holds ``version``, ``layout`` (the counter order,
+        :data:`COLUMNS_LAYOUT`), ``nodes``, ``execution_time`` and
+        ``network``.  The block is little-endian signed int64: the
+        ``ProcessorStats`` columns in field order, then the
+        ``CacheStats`` ones, each ``nodes`` values long.  Raises
+        :class:`OverflowError` for a counter outside int64 and
+        :class:`TypeError` for one that is not an int.
         """
-        procs, caches = self._node_values()
+        if self._columns is None:
+            procs, caches = self._node_values()
+            block = array("q", chain(chain.from_iterable(zip(*procs)),
+                                     chain.from_iterable(zip(*caches))))
+        else:
+            block = array("q", chain.from_iterable(self._columns[2]))
+        if _SWAP:
+            block.byteswap()
         return {
             "version": STATS_SCHEMA_VERSION,
             "layout": COLUMNS_LAYOUT,
             "nodes": self._nodes(),
             "execution_time": self.execution_time,
-            "procs": _packed(procs, len(_PROC_FIELDS)),
-            "caches": _packed(caches, len(_CACHE_FIELDS)),
             "network": self._network_dict(),
-        }
+        }, block.tobytes()
 
     @classmethod
-    def from_columns(cls, d: dict, nodes: int) -> "MachineStats":
-        """Statistics backed by the columns of :meth:`to_columns` output.
+    def from_columns(cls, head: dict, block, nodes: int) -> "MachineStats":
+        """Statistics backed by the block of :meth:`to_columns` output.
 
-        Raises :class:`ValueError` on a version or layout mismatch, a
-        node count other than ``nodes``, a missing or extra column, a
-        column of the wrong length, a single-value column that is not
-        an int, or any other payload that does not match the current
-        counter schema.  The payload's column lists are kept, not
-        copied.
+        ``block`` is any bytes-like object; it is copied.  Raises
+        :class:`ValueError` on a version or layout mismatch, a node
+        count other than ``nodes``, a block that is not exactly one
+        int64 per counter per node, or a head that does not match the
+        current counter schema.  Every value in the block is an int by
+        construction, so nothing else needs checking.
         """
-        cls._check_version(d)
+        cls._check_version(head)
         try:
-            n = d["nodes"]
+            n = head["nodes"]
             if type(n) is not int or n != nodes:
                 raise ValueError(
                     f"MachineStats payload for {n!r} nodes, not {nodes}"
                 )
-            if d["layout"] != COLUMNS_LAYOUT:
+            if head["layout"] != COLUMNS_LAYOUT:
                 raise ValueError(
-                    f"MachineStats column layout {d['layout']!r} != "
+                    f"MachineStats column layout {head['layout']!r} != "
                     f"{COLUMNS_LAYOUT}"
                 )
-            columns = (
-                n,
-                _checked("procs", d["procs"], len(_PROC_FIELDS), n),
-                _checked("caches", d["caches"], len(_CACHE_FIELDS), n),
-            )
-            network = NetworkStats(**d["network"])
-            execution_time = d["execution_time"]
+            if len(block) != n * _NODE_BYTES:
+                raise ValueError(
+                    f"counter block of {len(block)} bytes, not "
+                    f"{n * _NODE_BYTES}"
+                )
+            counters = array("q")
+            counters.frombytes(block)
+            network = NetworkStats(**head["network"])
+            execution_time = head["execution_time"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed MachineStats payload: {exc}") from exc
+        if _SWAP:
+            counters.byteswap()
+        # Whole columns in arrays of at most _PIECE_VALUES values, not
+        # one array of the block: CPython's small-object allocator then
+        # holds them, and the memory they free when the records are
+        # built is reused for the records.  A block-sized array comes
+        # from the C heap instead, where the records cannot reuse it: a
+        # process that reads a scale-0.05 report 8 times and then builds
+        # every cell's records peaks about 10 % higher that way.
+        per = max(1, _PIECE_VALUES // max(n, 1))
         # ``_procs`` and ``_caches`` stay unset until ``_materialize``
         # fills them: nothing reads them while columns back the stats
         stats = cls.__new__(cls)
-        stats._columns = columns
+        stats._columns = (n, per, [counters[c * n:(c + per) * n]
+                                   for c in range(0, len(_COLUMN), per)])
         stats.network = network
         stats.execution_time = execution_time
         return stats

@@ -1,39 +1,48 @@
-"""On-disk result cache: one JSON file per completed simulation cell.
+"""On-disk result cache: one file per completed simulation cell.
 
 Layout::
 
     <root>/<key[:2]>/<key>.json
 
 where ``key`` is :meth:`RunSpec.key` -- a sha256 over the canonical
-spec JSON plus the spec schema version.  Each file holds::
+spec JSON plus the spec schema version.  Each file has three parts::
 
-    {"schema": CACHE_SCHEMA_VERSION,
-     "spec_key": "<key>",          # self-check against renamed files
-     "spec": {"v": ..., ...},      # RunSpec.to_wire(), versioned
-     "stats": {...},               # MachineStats.to_columns() (versioned)
-     "wall_time": 1.234}           # simulation seconds when first run
+    {"schema":4,"spec_key":"<key>","stats":{...},"wall_time":1.234}\n
+    {"v":...,"app":...}\n
+    <counter block>
 
-``stats`` is columnar: ``procs`` and ``caches`` are lists of columns
-in the counter classes' field order, one value per node, and a column
-whose value is the same on every node is stored as that one int.
-``nodes`` gives the node count and ``layout`` a digest of the field
-order (:data:`~repro.stats.counters.COLUMNS_LAYOUT`).  A hit hands the
-validated columns to the caller as they are: the machine-wide
-aggregates the drivers render read them directly, and per-node records
-are built only if something asks for them.
+* **Line 1, a compact JSON header**: ``schema``
+  (:data:`CACHE_SCHEMA_VERSION`), ``spec_key`` (a self-check against
+  renamed files), ``wall_time`` (simulation seconds when first run) and
+  ``stats``, the head of ``MachineStats.to_columns()``: its
+  ``version``, ``layout`` (:data:`~repro.stats.counters.COLUMNS_LAYOUT`,
+  a digest of the counter order), ``nodes``, ``execution_time`` and
+  ``network``.
+* **Line 2, the spec's** ``RunSpec.to_json()``, so an entry describes
+  itself to people and tools.  The read path never parses it.
+* **The rest, the per-node counters**: one block of little-endian
+  signed int64 values, the 11 ``ProcessorStats`` columns and then the
+  16 ``CacheStats`` ones, each ``nodes`` values long -- exactly
+  ``27 * nodes * 8`` bytes.
+
+JSON escapes newlines, so neither JSON line holds a raw one, and a
+read splits the file on its first two newlines.  It parses the header
+alone and hands the block to ``MachineStats.from_columns``, which
+keeps its columns as ``array('q')`` values: the machine-wide
+aggregates the drivers render sum them, and per-node records are built
+only if something asks for them.
 
 Invalidation rules (each counted in :attr:`ResultCache.invalidated`
 and then treated as a miss):
 
-* unreadable / non-JSON file (a directory at the entry's path is
-  unreadable),
-* ``schema`` != :data:`CACHE_SCHEMA_VERSION` (entries written before
-  schema 3 are invalidated this way),
+* unreadable file, or one without two newlines or whose header is not
+  JSON (a directory at the entry's path is unreadable; an entry of
+  schema 3 or older is a single JSON document with no raw newline),
+* ``schema`` != :data:`CACHE_SCHEMA_VERSION`,
 * ``spec_key`` mismatch (file renamed or copied between keys),
-* stats payload rejected by ``MachineStats.from_columns``: its own
-  version stamp or ``layout`` changed, ``nodes`` is not the spec's
-  ``n_procs``, or a column is missing, extra, of the wrong length or
-  a single value that is not an int.
+* stats rejected by ``MachineStats.from_columns``: its version stamp
+  or ``layout`` changed, ``nodes`` is not the spec's ``n_procs``, or
+  the block is not exactly one int64 per counter per node.
 
 A spec-schema bump changes every key, so older entries are simply
 never looked up again; they can be garbage-collected with ``clear``.
@@ -48,8 +57,8 @@ Hot tier
 --------
 
 ``hot_entries > 0`` adds an in-memory LRU of deserialized results in
-front of the JSON files: a repeated ``get`` skips the file read, the
-JSON parse and the stats rehydration entirely (hot hits still count as
+front of the entry files: a repeated ``get`` skips the file read, the
+header parse and the stats rehydration entirely (hot hits still count as
 :attr:`hits`, and additionally as :attr:`hot_hits`).  Every driver
 (the experiment CLIs, ``repro compare``, the library helpers and the
 bench sweep suite) sizes it to :data:`HOT_ENTRIES`; a bare
@@ -74,13 +83,15 @@ from pathlib import Path
 from repro.stats.counters import MachineStats
 from repro.sweep.spec import RunResult, RunSpec
 
-#: version of the cache-file envelope (the fields *around* the stats
-#: payload, and the layout of the stats payload); the stats counters
-#: carry their own version.
+#: version of the cache-file format (the header fields *around* the
+#: stats, and the layout of the stats); the stats counters carry their
+#: own version.
 #: v2: ``stats`` is columnar (``MachineStats.to_columns``).
 #: v3: positional columns, single-int constant columns, ``nodes`` and
 #: ``layout``.
-CACHE_SCHEMA_VERSION = 3
+#: v4: a JSON header line, the spec line and one packed int64 block of
+#: every per-node counter; constant columns are no longer special.
+CACHE_SCHEMA_VERSION = 4
 
 #: default cache location; overridable with $REPRO_CACHE_DIR or the
 #: ``--cache-dir`` CLI flag.
@@ -162,12 +173,14 @@ class ResultCache:
                 return RunResult(spec=spec, stats=hot.stats,
                                  wall_time=hot.wall_time, from_cache=True)
             self.hot_misses += 1
-        payload = self._load(key)
-        if payload is None:
+        entry = self._load(key)
+        if entry is None:
             return None
+        header, block = entry
         try:
-            stats = MachineStats.from_columns(payload["stats"], spec.n_procs)
-            wall_time = float(payload.get("wall_time", 0.0))
+            stats = MachineStats.from_columns(header["stats"], block,
+                                              spec.n_procs)
+            wall_time = float(header.get("wall_time", 0.0))
         except (KeyError, TypeError, ValueError):
             self._invalidate(key)
             return None
@@ -178,8 +191,9 @@ class ResultCache:
         self._hot_store(key, result)
         return result
 
-    def _load(self, key: str) -> dict | None:
-        """Read + envelope-check one entry (miss/invalidate accounting)."""
+    def _load(self, key: str) -> tuple[dict, memoryview] | None:
+        """Read one entry and check its header (miss/invalidate
+        accounting); returns the header and the counter block."""
         # a plain string path and an explicit UTF-8 decode: cheaper
         # than a ``Path`` and ``json.loads(bytes)``'s encoding sniffing.
         # Unbuffered: no ``BufferedReader`` is built around the file,
@@ -190,52 +204,64 @@ class ResultCache:
         path = f"{self._root_str}/{key[:2]}/{key}.json"
         try:
             with open(path, "rb", buffering=0, opener=_open_nonblocking) as fh:
-                payload = json.loads(fh.read().decode())
+                data = fh.read()
+            header_end = data.index(b"\n")
+            block_start = data.index(b"\n", header_end + 1) + 1
+            header = json.loads(data[:header_end].decode())
         except FileNotFoundError:
             self.misses += 1
             return None
-        # also bytes that are not UTF-8, and a pipe's None read
+        # also fewer than two newlines, a header that is not UTF-8, and
+        # a pipe's None read
         except (OSError, ValueError, AttributeError):
             self._invalidate(key)
             return None
         try:
-            if payload["schema"] != CACHE_SCHEMA_VERSION:
-                raise ValueError("cache envelope version mismatch")
-            if payload["spec_key"] != key:
+            if header["schema"] != CACHE_SCHEMA_VERSION:
+                raise ValueError("cache format version mismatch")
+            if header["spec_key"] != key:
                 raise ValueError("cache entry does not match its key")
         except (KeyError, TypeError, ValueError):
             self._invalidate(key)
             return None
-        return payload
+        return header, memoryview(data)[block_start:]
 
     # -- write ----------------------------------------------------------
 
     def put(self, result: RunResult) -> None:
-        """Store a completed result (atomic file write)."""
+        """Store a completed result (atomic file write).
+
+        Raises :class:`OverflowError` for a counter outside int64, and
+        writes nothing then.
+        """
         key = result.spec.key()
-        payload = {
+        head, block = result.stats.to_columns()
+        header = {
             "schema": CACHE_SCHEMA_VERSION,
             "spec_key": key,
-            "spec": result.spec.to_wire(),
-            "stats": result.stats.to_columns(),
+            "stats": head,
             "wall_time": result.wall_time,
         }
         if self._hot is not None:
-            # store the columns' round-trip of the stats, not the live
+            # store the block's round-trip of the stats, not the live
             # object: hot hits then match a disk read bit for bit and
             # never alias stats the caller may still hold.
             self._hot_store(key, RunResult(
                 spec=result.spec,
-                stats=MachineStats.from_columns(payload["stats"],
+                stats=MachineStats.from_columns(head, block,
                                                 result.spec.n_procs),
                 wall_time=result.wall_time,
                 from_cache=True,
             ))
         path = self.path_for_key(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # one C-encoder call and one write: ``json.dump`` to a file
-        # always runs the pure-Python encoder, chunk by chunk
-        data = json.dumps(payload, sort_keys=True).encode()
+        # one C-encoder call for the header and one write: ``json.dump``
+        # to a file always runs the pure-Python encoder, chunk by chunk
+        data = b"\n".join((
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+            result.spec.to_json().encode(),
+            block,
+        ))
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
         )

@@ -18,7 +18,8 @@
   ends the worker once its parent is gone.  Every worker holds a copy
   of the call queue's write end, so the queue never reads EOF and a
   stock worker would outlive a SIGKILLed parent.
-* **Crash policy.**  A worker that dies breaks the executor: the run
+* **Crash policy.**  A worker that dies breaks the executor, whichever
+  ``submit`` of the batch started it: the run
   raises ``BrokenProcessPool``, the engine discards the executor
   through :func:`shutdown_pool`, and the next run builds a fresh one.
   Nothing is retried.
@@ -160,6 +161,13 @@ def submit(max_workers: int,
     before = len(ex._processes)
     futures = [ex.submit(run_cell, d) for d in spec_dicts]
     started = len(ex._processes) - before
+    if started:
+        # ``submit`` wakes the manager thread before it starts a worker,
+        # so the manager may already be waiting on a sentinel list that
+        # lacks the worker a later ``submit`` started, and miss its
+        # death.  One more wake-up makes it wait on every worker.
+        with ex._shutdown_lock:
+            ex._executor_manager_thread_wakeup.wakeup()
     return futures, {"forked": started if _method == "fork" else 0,
                      "spawned": started if _method == "spawn" else 0}
 

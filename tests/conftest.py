@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import CacheConfig, Consistency, NetworkConfig, SystemConfig
@@ -55,3 +58,27 @@ def pad_streams(streams, n_procs):
 def rc4():
     """4-processor RC BASIC machine config."""
     return tiny_config()
+
+
+def cache_entry_parts(path) -> tuple[dict, bytes, bytes]:
+    """A result-cache entry's parsed JSON header, its spec line and its
+    packed counter block (see ``repro.sweep.cache``)."""
+    header, spec, block = Path(path).read_bytes().split(b"\n", 2)
+    return json.loads(header), spec, block
+
+
+def canonical_cache_entry(path) -> tuple[dict, bytes, bytes]:
+    """:func:`cache_entry_parts` with ``wall_time``, the one field that
+    legitimately varies run to run, zeroed."""
+    header, spec, block = cache_entry_parts(path)
+    header["wall_time"] = 0.0
+    return header, spec, block
+
+
+def write_cache_entry(path, header: dict, spec: bytes, block: bytes) -> None:
+    """Write an entry's three parts back, as ``ResultCache.put`` does."""
+    Path(path).write_bytes(b"\n".join((
+        json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+        spec,
+        bytes(block),
+    )))

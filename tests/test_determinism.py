@@ -6,7 +6,7 @@ produce bit-identical results in process, across processes, and in
 the on-disk result cache.
 """
 
-from conftest import tiny_config
+from conftest import canonical_cache_entry, tiny_config
 
 from repro.config import SystemConfig
 from repro.sweep import ResultCache, RunSpec, SweepEngine
@@ -41,19 +41,6 @@ class TestInProcess:
         assert stats1.to_dict() == stats2.to_dict()
 
 
-def _canonical_cache_bytes(path):
-    """Cached JSON re-encoded canonically, wall clock zeroed.
-
-    ``wall_time`` is the one field that legitimately varies run to
-    run; every simulated quantity must be bit-identical.
-    """
-    import json
-
-    payload = json.loads(path.read_text())
-    payload["wall_time"] = 0.0
-    return json.dumps(payload, sort_keys=True).encode()
-
-
 class TestAcrossExecutors:
     def test_serial_and_process_cache_bytes_identical(self, tmp_path):
         serial_cache = ResultCache(tmp_path / "serial")
@@ -61,6 +48,6 @@ class TestAcrossExecutors:
         pooled_cache = ResultCache(tmp_path / "process")
         SweepEngine(max_workers=2, cache=pooled_cache).run(SPECS)
         for spec in SPECS:
-            a = _canonical_cache_bytes(serial_cache.path_for(spec))
-            b = _canonical_cache_bytes(pooled_cache.path_for(spec))
+            a = canonical_cache_entry(serial_cache.path_for(spec))
+            b = canonical_cache_entry(pooled_cache.path_for(spec))
             assert a == b, f"executor-dependent result for {spec}"

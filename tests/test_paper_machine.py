@@ -15,6 +15,7 @@ from dataclasses import fields
 
 import pytest
 
+from conftest import cache_entry_parts, write_cache_entry
 from repro.config import (
     CompetitiveConfig,
     NetworkConfig,
@@ -85,7 +86,7 @@ def test_cache_entry_naming_a_removed_option_is_invalid(tmp_path, option):
     cache = ResultCache(tmp_path)
     spec = RunSpec.for_run("water", n_procs=2, scale=0.05)
     cache.put(RunResult(spec=spec, stats=MachineStats.for_nodes(2)))
-    envelope = json.loads(cache.path_for(spec).read_text())
+    header, _, block = cache_entry_parts(cache.path_for(spec))
     old_wire = _wire_naming(option)
     old_dict = {k: v for k, v in old_wire.items() if k != "v"}
     old_key = hashlib.sha256(json.dumps(
@@ -94,9 +95,11 @@ def test_cache_entry_naming_a_removed_option_is_invalid(tmp_path, option):
     ).encode()).hexdigest()
     path = cache.path_for_key(old_key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(
-        {**envelope, "spec_key": old_key, "spec": old_wire}
-    ))
+    write_cache_entry(
+        path, {**header, "spec_key": old_key},
+        json.dumps(old_wire, sort_keys=True, separators=(",", ":")).encode(),
+        block,
+    )
     assert old_key != spec.key()
     with pytest.raises(SpecSchemaError):
         RunSpec.from_wire(old_wire)

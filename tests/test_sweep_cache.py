@@ -3,9 +3,12 @@
 import json
 import os
 import signal
+import struct
 
 import pytest
 
+from conftest import cache_entry_parts, write_cache_entry
+from repro.stats.counters import MachineStats
 from repro.sweep import (
     ResultCache,
     RunResult,
@@ -22,8 +25,20 @@ SPEC = RunSpec.for_run("water", scale=0.2, n_procs=4)
 _STATS = execute_spec(SPEC)
 
 
+#: the machine the paper simulates, for the damaged-entry cases
+SPEC16 = RunSpec.for_run("mp3d", protocol="BASIC", n_procs=16, scale=0.05,
+                         seed=1994)
+_STATS16 = execute_spec(SPEC16)
+
+
 def fresh_result() -> RunResult:
     return RunResult(spec=SPEC, stats=_STATS, wall_time=0.5)
+
+
+def _edit_header(path, edit) -> None:
+    header, spec, block = cache_entry_parts(path)
+    edit(header)
+    write_cache_entry(path, header, spec, block)
 
 
 class TestPutGet:
@@ -149,20 +164,16 @@ class TestInvalidation:
     def test_envelope_version_mismatch_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(fresh_result())
-        path = cache.path_for(SPEC)
-        payload = json.loads(path.read_text())
-        payload["schema"] = CACHE_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
+        _edit_header(cache.path_for(SPEC),
+                     lambda h: h.update(schema=CACHE_SCHEMA_VERSION + 1))
         assert cache.get(SPEC) is None
         assert cache.invalidated == 1
 
     def test_stats_version_mismatch_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(fresh_result())
-        path = cache.path_for(SPEC)
-        payload = json.loads(path.read_text())
-        payload["stats"]["version"] = 999
-        path.write_text(json.dumps(payload))
+        _edit_header(cache.path_for(SPEC),
+                     lambda h: h["stats"].update(version=999))
         assert cache.get(SPEC) is None
         assert cache.invalidated == 1
 
@@ -181,3 +192,127 @@ class TestInvalidation:
         cache.put(fresh_result())
         assert cache.clear() == 1
         assert len(cache) == 0
+
+
+def _encoded(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _one_byte_short(header, spec, block):
+    return [_encoded(header), spec, block[:-1]]
+
+
+def _one_byte_long(header, spec, block):
+    return [_encoded(header), spec, block + b"\0"]
+
+
+def _fifteen_nodes(header, spec, block):
+    # the first 15 nodes of every column: a whole-node short block
+    return [_encoded(header), spec, b"".join(
+        block[i:i + 15 * 8] for i in range(0, len(block), 16 * 8))]
+
+
+def _header_not_json(header, spec, block):
+    return [_encoded(header)[:-1], spec, block]
+
+
+def _no_spec_line(header, spec, block):
+    return [_encoded(header), block]
+
+
+def _wrong_layout(header, spec, block):
+    header["stats"]["layout"] = "0" * 12
+    return [_encoded(header), spec, block]
+
+
+def _wrong_version(header, spec, block):
+    header["stats"]["version"] += 1
+    return [_encoded(header), spec, block]
+
+
+def _schema_3(header, spec, block):
+    # the schema-3 form: one JSON document, constant columns as one int
+    values = struct.unpack(f"<{len(block) // 8}q", block)
+    columns = [list(values[i:i + 16]) for i in range(0, len(values), 16)]
+    columns = [c[0] if c.count(c[0]) == 16 else c for c in columns]
+    header["schema"] = 3
+    header["spec"] = json.loads(spec)
+    header["stats"].update(procs=columns[:11], caches=columns[11:])
+    return [json.dumps(header, sort_keys=True).encode()]
+
+
+#: each turns a good 16-node entry's header, spec line and block into
+#: the parts of an entry that must be an invalidated miss.
+DAMAGED_ENTRIES = {
+    "block_one_byte_short": _one_byte_short,
+    "block_one_byte_long": _one_byte_long,
+    "block_of_15_nodes": _fifteen_nodes,
+    "header_not_json": _header_not_json,
+    "no_spec_line": _no_spec_line,
+    "wrong_layout": _wrong_layout,
+    "wrong_version": _wrong_version,
+    "schema_3_json_entry": _schema_3,
+}
+
+
+class TestDamagedEntries:
+    """Each damaged entry is one invalidated miss; the next run
+    re-simulates it to the stats it held and writes it anew."""
+
+    @pytest.mark.parametrize("name", sorted(DAMAGED_ENTRIES))
+    def test_damaged_entry_is_one_invalidated_miss(self, tmp_path, name):
+        ResultCache(tmp_path).put(
+            RunResult(spec=SPEC16, stats=_STATS16, wall_time=0.5))
+        path = ResultCache(tmp_path).path_for(SPEC16)
+        parts = DAMAGED_ENTRIES[name](*cache_entry_parts(path))
+        path.write_bytes(b"\n".join(parts))
+        cache = ResultCache(tmp_path)
+        assert cache.get(SPEC16) is None
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
+        assert not path.exists()
+        engine = SweepEngine(cache=ResultCache(tmp_path))
+        (result,) = engine.run([SPEC16])
+        assert not result.from_cache
+        assert result.stats.to_dict() == _STATS16.to_dict()
+        again = ResultCache(tmp_path).get(SPEC16)
+        assert again is not None and again.stats == _STATS16
+
+    def test_poisoned_read_stall_column_is_an_invalidated_miss(
+            self, tmp_path):
+        """Elements 3 and 4 of the ``read_stall`` column as a float and
+        a bool: ``x + 0.5`` and ``true`` in a JSON entry, which schema 3
+        served as a hit with a wrong mean.  ``put`` refuses the float,
+        and their binary spellings (an 8-byte double, a 1-byte bool) in
+        a hand-made block leave it short of 27 x 16 int64s."""
+        good = _STATS16.procs[3].read_stall
+        poisoned = MachineStats.from_dict(_STATS16.to_dict())
+        poisoned.procs[3].read_stall = good + 0.5
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path).put(RunResult(spec=SPEC16, stats=poisoned))
+        assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+        ResultCache(tmp_path).put(
+            RunResult(spec=SPEC16, stats=_STATS16, wall_time=0.5))
+        path = ResultCache(tmp_path).path_for(SPEC16)
+        header, spec, block = cache_entry_parts(path)
+        at = (1 * 16 + 3) * 8  # procs column 1 (read_stall), node 3
+        block = (block[:at] + struct.pack("<d?", good + 0.5, True)
+                 + block[at + 16:])
+        write_cache_entry(path, header, spec, block)
+        cache = ResultCache(tmp_path)
+        assert cache.get(SPEC16) is None
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 1, 0)
+        (result,) = SweepEngine(cache=ResultCache(tmp_path)).run([SPEC16])
+        assert not result.from_cache
+        assert result.stats.mean_read_stall == _STATS16.mean_read_stall \
+            == 3867.5
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_counter_outside_int64_writes_nothing(self, tmp_path, value):
+        big = MachineStats.from_dict(_STATS.to_dict())
+        big.procs[0].busy = value
+        cache = ResultCache(tmp_path, hot_entries=4)
+        with pytest.raises(OverflowError):
+            cache.put(RunResult(spec=SPEC, stats=big))
+        assert not any(p.is_file() for p in tmp_path.rglob("*"))
+        assert cache.get(SPEC) is None and cache.hot_hits == 0

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -27,6 +28,7 @@ import pytest
 import pool_batch
 import pool_hold
 import repro
+from conftest import canonical_cache_entry
 from pool_batch import MATRIX
 from repro.sweep import (
     ResultCache,
@@ -75,24 +77,18 @@ def _open_fifo_writer(path) -> int:
 
 
 def _cache_bytes(root) -> dict:
-    """Map of relative path -> canonical file bytes under a cache root.
+    """Map of relative path -> an entry's header, spec line and counter
+    block under a cache root.
 
-    ``wall_time`` is the one legitimately machine-dependent envelope
+    ``wall_time`` is the one legitimately machine-dependent header
     field; it is pinned to 0 before comparison so the assertion is
     exactly "same files, same keys, same spec and stats bytes".
     """
-    import json
-
     out = {}
     for dirpath, _, names in os.walk(root):
         for name in names:
             path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                payload = json.loads(fh.read())
-            payload["wall_time"] = 0
-            out[os.path.relpath(path, root)] = json.dumps(
-                payload, sort_keys=True, separators=(",", ":")
-            ).encode()
+            out[os.path.relpath(path, root)] = canonical_cache_entry(path)
     return out
 
 
@@ -334,6 +330,67 @@ class TestPersistentPool:
         assert sum(engine.last_run_stats()["pool"].values()) == 2, \
             "the next run must start a fresh executor's workers"
         assert [r.stats.to_dict() for r in results] == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_late_spawned_worker_crash_breaks_the_run(
+            self, tmp_path, monkeypatch):
+        """Killing only the worker that the batch's second ``submit``
+        spawned, while the other one holds a cell on the FIFO, makes
+        ``run`` raise at once, without waiting for the held cell.
+
+        The killer thread keeps the parent multi-threaded, so the pool
+        spawns.  The executor wakes its manager thread before it starts
+        a worker, so the manager can be waiting on the first worker
+        alone when the second starts; the second start is delayed to
+        make sure it is.  ``pool.submit`` wakes the manager once more
+        so it watches both.  An alarm fails the test if ``run`` blocks,
+        after releasing the held cell so the executor can shut down.
+        """
+        path = tmp_path / "hold.fifo"
+        os.mkfifo(path)
+        monkeypatch.setenv(pool_hold.HOLD_FIFO_ENV, str(path))
+        monkeypatch.setattr(pool_mod, "run_cell", pool_hold.held_run_cell)
+        start_worker = ProcessPoolExecutor._spawn_process
+
+        def start_the_second_worker_late(ex) -> None:
+            if ex._processes:
+                time.sleep(0.25)  # the manager thread goes back to waiting
+            start_worker(ex)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process",
+                            start_the_second_worker_late)
+        shutdown_pool()
+        writer: list[int] = []
+
+        def kill_the_late_worker() -> None:
+            _wait_for(lambda: pool_mod._executor is not None
+                      and len(pool_mod._executor._processes) == 2)
+            late = list(pool_mod._executor._processes)[1]  # start order
+            writer.append(_open_fifo_writer(path))
+            os.kill(late, signal.SIGKILL)
+
+        def release() -> None:
+            killer.join()
+            while writer:
+                os.close(writer.pop())
+
+        def blocked(signum, frame):  # not a BrokenProcessPool
+            release()
+            pytest.fail("run waited for the held cell")
+
+        killer = threading.Thread(target=kill_the_late_worker)
+        killer.start()
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                SweepEngine(max_workers=2).run(MATRIX[:2])
+            assert pool_mod._method == "spawn"
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            release()
+            shutdown_pool()
 
     def test_worker_error_does_not_kill_pool(self):
         bad = dict(MATRIX[0].to_dict())
