@@ -9,8 +9,9 @@ Subcommands:
 * ``analyze``     -- static sharing-pattern census of a workload,
 * ``trace``       -- dump a workload's reference streams to a trace
   file (or simulate from an existing trace file),
-* ``bench``       -- benchmark regression harness (events/sec over a
-  fixed workload x protocol matrix, JSON artifacts),
+* ``bench``       -- run this checkout's end-to-end benchmark,
+  ``benchmarks/e2e/run.py``, with the arguments that follow unchanged
+  (``repro bench rounds --runs 10``, ``repro bench compare A B``),
 * ``experiments`` -- dispatch to the table/figure drivers,
 * ``verify``      -- protocol verification: bounded model checking
   (``verify model``), seeded invariant fuzzing (``verify fuzz``) and
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.config import (
     ALL_PROTOCOLS,
@@ -137,11 +139,21 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the benchmark regression harness."""
-    from repro.bench import run_bench
+#: the end-to-end benchmark of the checkout ``repro`` is imported from
+#: (``src/repro/cli.py`` -> the checkout's root); an installed package
+#: has none
+BENCH_RUN = Path(__file__).parents[2] / "benchmarks" / "e2e" / "run.py"
 
-    return run_bench(args)
+
+def cmd_bench(argv: list[str]) -> int:
+    """Run :data:`BENCH_RUN` with ``argv`` unchanged; its exit code."""
+    if not BENCH_RUN.is_file():
+        print(f"repro bench: {BENCH_RUN} is missing (repro bench needs a "
+              "source checkout)", file=sys.stderr)
+        return 2
+    import subprocess
+
+    return subprocess.run([sys.executable, str(BENCH_RUN), *argv]).returncode
 
 
 def cmd_compare(args) -> int:
@@ -457,13 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(fn=cmd_run)
 
-    p_bench = sub.add_parser(
-        "bench", help="benchmark regression harness (events/sec matrix)"
+    # listed for --help only: main() hands everything after "bench" to
+    # cmd_bench before any parsing
+    sub.add_parser(
+        "bench", add_help=False,
+        help="run benchmarks/e2e/run.py of this checkout with the "
+             "arguments that follow",
     )
-    from repro.bench import add_bench_args
-
-    add_bench_args(p_bench)
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_cmp = sub.add_parser("compare", help="rank protocols on one app")
     common(p_cmp, multi=True)
@@ -598,6 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["bench"]:
+        return cmd_bench(argv[1:])
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -17,7 +17,7 @@ if TYPE_CHECKING:
 APP_NAMES = ("mp3d", "cholesky", "water", "lu", "ocean")
 
 #: every available workload, in the paper's presentation order, plus
-#: the hot-path microbenchmark used by the benchmark harness; the
+#: the hot-path microbenchmark of the end-to-end benchmark; the
 #: generator of ``name`` is ``repro.workloads.<name>.streams``
 ALL_APP_NAMES = APP_NAMES + ("hitpath",)
 

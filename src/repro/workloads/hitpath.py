@@ -7,8 +7,9 @@ into a stream that is *almost entirely* think ops and FLC hits, with
 a sprinkle of buffered writes: each processor loops over a small
 private working set that stays resident in its FLC after warm-up, so
 the simulator's per-reference overhead -- not protocol work -- is
-what gets measured.  The benchmark harness uses it to track the cost
-of the synchronous fast path across revisions.
+what gets measured.  The end-to-end benchmark's ``hitpath16``
+workload uses it to track the cost of the synchronous fast path
+across revisions.
 """
 
 from __future__ import annotations

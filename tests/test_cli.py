@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.experiments import (
     figure2,
@@ -133,10 +135,8 @@ class TestCliChoices:
         ["--backend", "event"], ["--trace-dir", "traces"],
     ], ids=["pool", "hot-cache-entries", "backend", "trace-dir"])
     @pytest.mark.parametrize("argv", [
-        ["compare"], ["bench", "--suite", "sweep"], figure2,
-        ["run"], ["bench"], report, sensitivity,
-    ], ids=["compare", "bench", "figure2", "run",
-            "bench-cells", "report", "sensitivity"])
+        ["compare"], figure2, ["run"], report, sensitivity,
+    ], ids=["compare", "figure2", "run", "report", "sensitivity"])
     def test_removed_orchestration_flags_rejected(self, argv, flag, capsys):
         """One pool, one hot-tier size and one execution tier: no CLI
         selects another."""
@@ -155,6 +155,31 @@ class TestCliChoices:
             main([command])
         assert exc.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+class TestBench:
+    """``repro bench ARGS`` is ``benchmarks/e2e/run.py ARGS``."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_compare_forwards_to_run_py(self, capfd):
+        rounds = [str(self.ROOT / "benchmarks" / f"ROUNDS_{rev}.json")
+                  for rev in ("46e976f", "fe3eddd")]
+        assert main(["bench", "compare", *rounds]) == 0
+        rows = capfd.readouterr().out.splitlines()
+        spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in spec["workloads"]]
+        assert [row.split()[0] for row in rows] == workloads
+
+    def test_missing_run_py_is_exit_2(self, tmp_path, monkeypatch, capfd):
+        missing = tmp_path / "run.py"
+        monkeypatch.setattr(cli, "BENCH_RUN", missing)
+        assert main(["bench", "rounds", "--smoke"]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert str(missing) in err
+        assert "Traceback" not in err
 
 
 #: every parser that takes ``--scale``: the seven experiment drivers,

@@ -9,25 +9,33 @@ once.
 import pytest
 
 from repro.config import Consistency
+from repro.experiments.runner import (
+    limited_slc_cache,
+    mesh_network,
+    small_buffer_cache,
+)
 from repro.sweep import RunSpec, SweepEngine
+from repro.workloads import APP_NAMES
 
 SCALE = 0.7
 _cache: dict = {}
 _engine = SweepEngine()
 
 
-def result(app, proto, consistency=Consistency.RC):
-    key = (app, proto, consistency)
+def result(app, proto, consistency=Consistency.RC, **machine):
+    """One cell at ``SCALE``; ``machine`` is ``network=`` or ``cache=``,
+    as ``RunSpec.for_run`` takes them."""
+    spec = RunSpec.for_run(app, protocol=proto, consistency=consistency,
+                           scale=SCALE, **machine)
+    key = spec.key()
     if key not in _cache:
-        _cache[key] = _engine.run_one(RunSpec.for_run(
-            app, protocol=proto, consistency=consistency, scale=SCALE
-        ))
+        _cache[key] = _engine.run_one(spec)
     return _cache[key]
 
 
-def rel_time(app, proto, consistency=Consistency.RC):
-    base = result(app, "BASIC", consistency).execution_time
-    return result(app, proto, consistency).execution_time / base
+def rel_time(app, proto, consistency=Consistency.RC, **machine):
+    base = result(app, "BASIC", consistency, **machine).execution_time
+    return result(app, proto, consistency, **machine).execution_time / base
 
 
 class TestPrefetchingShapes:
@@ -44,6 +52,10 @@ class TestPrefetchingShapes:
 
     def test_p_speeds_up_lu(self):
         assert rel_time("lu", "P") < 0.9
+
+    def test_p_speeds_up_cholesky(self):
+        # Figure 2
+        assert rel_time("cholesky", "P") < 1
 
     def test_p_barely_cuts_mp3d_coherence(self):
         basic = result("mp3d", "BASIC").stats.miss_rate("coherence")
@@ -96,7 +108,7 @@ class TestMigratoryShapes:
         assert rel_time("lu", "M") == pytest.approx(1.0, abs=0.01)
 
     def test_m_cuts_traffic_for_migratory_apps(self):
-        for app in ("mp3d", "cholesky"):
+        for app in ("mp3d", "cholesky", "water"):
             basic = result(app, "BASIC").stats.network.bytes
             m = result(app, "M").stats.network.bytes
             assert m < basic, app
@@ -111,6 +123,23 @@ class TestMigratoryShapes:
         # paper: execution time reduced by as much as 39 % (MP3D)
         assert rel_time("mp3d", "M", Consistency.SC) < 0.75
 
+    def test_m_sc_speeds_up_water(self):
+        # Figure 3
+        assert rel_time("water", "M", Consistency.SC) < 1
+
+    def test_m_sc_is_a_noop_for_lu(self):
+        # Figure 3: no migratory sharing in LU, so M-SC == B-SC
+        assert rel_time("lu", "M", Consistency.SC) == pytest.approx(
+            1.0, rel=0.02
+        )
+
+    def test_m_sc_trims_ocean_write_stall(self):
+        # Figure 3: M-SC trims ocean's write stall even without true
+        # migratory data
+        basic = result("ocean", "BASIC", Consistency.SC).stats.mean_write_stall
+        m = result("ocean", "M", Consistency.SC).stats.mean_write_stall
+        assert m <= basic
+
 
 class TestCombinationShapes:
     def test_p_cw_is_the_strongest_rc_combination_for_most_apps(self):
@@ -118,6 +147,15 @@ class TestCombinationShapes:
             assert rel_time(app, "P+CW") <= min(
                 rel_time(app, "P"), rel_time(app, "CW")
             ) + 0.02, app
+
+    def test_p_cw_beats_basic(self):
+        # Figure 2
+        for app in ("mp3d", "water", "ocean"):
+            assert rel_time(app, "P+CW") < 1, app
+
+    def test_p_cw_beats_cw_for_cholesky(self):
+        # Figure 2
+        assert rel_time("cholesky", "P+CW") < rel_time("cholesky", "CW")
 
     def test_p_cw_composition_is_additive(self):
         # Table 2 boldface: P+CW inherits P's cold and CW's coherence
@@ -131,6 +169,13 @@ class TestCombinationShapes:
             assert combo.miss_rate("coherence") == pytest.approx(
                 cw_coh, abs=0.6
             ), app
+
+    def test_p_cw_keeps_p_cold_rate_for_every_app(self):
+        # Table 2: the composition behind Figure 2's additive gains
+        for app in APP_NAMES:
+            p_cold = result(app, "P").stats.miss_rate("cold")
+            combo = result(app, "P+CW").stats.miss_rate("cold")
+            assert abs(combo - p_cold) <= max(0.5, 0.25 * p_cold), app
 
     def test_cw_m_wipes_out_cw_gains_for_mp3d(self):
         # §5.1: "the gains of CW are wiped out for all applications
@@ -148,6 +193,10 @@ class TestCombinationShapes:
         rc = result("cholesky", "BASIC", Consistency.RC).execution_time
         assert sc < rc
 
+    def test_p_m_sc_speeds_up_cholesky(self):
+        # Figure 3
+        assert rel_time("cholesky", "P+M", Consistency.SC) < 1
+
     def test_p_sc_increases_write_stall_slightly(self):
         # §5.2: prefetching increases the number of cached copies and
         # hence the invalidations a write must wait for
@@ -158,7 +207,7 @@ class TestCombinationShapes:
 
 class TestTrafficShapes:
     def test_prefetching_adds_traffic(self):
-        for app in ("lu", "ocean", "mp3d"):
+        for app in APP_NAMES:
             basic = result(app, "BASIC").stats.network.bytes
             p = result(app, "P").stats.network.bytes
             assert p > basic, app
@@ -169,3 +218,60 @@ class TestTrafficShapes:
             p_m = result(app, "P+M").stats.network.bytes
             p_cw = result(app, "P+CW").stats.network.bytes
             assert p_m < p_cw, app
+
+    def test_p_m_uses_less_traffic_than_p_for_migratory_apps(self):
+        # Figure 4: M frees bandwidth that P alone spends
+        for app in ("mp3d", "cholesky"):
+            p_m = result(app, "P+M").stats.network.bytes
+            p = result(app, "P").stats.network.bytes
+            assert p_m < p, app
+
+
+class TestMeshShapes:
+    """Table 3: the same machine on the §5.3 wormhole mesh."""
+
+    def test_narrow_links_raise_utilization(self):
+        for app in APP_NAMES:
+            wide, narrow = (
+                result(app, "BASIC", network=mesh_network(width))
+                .stats.network.peak_link_utilization
+                for width in (64, 16)
+            )
+            assert narrow > wide, app
+
+    def test_p_m_gain_survives_narrow_links(self):
+        for app in ("cholesky", "mp3d"):
+            assert rel_time(app, "P+M", network=mesh_network(16)) < 1.05, app
+
+    def test_p_cw_loses_ground_as_links_narrow(self):
+        for app in ("cholesky", "lu"):
+            narrow = rel_time(app, "P+CW", network=mesh_network(16))
+            wide = rel_time(app, "P+CW", network=mesh_network(64))
+            assert narrow >= wide - 0.02, app
+
+
+class TestSensitivityShapes:
+    """§5.4: 4-entry write buffers, and a 16-KB SLC."""
+
+    @staticmethod
+    def slowdown(app, proto):
+        small = result(app, proto, cache=small_buffer_cache())
+        return small.execution_time / result(app, proto).execution_time
+
+    def test_cw_and_m_need_less_buffering_than_basic(self):
+        for app in ("mp3d", "lu"):
+            basic = self.slowdown(app, "BASIC")
+            for proto in ("CW", "M"):
+                assert self.slowdown(app, proto) <= basic * 1.10, (app, proto)
+
+    def test_combinations_suffer_mildly_from_small_buffers(self):
+        for app in ("mp3d", "lu"):
+            basic = self.slowdown(app, "BASIC")
+            for proto in ("P+CW", "P+M"):
+                assert self.slowdown(app, proto) <= max(basic * 1.10, 1.20), (
+                    app, proto,
+                )
+
+    def test_p_cw_still_wins_with_a_limited_slc(self):
+        for app in ("mp3d", "lu"):
+            assert rel_time(app, "P+CW", cache=limited_slc_cache()) < 1, app
