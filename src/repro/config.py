@@ -19,6 +19,16 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 
+#: version of the simulation model, bumped by hand in every change that
+#: moves a simulated result.  Every result-cache key carries it, with
+#: the defaults of the configs below that no spec names
+#: (``repro.sweep.spec.MODEL_STAMP``), so a bump orphans every cached
+#: result.  ``tests/golden/model_version.json`` pins it together with a
+#: digest of the committed golden results, and a test fails when those
+#: move while it does not.
+MODEL_VERSION = 1
+
+
 class Consistency(Enum):
     """Memory consistency model (paper §2, §5.2)."""
 

@@ -36,7 +36,7 @@ from repro.core.states import CacheState
 from repro.mem.addrmap import WORD_SIZE, AddressMap
 from repro.mem.flc import FirstLevelCache
 from repro.mem.slc import CacheLine, SecondLevelCache
-from repro.mem.write_buffers import Flwb, FlwbEntry, Slwb, SlwbKind
+from repro.mem.write_buffers import Flwb, FlwbEntry, Slwb
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resource import FcfsResource
 from repro.stats.classify import MissClassifier
@@ -65,9 +65,6 @@ _RDX_RPL = MsgType.RDX_RPL
 _FETCH_INV = MsgType.FETCH_INV
 _INV_ACK = MsgType.INV_ACK
 _XFER_ACK = MsgType.XFER_ACK
-_SLWB_READ = SlwbKind.READ
-_SLWB_OWNERSHIP = SlwbKind.OWNERSHIP
-_SLWB_PREFETCH = SlwbKind.PREFETCH
 
 
 @dataclass(slots=True)
@@ -413,7 +410,7 @@ class CacheController:
 
         The caller must have checked :meth:`Slwb.has_room`.
         """
-        eid = self.slwb.alloc(_SLWB_PREFETCH)
+        eid = self.slwb.alloc()
         self._pending_reads[block] = _PendingRead(
             block=block, slwb_id=eid, is_prefetch=True, start=self.sim.now
         )
@@ -503,7 +500,7 @@ class CacheController:
         self._send_demand(block, on_done, t0)
 
     def _send_demand(self, block: int, on_done: DoneFn, t0: int) -> None:
-        eid = self.slwb.alloc(_SLWB_READ)
+        eid = self.slwb.alloc()
         self._pending_reads[block] = _PendingRead(
             block=block, slwb_id=eid, is_prefetch=False,
             start=t0, demand_waiters=[on_done],
@@ -641,7 +638,7 @@ class CacheController:
     def _issue_ownership(
         self, block: int, line: CacheLine | None, sc_waiter: DoneFn | None
     ) -> None:
-        eid = self.slwb.alloc(_SLWB_OWNERSHIP)
+        eid = self.slwb.alloc()
         self.stats.ownership_requests += 1
         self._pending_writes[block] = _PendingWrite(
             block=block, slwb_id=eid, start=self.sim.now, sc_waiter=sc_waiter
@@ -982,7 +979,7 @@ class CacheController:
     def release_slwb(self, eid: int) -> None:
         """Retire SLWB entry ``eid``: markers progress, waiters run."""
         entries = self.slwb._entries
-        del entries[eid]
+        entries.remove(eid)
         if self._eid_markers:
             self._marker_progress(eid)
         waiters = self._slwb_waiters

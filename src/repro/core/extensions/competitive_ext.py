@@ -38,7 +38,6 @@ from repro.core.extensions.base import ProtocolExtension
 from repro.core.messages import Message, MsgType
 from repro.core.states import CacheState, MemoryState
 from repro.core.transactions import Xact
-from repro.mem.write_buffers import SlwbKind
 from repro.mem.write_cache import WriteCache, WriteCacheEntry
 from repro.sim.engine import SimulationError
 
@@ -60,7 +59,6 @@ _UPD_ACK = MsgType.UPD_ACK
 _MIG_QUERY = MsgType.MIG_QUERY
 _MIG_RPL = MsgType.MIG_RPL
 _FETCH = MsgType.FETCH
-_SLWB_WC_FLUSH = SlwbKind.WC_FLUSH
 
 
 class CompetitiveExtension(ProtocolExtension):
@@ -167,7 +165,7 @@ class CompetitiveExtension(ProtocolExtension):
     def _issue_flush(self, entry: WriteCacheEntry, markers: list) -> None:
         ctrl = self._ctrl
         block = entry.block
-        eid = ctrl.slwb.alloc(_SLWB_WC_FLUSH)
+        eid = ctrl.slwb.alloc()
         ctrl.stats.write_cache_flushes += 1
         fifo = self._pending_flushes.get(block)
         if fifo is None:

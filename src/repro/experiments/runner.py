@@ -1,11 +1,10 @@
 """Shared experiment plumbing on top of the sweep engine.
 
-Historically every table/figure driver called ``run_once`` in a
-hand-rolled nested loop.  The drivers now build
-:class:`~repro.sweep.RunSpec` batches and push them through one
-:class:`~repro.sweep.SweepEngine`, which parallelizes across worker
-processes (``--jobs``) and memoizes completed cells on disk
-(``--cache-dir`` / ``--no-cache``).  This module keeps:
+The table/figure drivers build :class:`~repro.sweep.RunSpec` batches
+and push them through one :class:`~repro.sweep.SweepEngine`, which
+parallelizes across worker processes (``--jobs``) and memoizes
+completed cells on disk (``--cache-dir`` / ``--no-cache``).  This
+module keeps:
 
 * the paper-default config helpers (:func:`make_config`,
   :func:`mesh_network`, :func:`small_buffer_cache`,
@@ -13,9 +12,6 @@ processes (``--jobs``) and memoizes completed cells on disk
 * the argparse plumbing every driver CLI shares
   (:func:`scale_arg`, :func:`add_sweep_args`, :func:`engine_from_args`,
   :func:`print_sweep_summary`).
-
-``run_once`` finished its deprecation cycle and is gone; calling it
-raises with a migration recipe (see ``docs/sweeps.md``).
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.config import (
     CacheConfig,
@@ -74,27 +70,6 @@ def make_config(
         cache=cache or CacheConfig(),
     )
     return cfg.with_protocol(protocol)
-
-
-def run_once(*args: Any, **kwargs: Any) -> RunResult:
-    """Removed.  Raises with the migration recipe.
-
-    The deprecation shim (PR 1) warned for several releases; the
-    single-cell path now goes through the spec/engine API exclusively::
-
-        from repro.sweep import RunSpec, run_spec
-        res = run_spec(RunSpec.for_run("water", protocol="P", scale=0.5))
-
-    ``RunSpec.for_run`` mirrors the old ``run_once`` signature, and
-    ``RunResult.app/.protocol/.consistency/.execution_time`` mirror the
-    old attribute surface.
-    """
-    raise RuntimeError(
-        "run_once was removed; build a repro.sweep.RunSpec "
-        "(RunSpec.for_run mirrors the old signature) and execute it with "
-        "repro.sweep.run_spec or SweepEngine.run -- see docs/sweeps.md, "
-        "'Migrating from run_once'"
-    )
 
 
 def execute(

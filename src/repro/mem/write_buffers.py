@@ -15,18 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum, auto
 from typing import Any
-
-
-class SlwbKind(Enum):
-    """What a pending SLWB entry is waiting for."""
-
-    READ = auto()       # demand read miss
-    OWNERSHIP = auto()  # OWN_REQ / RDX_REQ pending
-    PREFETCH = auto()   # P: non-binding prefetch in flight
-    WC_FLUSH = auto()   # CW: write-cache flush awaiting WC_ACK
-    SYNC = auto()       # acquire / release / barrier in flight
 
 
 @dataclass(slots=True)
@@ -96,13 +85,17 @@ class Flwb:
 
 
 class Slwb:
-    """Out-of-order second-level write buffer (pending-request table)."""
+    """Out-of-order second-level write buffer (pending-request table).
+
+    An entry is its id alone.  ``CacheController.release_slwb`` retires
+    one, running the waiters that need room as it goes.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("SLWB needs at least one entry")
         self.capacity = capacity
-        self._entries: dict[int, SlwbKind] = {}
+        self._entries: set[int] = set()
         self._next_id = 0
 
     @property
@@ -119,25 +112,15 @@ class Slwb:
         """
         return len(self._entries) + n <= self.capacity
 
-    def alloc(self, kind: SlwbKind) -> int:
+    def alloc(self) -> int:
         """Allocate an entry; returns its id.  Caller checks room first."""
         entries = self._entries
         if len(entries) >= self.capacity:
             raise OverflowError("SLWB overflow")
         eid = self._next_id
         self._next_id = eid + 1
-        entries[eid] = kind
+        entries.add(eid)
         return eid
-
-    def release(self, eid: int) -> SlwbKind:
-        """Retire entry ``eid``; returns its kind."""
-        return self._entries.pop(eid)
-
-    def count(self, kind: SlwbKind | None = None) -> int:
-        """Number of pending entries (optionally of one kind)."""
-        if kind is None:
-            return len(self._entries)
-        return sum(1 for k in self._entries.values() if k is kind)
 
     def __len__(self) -> int:
         return len(self._entries)

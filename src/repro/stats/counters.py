@@ -309,8 +309,8 @@ class MachineStats:
         """Versioned JSON-able payload; inverse of :meth:`from_dict`.
 
         Every counter is a plain int/float/str, so the round trip is
-        lossless.  One dict per node: the shape of the worker-pool
-        replies.
+        lossless.  One dict per node: the shape the golden files pin
+        and ``==`` compares.
         """
         procs, caches = self._node_values()
         return {

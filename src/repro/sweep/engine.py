@@ -17,12 +17,14 @@ Uncached cells are submitted most expensive first
 cheap cells backfill idle workers; completion order never leaks into
 the API -- results always come back in spec order.
 
-Worker processes never see the cache: they receive spec dicts, return
-``MachineStats.to_dict()`` payloads, and the parent writes the cache
-and fires the progress hook.  Routing *both* the live and the cached
-path through the same versioned dict round-trip guarantees that a
-process-pool sweep, a serial sweep and a cache replay produce
-bitwise-identical statistics.
+Worker processes never see the cache: they receive spec dicts and
+return ``MachineStats.to_columns()``, the head and counter block a
+cache entry stores.  The parent rebuilds the stats with
+``MachineStats.from_columns``, as a disk hit does, then writes the
+cache and fires the progress hook, so a pooled cell and a later
+cache replay share one format by construction, and a process-pool
+sweep, a serial sweep and a replay produce bitwise-identical
+statistics.
 
 Equal specs inside one batch are simulated once: later copies receive
 the first copy's result (reported with progress source ``"dedup"``
@@ -69,8 +71,8 @@ ProgressHook = Callable[[ProgressEvent], None]
 def workload_key(spec: RunSpec) -> str:
     """Content hash of the workload identity a spec describes.
 
-    Two specs that differ only in protocol, consistency, directory or
-    network timing share the same reference streams, so the key covers
+    Two specs that differ only in protocol, consistency or network
+    timing share the same reference streams, so the key covers
     exactly the fields the workload generators consume.
     """
     ident = {
@@ -78,7 +80,6 @@ def workload_key(spec: RunSpec) -> str:
         "n_procs": spec.n_procs,
         "scale": spec.scale,
         "seed": spec.seed,
-        "workload_kw": {k: v for k, v in spec.workload_kw},
         "block_size": spec.cache.block_size,
         "page_size": spec.cache.page_size,
     }
@@ -89,10 +90,7 @@ def workload_key(spec: RunSpec) -> str:
 def _build_streams(spec: RunSpec, cfg):
     from repro.workloads import build_workload
 
-    return build_workload(
-        spec.app, cfg, scale=spec.scale, seed=spec.seed,
-        **dict(spec.workload_kw),
-    )
+    return build_workload(spec.app, cfg, scale=spec.scale, seed=spec.seed)
 
 
 class WarmContext:
@@ -101,7 +99,7 @@ class WarmContext:
     A long-lived executor (each pool worker, which builds one in its
     initializer, and an engine's serial path) executes many specs that
     share a workload: the same :func:`workload_key` under different
-    protocols, directories or timings.  Building the reference streams
+    protocols or timings.  Building the reference streams
     is deterministic in that identity, and the simulator only
     *iterates* the frozen ``Op`` lists, so one built workload can
     safely drive any number of runs.
@@ -310,9 +308,12 @@ class SweepEngine:
             index = dict(zip(futures, order))
             for fut in as_completed(index):
                 payload = fut.result()  # worker errors surface here
-                stats = MachineStats.from_dict(payload["stats"])
-                self._complete(batch, index[fut], stats,
-                               payload["wall_time"], results)
+                i = index[fut]
+                head, block = payload["stats"]
+                stats = MachineStats.from_columns(head, block,
+                                                  batch[i].n_procs)
+                self._complete(batch, i, stats, payload["wall_time"],
+                               results)
         except BaseException as exc:
             for fut in futures:
                 fut.cancel()

@@ -119,8 +119,9 @@ def _init_worker(parent: int) -> None:
 def run_cell(spec_dict: dict) -> dict:
     """Worker task: simulate one spec dict.
 
-    Returns ``{"stats": <MachineStats dict>, "wall_time": float}``; an
-    error raised by the simulation surfaces on the task's future.
+    Returns ``{"stats": stats.to_columns(), "wall_time": float}``: the
+    head and counter block that the result cache stores.  An error
+    raised by the simulation surfaces on the task's future.
     """
     from repro.sweep.engine import execute_spec
     from repro.sweep.spec import RunSpec
@@ -128,7 +129,7 @@ def run_cell(spec_dict: dict) -> dict:
     spec = RunSpec.from_dict(spec_dict)
     t0 = time.perf_counter()
     stats = execute_spec(spec, _warm)
-    return {"stats": stats.to_dict(),
+    return {"stats": stats.to_columns(),
             "wall_time": time.perf_counter() - t0}
 
 

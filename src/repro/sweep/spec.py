@@ -8,8 +8,12 @@ object that
 * builds its own :class:`~repro.config.SystemConfig` (``to_config``),
 * serializes to/from a plain JSON-able dict (``to_dict``/``from_dict``),
 * derives a *stable* content hash (``key``) that is identical across
-  processes and insensitive to keyword-argument order -- the result
-  cache and the process-pool executor both address cells by it.
+  processes and covers the simulation model as well (:data:`MODEL_STAMP`)
+  -- the result cache and the process-pool executor both address cells
+  by it.
+
+A spec names the machine and nothing else: its eight fields are the
+whole canonical dict, and every entry point refuses anything more.
 
 ``RunResult`` is the matching value object on the way out: the spec
 that produced it, the collected :class:`~repro.stats.counters.MachineStats`
@@ -35,17 +39,21 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from repro.config import (
+    MODEL_VERSION,
     CacheConfig,
+    CompetitiveConfig,
     Consistency,
     NetworkConfig,
     NetworkKind,
+    PrefetchConfig,
     ProtocolConfig,
     SystemConfig,
+    TimingConfig,
     check_machine,
     require_ints,
 )
@@ -63,10 +71,10 @@ from repro.workloads import ALL_APP_NAMES
 #: v2: ``directory`` organization field and ``network.mesh_dims``.
 #: v3: ``backend`` execution-tier field.
 #: v4: the ``backend`` field is gone again (one execution tier).
-#: The directory, page-placement and mesh-shape options are gone too,
-#: but every canonical dict still carries their one surviving value
-#: (below), so the keys of v4 specs did not change with them.
-SPEC_SCHEMA_VERSION = 4
+#: v5: the canonical dict holds the eight spec fields and nothing else
+#: (no ``directory``, ``page_placement``, ``network.mesh_dims`` or
+#: ``workload_kw``), and the key carries :data:`MODEL_STAMP`.
+SPEC_SCHEMA_VERSION = 5
 
 #: the paper's seed; kept in one place so the API, the CLI and every
 #: experiment driver agree.
@@ -77,12 +85,25 @@ DEFAULT_SEED = 1994
 #: ``json.dumps`` with these options would build a new encoder per call.
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+#: the simulation model a key covers beyond its spec: the hand-bumped
+#: :data:`~repro.config.MODEL_VERSION` and the defaults of the configs
+#: no spec carries, read from fresh instances once, at import.  No
+#: source file is hashed, so a refactor that keeps every counter keeps
+#: every key, while a changed default or a version bump moves them all.
+MODEL_STAMP = {
+    "version": MODEL_VERSION,
+    "timing": dataclasses.asdict(TimingConfig()),
+    "prefetch": dataclasses.asdict(PrefetchConfig()),
+    "competitive": dataclasses.asdict(CompetitiveConfig()),
+}
+
 
 class SpecSchemaError(ValueError):
     """A serialized RunSpec payload cannot be deserialized safely.
 
     Raised for malformed JSON, a missing/unknown ``"v"`` stamp or a
-    payload whose fields do not reassemble into a valid spec.
+    payload whose fields are not the spec's own or do not reassemble
+    into a valid spec.
     """
 
 
@@ -93,17 +114,10 @@ class SpecSchemaError(ValueError):
 _NETWORK_FIELDS = tuple(f.name for f in dataclasses.fields(NetworkConfig))
 _CACHE_FIELDS = tuple(f.name for f in dataclasses.fields(CacheConfig))
 
-#: the values the canonical dict keeps for the machine options that
-#: have one setting only: the full-map directory, round-robin page
-#: placement and the squarest mesh (``network.mesh_dims``).
-_DIRECTORY_DICT = {"org": "full_map", "pointers": 4, "region_size": 4}
-_PAGE_PLACEMENT = "round_robin"
-
 
 def _network_to_dict(net: NetworkConfig) -> dict:
     d = {name: getattr(net, name) for name in _NETWORK_FIELDS}
     d["kind"] = net.kind.value
-    d["mesh_dims"] = None
     return d
 
 
@@ -112,33 +126,28 @@ def _cache_to_dict(cache: CacheConfig) -> dict:
 
 
 #: the sub-configs a spec gets when it leaves them unset, one frozen
-#: instance each, shared by every such spec; their field dicts are
-#: built once here, so keying a default cell rebuilds none of them.
+#: instance each, shared by every such spec.
 _DEFAULT_NETWORK = NetworkConfig()
 _DEFAULT_CACHE = CacheConfig()
-_DEFAULT_NETWORK_DICT = _network_to_dict(_DEFAULT_NETWORK)
-_DEFAULT_CACHE_DICT = _cache_to_dict(_DEFAULT_CACHE)
 
 
 # -- the key's canonical fragments ------------------------------------
 #
-# ``RunSpec.key()`` hashes the canonical JSON of
-# ``{"schema": SPEC_SCHEMA_VERSION, "spec": _shared_dict()}`` without
-# running the encoder: it joins, in sorted-key order, fragments that
-# are each the canonical JSON of one value.  The fixed values and the
-# default sub-configs are encoded once here; any other sub-config once
-# per distinct value (they are frozen, and ``require_ints`` makes equal
-# values serialize alike); strings go through the encoder's own string
-# escaper, and the plain ints and the float scale through ``repr``,
-# which is what the encoder writes for them.  The tests hold the result
-# to the encoder's, byte for byte.
+# ``RunSpec.key()`` hashes the canonical JSON of ``{"model":
+# MODEL_STAMP, "schema": SPEC_SCHEMA_VERSION, "spec": to_dict()}``
+# without running the encoder: it joins, in sorted-key order, fragments
+# that are each the canonical JSON of one value.  The model stamp, the
+# schema and the default sub-configs are encoded once here; any other
+# sub-config once per distinct value (they are frozen, and
+# ``require_ints`` makes equal values serialize alike); strings go
+# through the encoder's own string escaper, and the plain ints and the
+# float scale through ``repr``, which is what the encoder writes for
+# them.  The tests hold the result to the encoder's, byte for byte.
 
-_DEFAULT_NETWORK_JSON = _canonical_json(_DEFAULT_NETWORK_DICT)
-_DEFAULT_CACHE_JSON = _canonical_json(_DEFAULT_CACHE_DICT)
-_KEY_HEAD = '{"schema":%d,"spec":{"app":' % SPEC_SCHEMA_VERSION
-_KEY_DIRECTORY = ',"directory":%s,"n_procs":' % _canonical_json(_DIRECTORY_DICT)
-_KEY_PLACEMENT = (',"page_placement":%s,"protocol":'
-                  % _canonical_json(_PAGE_PLACEMENT))
+_DEFAULT_NETWORK_JSON = _canonical_json(_network_to_dict(_DEFAULT_NETWORK))
+_DEFAULT_CACHE_JSON = _canonical_json(_cache_to_dict(_DEFAULT_CACHE))
+_KEY_HEAD = ('{"model":%s,"schema":%d,"spec":{"app":'
+             % (_canonical_json(MODEL_STAMP), SPEC_SCHEMA_VERSION))
 
 
 @functools.lru_cache(maxsize=256)
@@ -153,30 +162,8 @@ def _cache_json(cache: CacheConfig) -> str:
 
 def _network_from_dict(d: Mapping[str, Any]) -> NetworkConfig:
     d = dict(d)
-    dims = d.pop("mesh_dims", None)
-    if dims is not None:
-        raise ValueError(
-            f"unsupported mesh_dims {dims!r}: the mesh is always the "
-            "squarest factoring of n_procs"
-        )
     d["kind"] = NetworkKind(d["kind"])
     return NetworkConfig(**d)
-
-
-def _check_fixed(d: Mapping[str, Any]) -> None:
-    """Refuse a dict that sets a single-setting option to another value."""
-    directory = d.get("directory", _DIRECTORY_DICT)
-    if directory != _DIRECTORY_DICT:
-        raise ValueError(
-            f"unsupported directory {directory!r}: the machine has a "
-            "full-map directory only"
-        )
-    placement = d.get("page_placement", _PAGE_PLACEMENT)
-    if placement != _PAGE_PLACEMENT:
-        raise ValueError(
-            f"unsupported page placement {placement!r}: pages are "
-            "always placed round-robin"
-        )
 
 
 @dataclass(frozen=True)
@@ -191,12 +178,6 @@ class RunSpec:
     seed: int = DEFAULT_SEED
     network: NetworkConfig = _DEFAULT_NETWORK
     cache: CacheConfig = _DEFAULT_CACHE
-    #: extra workload keyword arguments, stored as a sorted tuple of
-    #: (name, value) pairs.  Equality and hashing go by their canonical
-    #: JSON (``_kw_json``) instead, as the key does: ``True``, ``1`` and
-    #: ``1.0`` compare equal in Python but serialize apart.
-    workload_kw: tuple[tuple[str, Any], ...] = field(default=(), compare=False)
-    _kw_json: str = field(default="{}", init=False, repr=False)
 
     def __post_init__(self) -> None:
         app = self.app
@@ -229,13 +210,6 @@ class RunSpec:
         object.__setattr__(self, "protocol", protocol.name)
         # refuse what to_config() would, before the spec is keyed
         check_machine(self.n_procs, consistency, protocol)
-        kw = self.workload_kw
-        if isinstance(kw, Mapping):
-            kw = kw.items()
-        kw = tuple(sorted((str(k), v) for k, v in kw))
-        object.__setattr__(self, "workload_kw", kw)
-        if kw:
-            object.__setattr__(self, "_kw_json", _canonical_json(dict(kw)))
 
     # -- construction ---------------------------------------------------
 
@@ -250,22 +224,8 @@ class RunSpec:
         n_procs: int = 16,
         scale: float = 1.0,
         seed: int = DEFAULT_SEED,
-        **workload_kw: Any,
     ) -> "RunSpec":
-        """Mirror of the historical ``run_once`` signature."""
-        if "backend" in workload_kw:
-            # the removed execution-tier field must not slip into the
-            # workload keywords (and from there into the cache key)
-            raise TypeError(
-                "for_run() got an unexpected keyword argument 'backend' "
-                "(there is one execution tier)"
-            )
-        for name in ("directory", "page_placement"):
-            if name in workload_kw:
-                raise ValueError(
-                    f"for_run() no longer takes {name!r}: the machine has "
-                    "a full-map directory and round-robin page placement"
-                )
+        """A spec whose unset sub-configs (``None``) are the defaults."""
         return cls(
             app=app,
             protocol=protocol,
@@ -275,7 +235,6 @@ class RunSpec:
             seed=seed,
             network=network or _DEFAULT_NETWORK,
             cache=cache or _DEFAULT_CACHE,
-            workload_kw=workload_kw,
         )
 
     # -- conversion -----------------------------------------------------
@@ -290,17 +249,8 @@ class RunSpec:
         ).with_protocol(self.protocol)
 
     def to_dict(self) -> dict:
-        """Plain JSON-able dict; inverse of :meth:`from_dict`."""
-        d = self._shared_dict()
-        # the caller may mutate what it gets; the defaults' dicts are shared
-        for name in ("network", "cache", "directory"):
-            d[name] = dict(d[name])
-        return d
-
-    def _shared_dict(self) -> dict:
-        """:meth:`to_dict` whose sub-config dicts may be the shared
-        defaults' dicts: read it, never mutate it."""
-        net, cache = self.network, self.cache
+        """Plain JSON-able dict of the eight spec fields; inverse of
+        :meth:`from_dict`."""
         return {
             "app": self.app,
             "protocol": self.protocol,
@@ -308,19 +258,23 @@ class RunSpec:
             "n_procs": self.n_procs,
             "scale": self.scale,
             "seed": self.seed,
-            "network": (_DEFAULT_NETWORK_DICT if net is _DEFAULT_NETWORK
-                        else _network_to_dict(net)),
-            "cache": (_DEFAULT_CACHE_DICT if cache is _DEFAULT_CACHE
-                      else _cache_to_dict(cache)),
-            "directory": _DIRECTORY_DICT,
-            "page_placement": _PAGE_PLACEMENT,
-            "workload_kw": {k: v for k, v in self.workload_kw},
+            "network": _network_to_dict(self.network),
+            "cache": _cache_to_dict(self.cache),
         }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        _check_fixed(d)
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Refuses (:class:`ValueError`) a dict whose keys are not exactly
+        the spec's fields; the sub-configs refuse unknown fields too.
+        """
+        if d.keys() != _FIELD_NAMES:
+            raise ValueError(
+                f"spec fields must be {sorted(_FIELD_NAMES)}; unknown: "
+                f"{sorted(d.keys() - _FIELD_NAMES)}, missing: "
+                f"{sorted(_FIELD_NAMES - d.keys())}"
+            )
         return cls(
             app=d["app"],
             protocol=d["protocol"],
@@ -330,7 +284,6 @@ class RunSpec:
             seed=d["seed"],
             network=_network_from_dict(d["network"]),
             cache=CacheConfig(**d["cache"]),
-            workload_kw=d.get("workload_kw", {}),
         )
 
     # -- wire form (versioned) ------------------------------------------
@@ -387,8 +340,8 @@ class RunSpec:
     def key(self) -> str:
         """Stable content hash of this spec (cache address).
 
-        The sha256 of the canonical JSON of
-        ``{"schema": SPEC_SCHEMA_VERSION, "spec": self._shared_dict()}``,
+        The sha256 of the canonical JSON of ``{"model": MODEL_STAMP,
+        "schema": SPEC_SCHEMA_VERSION, "spec": self.to_dict()}``,
         assembled from its fragments (see ``_KEY_HEAD``); unlike
         :func:`hash`, identical in every process and for every dict
         key order.  Memoized on the instance (safe: the dataclass is
@@ -406,10 +359,9 @@ class RunSpec:
         payload = (
             f'{_KEY_HEAD}{_json_str(self.app)},"cache":{cache_json}'
             f',"consistency":{_json_str(self.consistency)}'
-            f'{_KEY_DIRECTORY}{self.n_procs!r},"network":{net_json}'
-            f"{_KEY_PLACEMENT}{_json_str(self.protocol)}"
-            f',"scale":{self.scale!r},"seed":{self.seed!r}'
-            f',"workload_kw":{self._kw_json}}}}}'
+            f',"n_procs":{self.n_procs!r},"network":{net_json}'
+            f',"protocol":{_json_str(self.protocol)}'
+            f',"scale":{self.scale!r},"seed":{self.seed!r}}}}}'
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
         object.__setattr__(self, "_key", digest)
@@ -424,6 +376,10 @@ class RunSpec:
             extras.append(f"{self.n_procs}p")
         tail = f" [{','.join(extras)}]" if extras else ""
         return f"{self.app}/{self.protocol}/{self.consistency}{tail}"
+
+
+#: the keys of every canonical dict: the spec's fields.
+_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunSpec))
 
 
 @dataclass(frozen=True)

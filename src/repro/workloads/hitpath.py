@@ -22,7 +22,7 @@ WORKING_SET_BLOCKS = 8
 
 
 def streams(
-    cfg: SystemConfig, scale: float = 1.0, seed: int = 1994, **_kw
+    cfg: SystemConfig, scale: float = 1.0, seed: int = 1994
 ) -> list[list[Op]]:
     """One hit-dominated loop per processor over a private page."""
     n_ops = max(1, int(40_000 * scale))

@@ -6,13 +6,13 @@ Run from the repository root:
 
 The snapshots pin ``RunSpec.key()`` (the result-cache address) and
 ``RunSpec.to_json()`` (the wire form cache files store) over every
-application x the eight protocol combinations under RC and the four feasible under SC (CW needs release
-consistency, so a spec refuses it under SC) x uniform/mesh network x
-the default and both section-5.4 cache configurations.  Every cell id keeps a ``full_map`` directory field:
-the ids date from when the directory organization was a spec option.  A changed key
-orphans every cached result, so only regenerate them for an
-intentional, reviewed spec change (one that also bumps
-``SPEC_SCHEMA_VERSION``).
+application x the eight protocol combinations under RC and the four
+feasible under SC (CW needs release consistency, so a spec refuses it
+under SC) x uniform/mesh network x the default and both section-5.4
+cache configurations.  A changed key orphans every cached result, so
+only regenerate them for an intentional, reviewed key move: one that
+bumps ``SPEC_SCHEMA_VERSION`` or ``MODEL_VERSION``, or changes a
+config default that ``MODEL_STAMP`` holds.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.sweep.spec import RunSpec
 from repro.workloads import ALL_APP_NAMES
 
 CONSISTENCIES = ("RC", "SC")
-DIRECTORIES = ("full_map",)
 NETWORKS = (("uniform", None), ("mesh16", mesh_network(16)))
 CACHES = (
     ("default", CacheConfig()),
@@ -45,9 +44,9 @@ OUT = Path(__file__).with_name("spec_keys.json")
 def corpus() -> list[tuple[str, RunSpec]]:
     """(cell id, spec) for every cell of the pinned cross product."""
     cells = []
-    for app, proto, cons, dirname, (net_name, net), (cache_name, cache) in (
+    for app, proto, cons, (net_name, net), (cache_name, cache) in (
         itertools.product(ALL_APP_NAMES, ALL_PROTOCOLS, CONSISTENCIES,
-                          DIRECTORIES, NETWORKS, CACHES)
+                          NETWORKS, CACHES)
     ):
         if cons == "SC" and proto not in SC_PROTOCOLS:
             continue
@@ -56,7 +55,7 @@ def corpus() -> list[tuple[str, RunSpec]]:
             cache=cache,
         )
         cells.append(
-            (f"{app}/{proto}/{cons}/{dirname}/{net_name}/{cache_name}", spec)
+            (f"{app}/{proto}/{cons}/{net_name}/{cache_name}", spec)
         )
     return cells
 

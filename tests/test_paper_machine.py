@@ -2,11 +2,14 @@
 
 One full-map directory, 4-KB pages placed round-robin and the paper's
 applications.  The ``pthor`` workload, the limited-pointer and
-coarse-vector directories, first-touch placement and explicit mesh
-shapes were removed; their canonical-dict entries stay at the one
-surviving value, so no surviving spec's key changed.
-A spec naming a removed option is refused at every entry point,
-loudly.
+coarse-vector directories, first-touch placement, explicit mesh shapes
+and free workload keywords were removed, and a spec's canonical dict
+holds only its eight fields: no ``directory``, ``page_placement``,
+``network.mesh_dims`` or ``workload_kw`` entry, not even at a value
+the machine has.  A spec naming a removed option is refused at every
+entry point, loudly: ``RunSpec`` and ``for_run`` raise Python's own
+``TypeError`` on an unknown keyword, and ``from_wire`` refuses a
+payload whose keys are not the spec's own.
 """
 
 import hashlib
@@ -30,14 +33,30 @@ from repro.sweep import (
     RunSpec,
     SpecSchemaError,
 )
+from repro.sweep.spec import MODEL_STAMP
 
-#: one edit per removed option, applied to a valid wire payload
+#: the full-map directory and round-robin placement that v4 wire
+#: payloads carried as fixed values
+_V4_DIRECTORY = {"org": "full_map", "pointers": 4, "region_size": 4}
+
+#: one edit per removed option, applied to a valid wire payload: a key
+#: the spec does not have, at a removed or at the surviving value, a
+#: removed value, or a missing key
 REMOVED = {
     "pthor": lambda w: w.update(app="pthor"),
-    "limited": lambda w: w["directory"].update(org="limited"),
-    "coarse": lambda w: w["directory"].update(org="coarse", region_size=2),
+    "directory": lambda w: w.update(directory=_V4_DIRECTORY),
+    "limited": lambda w: w.update(directory={**_V4_DIRECTORY,
+                                             "org": "limited"}),
+    "coarse": lambda w: w.update(directory={**_V4_DIRECTORY, "org": "coarse",
+                                            "region_size": 2}),
+    "page_placement": lambda w: w.update(page_placement="round_robin"),
     "first_touch": lambda w: w.update(page_placement="first_touch"),
     "mesh_dims": lambda w: w["network"].update(mesh_dims=[8, 2]),
+    "mesh_dims_none": lambda w: w["network"].update(mesh_dims=None),
+    "workload_kw": lambda w: w.update(workload_kw={}),
+    "backend": lambda w: w.update(backend="event"),
+    "missing_seed": lambda w: w.pop("seed"),
+    "missing_cache": lambda w: w.pop("cache"),
 }
 
 
@@ -55,9 +74,12 @@ def test_no_config_field_selects_a_removed_option():
     assert {f.name for f in fields(CompetitiveConfig)} == {"threshold"}
     assert "adaptive" not in {f.name for f in fields(PrefetchConfig)}
     assert not hasattr(CompetitiveConfig, "classic")
-    assert {"directory", "page_placement"}.isdisjoint(
-        f.name for f in fields(RunSpec)
-    )
+    assert {f.name for f in fields(RunSpec)} == {
+        "app", "protocol", "consistency", "n_procs", "scale", "seed",
+        "network", "cache",
+    }
+    assert RunSpec.for_run("water").to_dict().keys() \
+        == {f.name for f in fields(RunSpec)}
 
 
 @pytest.mark.parametrize("option", sorted(REMOVED))
@@ -66,15 +88,20 @@ def test_from_wire_refuses(option):
         RunSpec.from_wire(_wire_naming(option))
 
 
-@pytest.mark.parametrize("kw,match", [
-    ({"app": "nosuchapp"}, "unknown workload 'nosuchapp'"),
-    ({"app": "water", "directory": "limited:4"}, "'directory'"),
-    ({"app": "water", "directory": "coarse:2"}, "'directory'"),
-    ({"app": "water", "page_placement": "first_touch"}, "'page_placement'"),
-], ids=["unknown-app", "limited", "coarse", "first_touch"])
-def test_for_run_refuses(kw, match):
-    with pytest.raises(ValueError, match=match):
+@pytest.mark.parametrize("kw,error,match", [
+    ({"app": "nosuchapp"}, ValueError, "unknown workload 'nosuchapp'"),
+    ({"app": "water", "directory": "limited:4"}, TypeError, "'directory'"),
+    ({"app": "water", "directory": "coarse:2"}, TypeError, "'directory'"),
+    ({"app": "water", "page_placement": "first_touch"}, TypeError,
+     "'page_placement'"),
+    ({"app": "hitpath", "bogus": 3}, TypeError, "'bogus'"),
+], ids=["unknown-app", "limited", "coarse", "first_touch", "bogus"])
+def test_for_run_refuses(kw, error, match):
+    with pytest.raises(error, match=match):
         RunSpec.for_run(**kw)
+    # the constructor refuses alike, before any key exists
+    with pytest.raises(error, match=match):
+        RunSpec(**kw)
 
 
 @pytest.mark.parametrize("option", sorted(REMOVED))
@@ -90,7 +117,8 @@ def test_cache_entry_naming_a_removed_option_is_invalid(tmp_path, option):
     old_wire = _wire_naming(option)
     old_dict = {k: v for k, v in old_wire.items() if k != "v"}
     old_key = hashlib.sha256(json.dumps(
-        {"schema": SPEC_SCHEMA_VERSION, "spec": old_dict},
+        {"model": MODEL_STAMP, "schema": SPEC_SCHEMA_VERSION,
+         "spec": old_dict},
         sort_keys=True, separators=(",", ":"),
     ).encode()).hexdigest()
     path = cache.path_for_key(old_key)

@@ -196,14 +196,13 @@ class TestReleaseMarkers:
         """Two releases whose markers compare equal field by field are
         still two sync points: each must wait for the queued flush."""
         from repro.core.cache_ctrl import SyncMarker
-        from repro.mem.write_buffers import SlwbKind
         from repro.mem.write_cache import WriteCacheEntry
 
         system = System(tiny_config("CW"))
         ctrl = system.nodes[0].cache
         ext = ctrl.extensions.get("CW")
         # a full SLWB makes every flush wait in the flush queue
-        held = [ctrl.slwb.alloc(SlwbKind.READ) for _ in range(ctrl.slwb.capacity)]
+        held = [ctrl.slwb.alloc() for _ in range(ctrl.slwb.capacity)]
         ext._queue_flush(WriteCacheEntry(block=3, dirty_words={0}), markers=[])
 
         def on_done():

@@ -35,7 +35,11 @@ from repro.config import (
 from repro.experiments import limited_slc_cache, mesh_network, small_buffer_cache
 from repro.stats.counters import MachineStats
 from repro.sweep import ResultCache, RunResult, RunSpec, SweepEngine
-from repro.sweep.spec import SPEC_SCHEMA_VERSION, _canonical_json
+from repro.sweep.spec import (
+    MODEL_STAMP,
+    SPEC_SCHEMA_VERSION,
+    _canonical_json,
+)
 from repro.workloads import ALL_APP_NAMES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -47,10 +51,11 @@ from regen_spec_keys import corpus  # noqa: E402
 
 def oracle_key(spec: RunSpec) -> str:
     """The key as the definition states it: the sha256 of the canonical
-    JSON encoding of the schema stamp and the spec's canonical dict."""
-    payload = _canonical_json(
-        {"schema": SPEC_SCHEMA_VERSION, "spec": spec._shared_dict()}
-    )
+    JSON encoding of the model stamp, the schema stamp and the spec's
+    canonical dict."""
+    payload = _canonical_json({"model": MODEL_STAMP,
+                               "schema": SPEC_SCHEMA_VERSION,
+                               "spec": spec.to_dict()})
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -153,19 +158,6 @@ networks = st.one_of(
     st.builds(mesh_network, st.integers(1, 4096)),
     st.builds(NetworkConfig, uniform_latency=st.integers(0, 10**9)),
 )
-json_scalars = st.one_of(
-    st.none(), st.booleans(), big_ints,
-    st.floats(allow_nan=False, allow_infinity=False), st.text(),
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    ),
-    max_leaves=12,
-)
-workload_kws = st.dictionaries(st.text(max_size=12), json_values, max_size=4)
 
 
 @given(
@@ -173,18 +165,15 @@ workload_kws = st.dictionaries(st.text(max_size=12), json_values, max_size=4)
     n_procs=st.one_of(st.integers(1, 64), st.integers(1, 2**70)),
     seed=big_ints, scale=scales,
     cache=st.one_of(st.none(), caches), network=st.one_of(st.none(), networks),
-    workload_kw=workload_kws,
 )
 @example(app="MP3D", protocol="cw+p", sc=False, n_procs=16, seed=1994,
-         scale=0.1 + 0.2, cache=None, network=None, workload_kw={})
+         scale=0.1 + 0.2, cache=None, network=None)
 @example(app="lu", protocol="M,P", sc=True, n_procs=64, seed=2**64 + 1,
-         scale=1e-05, cache=limited_slc_cache(), network=mesh_network(16),
-         workload_kw={"größe": ["é", {"ключ": 1.5}], "n": None})
+         scale=1e-05, cache=limited_slc_cache(), network=mesh_network(16))
 @example(app="Water", protocol="BASIC", sc=True, n_procs=1, seed=-1,
-         scale=3.0, cache=small_buffer_cache(), network=mesh_network(32),
-         workload_kw={"nested": {"a": [1, [2, {"b": True}]]}, "\u2603": "\x00"})
+         scale=3.0, cache=small_buffer_cache(), network=mesh_network(32))
 def test_fragment_key_equals_the_encoded_key(
-        app, protocol, sc, n_procs, seed, scale, cache, network, workload_kw):
+        app, protocol, sc, n_procs, seed, scale, cache, network):
     if sc and ProtocolConfig.from_name(protocol).competitive_update:
         sc = False                          # CW needs release consistency
     kw = {} if cache is None else {"cache": cache}
@@ -192,8 +181,7 @@ def test_fragment_key_equals_the_encoded_key(
         kw["network"] = network
     spec = RunSpec(
         app=app, protocol=protocol, consistency="SC" if sc else "RC",
-        n_procs=n_procs, seed=seed, scale=scale, workload_kw=workload_kw,
-        **kw,
+        n_procs=n_procs, seed=seed, scale=scale, **kw,
     )
     assert spec.key() == oracle_key(spec)
     # a second spec of equal value, whose sub-configs are other

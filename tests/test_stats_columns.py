@@ -1,9 +1,9 @@
 """The result cache's packed stats codec and its failure modes.
 
 ``MachineStats.to_columns``/``from_columns`` are the on-disk form of a
-cache entry's stats: a JSON head and one block of little-endian int64
-counter columns.  ``to_dict``/``from_dict`` stay the worker-pool
-shape.  Stats read from a block stay backed by it until something
+cache entry's stats and the worker pool's replies: a JSON head and one
+block of little-endian int64 counter columns.  ``to_dict``/``from_dict``
+stay the per-node shape the golden files pin.  Stats read from a block stay backed by it until something
 asks for the per-node records, and must read exactly like the stats
 they were written from.  A damaged head or block must be rejected
 (never truncated or misread), which the cache turns into one

@@ -1,4 +1,4 @@
-"""MachineStats to_dict/from_dict round trips (the cache payload)."""
+"""MachineStats to_dict/from_dict round trips (the golden files' shape)."""
 
 import json
 

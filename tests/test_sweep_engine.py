@@ -1,7 +1,5 @@
 """Tests for the sweep engine: executors, memoization, progress."""
 
-import pytest
-
 from repro.sweep import (
     ProgressEvent,
     ResultCache,
@@ -187,16 +185,3 @@ class TestInFlightDedup:
         assert [r.spec for r in results] == [a, a, b]
         assert [r.stats.to_dict() for r in results] \
             == [r.stats.to_dict() for r in serial]
-
-
-class TestRemovedShim:
-    def test_run_once_hard_fails_with_migration_message(self):
-        from repro.experiments.runner import run_once
-
-        with pytest.raises(RuntimeError, match="RunSpec"):
-            run_once("water", protocol="P", scale=0.2)
-
-    def test_run_once_no_longer_exported(self):
-        import repro.experiments as experiments
-
-        assert "run_once" not in experiments.__all__

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.mem.write_buffers import Flwb, FlwbEntry, Slwb, SlwbKind
+from conftest import tiny_config
+from repro.mem.write_buffers import Flwb, FlwbEntry, Slwb
 from repro.mem.write_cache import WriteCache
+from repro.system import System
 
 
 class TestFlwb:
@@ -53,31 +55,38 @@ class TestFlwb:
 
 class TestSlwb:
     def test_alloc_release(self):
-        slwb = Slwb(2)
-        a = slwb.alloc(SlwbKind.READ)
-        b = slwb.alloc(SlwbKind.OWNERSHIP)
+        ctrl = System(tiny_config(slwb_entries=2)).nodes[0].cache
+        slwb = ctrl.slwb
+        a = slwb.alloc()
+        b = slwb.alloc()
+        assert a != b
         assert slwb.full
-        assert slwb.release(a) is SlwbKind.READ
+        ctrl.release_slwb(a)
         assert not slwb.full
-        assert slwb.release(b) is SlwbKind.OWNERSHIP
+        ctrl.release_slwb(b)
+        assert len(slwb) == 0
 
     def test_out_of_order_release(self):
-        slwb = Slwb(3)
-        ids = [slwb.alloc(SlwbKind.PREFETCH) for _ in range(3)]
-        slwb.release(ids[1])
-        assert slwb.count() == 2
-        assert slwb.count(SlwbKind.PREFETCH) == 2
+        ctrl = System(tiny_config(slwb_entries=3)).nodes[0].cache
+        ids = [ctrl.slwb.alloc() for _ in range(3)]
+        ctrl.release_slwb(ids[1])
+        assert len(ctrl.slwb) == 2
+        # a retired id is gone: retiring it again is a protocol error
+        with pytest.raises(KeyError):
+            ctrl.release_slwb(ids[1])
+        # a freed entry takes a fresh id
+        assert ctrl.slwb.alloc() not in ids
 
     def test_overflow(self):
         slwb = Slwb(1)
-        slwb.alloc(SlwbKind.READ)
+        slwb.alloc()
         with pytest.raises(OverflowError):
-            slwb.alloc(SlwbKind.READ)
+            slwb.alloc()
 
     def test_has_room(self):
         slwb = Slwb(2)
         assert slwb.has_room(2)
-        slwb.alloc(SlwbKind.READ)
+        slwb.alloc()
         assert slwb.has_room(1)
         assert not slwb.has_room(2)
 
